@@ -3,7 +3,8 @@
 Per-repetition behavior is fully determined by ``base_seed +
 repetition_index``, so runs are reproducible record for record, whether
 repetitions execute serially or on a process pool. The pool size is
-capped by the SUBDATA_THREADS environment variable (default 1).
+set by the SUBDATA_THREADS environment variable (default 1) and never
+exceeds the repetition count or the machine's CPU count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .datagen import ScenarioConfig, gen_covariates, gen_response
 from .errors import ConfigError, SubdataError
 from .linalg import DataMatrix, logdet_info
-from .regression import adjusted_intercept, expand_interactions, fit_ols, with_intercept
+from .regression import (LinearFit, adjusted_intercept, expand_interactions,
+                         fit_ols, with_intercept)
 from .selectors import (
     LevssConfig,
     SelectionResult,
@@ -94,17 +96,24 @@ def _coerce_specs(selectors) -> tuple[SelectorSpec, ...]:
     return tuple(specs)
 
 
-def _run_selector(spec: SelectorSpec, main: DataMatrix,
-                  expanded: DataMatrix | None, k: int, seed: int) -> SelectionResult:
+def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int,
+                  seed: int) -> SelectionResult:
+    """Run the selector ``spec`` names on ``data``.
+
+    Builds the design each spec needs from ``data`` itself: [1, X] for
+    levss with design="intercept", the interaction-expanded design for
+    iboss with design="expanded", and X for every other spec. This is
+    the only place a SelectorSpec turns into a selector call.
+    """
     if spec.name == "levss":
-        target = with_intercept(main.values) if spec.design == "intercept" else main
+        target = with_intercept(data.values) if spec.design == "intercept" else data
         return select_levss(target, LevssConfig(k=k, threshold=spec.threshold, seed=seed))
     if spec.name == "iboss":
-        target = expanded if spec.design == "expanded" else main
+        target = expand_interactions(data.values) if spec.design == "expanded" else data
         return select_iboss(target, k)
     if spec.name == "oss":
-        return select_oss(main, k, seed)
-    return select_uniform(main, k, seed)
+        return select_oss(data, k, seed)
+    return select_uniform(data, k, seed)
 
 
 @dataclass(frozen=True)
@@ -158,45 +167,68 @@ def _failure_record(rep: int, spec: SelectorSpec, k: int, exc: Exception) -> Met
     )
 
 
+class _CellScorer:
+    """Scores selections on one dataset against one truth.
+
+    Selectors see ``data``; fits see ``design`` against ``y`` and take
+    the intercept adjusted to the full-data means. With ``split`` set,
+    the first ``split`` slope errors are first-order terms and the rest
+    interaction terms. Simulation and bootstrap share this one path.
+    """
+
+    def __init__(self, data: DataMatrix, design: np.ndarray, y: np.ndarray,
+                 truth: LinearFit, sigma2: float, split: int | None = None):
+        self.data, self.design, self.y = data, design, y
+        self.truth, self.sigma2, self.split = truth, sigma2, split
+        self.design_means = design.mean(axis=0)
+        self.y_mean = float(y.mean())
+
+    def score(self, rep: int, spec: SelectorSpec, k: int, seed: int) -> MetricsRecord:
+        """Select, fit and score one cell; a failure yields a flagged record."""
+        try:
+            sel = _run_selector(spec, self.data, k, seed)
+            t0 = time.perf_counter()
+            fit = fit_ols(self.design[sel.indices], self.y[sel.indices])
+            fit = adjusted_intercept(fit, self.design_means, self.y_mean)
+            t_fit = time.perf_counter() - t0
+            ld = logdet_info(with_intercept(self.design[sel.indices]), self.sigma2)
+        except (SubdataError, np.linalg.LinAlgError) as exc:
+            return _failure_record(rep, spec, k, exc)
+        err = fit.slopes - self.truth.slopes
+        mse_main = mse_inter = None
+        if self.split is not None:
+            q = self.split
+            mse_main = float(err[:q] @ err[:q])
+            mse_inter = float(err[q:] @ err[q:])
+        return MetricsRecord(
+            repetition=rep, selector=spec.label, k=k, k_star=sel.k_star,
+            mse_intercept=float((fit.intercept - self.truth.intercept) ** 2),
+            mse_slopes=float(err @ err),
+            mse_main=mse_main, mse_interaction=mse_inter,
+            logdet=ld, elapsed_select=sel.elapsed, elapsed_fit=t_fit,
+        )
+
+
+def _warn_failures(records: list[MetricsRecord], unit: str) -> None:
+    """One warning per flagged record; ``unit`` names what failed."""
+    for r in records:
+        if r.failed:
+            warnings.warn(
+                f"{unit} {r.repetition}, selector {r.selector} failed and is "
+                f"excluded from aggregates: {r.error}",
+                stacklevel=3,
+            )
+
+
 def _simulate_rep(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
                   rep: int) -> list[MetricsRecord]:
     cfg = replace(config, seed=config.seed + rep, beta_slopes=config.beta_slopes)
     X = gen_covariates(cfg)
     y = gen_response(X, cfg)
     design = expand_interactions(X.values) if cfg.interaction else X.values
-    needs_expanded = any(s.design == "expanded" for s in specs)
-    expanded_dm = None
-    if needs_expanded:
-        expanded_vals = design if cfg.interaction else expand_interactions(X.values)
-        expanded_dm = DataMatrix(expanded_vals)
-    design_means = design.mean(axis=0)
-    y_mean = float(y.mean())
-    p = cfg.p
-
-    records = []
-    for spec in specs:
-        try:
-            sel = _run_selector(spec, X, expanded_dm, cfg.k, seed=cfg.seed)
-            t0 = time.perf_counter()
-            fit = fit_ols(design[sel.indices], y[sel.indices])
-            fit = adjusted_intercept(fit, design_means, y_mean)
-            t_fit = time.perf_counter() - t0
-            ld = logdet_info(with_intercept(design[sel.indices]), cfg.sigma2)
-            err = fit.slopes - cfg.beta_slopes
-            mse_main = mse_inter = None
-            if cfg.interaction:
-                mse_main = float(err[:p] @ err[:p])
-                mse_inter = float(err[p:] @ err[p:])
-            records.append(MetricsRecord(
-                repetition=rep, selector=spec.label, k=cfg.k, k_star=sel.k_star,
-                mse_intercept=float((fit.intercept - cfg.beta0) ** 2),
-                mse_slopes=float(err @ err),
-                mse_main=mse_main, mse_interaction=mse_inter,
-                logdet=ld, elapsed_select=sel.elapsed, elapsed_fit=t_fit,
-            ))
-        except (SubdataError, np.linalg.LinAlgError) as exc:
-            records.append(_failure_record(rep, spec, cfg.k, exc))
-    return records
+    scorer = _CellScorer(X, design, y, LinearFit(cfg.beta0, cfg.beta_slopes),
+                         cfg.sigma2, split=cfg.p if cfg.interaction else None)
+    return [scorer.score(rep, spec, cfg.k, cfg.seed) for spec in specs]
 
 
 def run_simulation(config: ScenarioConfig, selectors, reps: int,
@@ -211,27 +243,22 @@ def run_simulation(config: ScenarioConfig, selectors, reps: int,
     drop, so record counts are always reps x selectors.
 
     Parallel execution over repetitions (``n_jobs`` workers, default
-    from SUBDATA_THREADS) produces byte-identical records to the serial
-    run because each repetition is a pure function of its own seed.
+    from SUBDATA_THREADS, at most ``reps`` and the CPU count) produces
+    byte-identical records to the serial run because each repetition is
+    a pure function of its own seed.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     specs = _coerce_specs(selectors)
-    workers = resolve_workers(n_jobs)
-    if workers == 1 or reps == 1:
+    workers = min(resolve_workers(n_jobs), reps, os.cpu_count() or 1)
+    if workers == 1:
         per_rep = [_simulate_rep(config, specs, r) for r in range(reps)]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_simulate_rep, [config] * reps,
                                     [specs] * reps, range(reps)))
     records = [rec for chunk in per_rep for rec in chunk]
-    failures = [r for r in records if r.failed]
-    for r in failures:
-        warnings.warn(
-            f"repetition {r.repetition}, selector {r.selector} failed and is "
-            f"excluded from aggregates: {r.error}",
-            stacklevel=2,
-        )
+    _warn_failures(records, "repetition")
     return records
 
 
@@ -272,7 +299,7 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
                                  seed=base_seed + rep)
             X = gen_covariates(cfg)
             for spec in specs:
-                res = _run_selector(spec, X, None, k, seed=cfg.seed)
+                res = _run_selector(spec, X, k, seed=cfg.seed)
                 if rep > 0:
                     times[spec.label].append(res.elapsed)
         for spec in specs:
@@ -356,39 +383,11 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
             rep_data = data.take(rows)
         else:
             rep_data = data
-        x_means = rep_data.values.mean(axis=0)
-        y_mean = float(rep_data.response.mean())
-        for k in plan.k_values:
-            for spec in plan.selectors:
-                try:
-                    sel = _run_selector(spec, rep_data, None, k,
-                                        seed=plan.seed + b)
-                    t0 = time.perf_counter()
-                    fit = fit_ols(rep_data.values[sel.indices],
-                                  rep_data.response[sel.indices])
-                    fit = adjusted_intercept(fit, x_means, y_mean)
-                    t_fit = time.perf_counter() - t0
-                    ld = logdet_info(
-                        with_intercept(rep_data.values[sel.indices]), 1.0
-                    )
-                    err = fit.slopes - reference.slopes
-                    records.append(MetricsRecord(
-                        repetition=b, selector=spec.label, k=k, k_star=sel.k_star,
-                        mse_intercept=float(
-                            (fit.intercept - reference.intercept) ** 2),
-                        mse_slopes=float(err @ err),
-                        mse_main=None, mse_interaction=None,
-                        logdet=ld, elapsed_select=sel.elapsed, elapsed_fit=t_fit,
-                    ))
-                except (SubdataError, np.linalg.LinAlgError) as exc:
-                    records.append(_failure_record(b, spec, k, exc))
-    failures = [r for r in records if r.failed]
-    for r in failures:
-        warnings.warn(
-            f"bootstrap replicate {r.repetition}, selector {r.selector} "
-            f"failed and is excluded from aggregates: {r.error}",
-            stacklevel=2,
-        )
+        scorer = _CellScorer(rep_data, rep_data.values, rep_data.response,
+                             reference, 1.0)
+        records.extend(scorer.score(b, spec, k, plan.seed + b)
+                       for k in plan.k_values for spec in plan.selectors)
+    _warn_failures(records, "bootstrap replicate")
     return records
 
 
@@ -412,20 +411,17 @@ def summarize(records, config_echo: dict | None = None) -> dict:
     """
     recs = list(records)
     failures = sum(1 for r in recs if r.failed)
-    keys = []
+    by_key: dict[tuple[str, int], list[MetricsRecord]] = {}
     for r in recs:
-        key = (r.selector, r.k)
-        if key not in keys:
-            keys.append(key)
+        by_key.setdefault((r.selector, r.k), []).append(r)
     groups = []
-    for selector, k in keys:
-        ok = [r for r in recs if r.selector == selector and r.k == k and not r.failed]
+    for (selector, k), members in by_key.items():
+        ok = [r for r in members if not r.failed]
         cell: dict = {
             "selector": selector,
             "k": k,
             "count": len(ok),
-            "failures": sum(1 for r in recs
-                            if r.selector == selector and r.k == k and r.failed),
+            "failures": len(members) - len(ok),
         }
         if ok:
             slopes = np.asarray([r.mse_slopes for r in ok])

@@ -2,7 +2,7 @@
 
 Every subcommand is a thin shell over documented library calls:
 
-- ``select``    -> io.read_csv, one selector, io.write_selection
+- ``select``    -> io.read_csv, bench._run_selector, io.write_selection
 - ``simulate``  -> bench.run_simulation, bench.summarize, io.write_results
 - ``timing``    -> bench.run_timing, io.write_timing
 - ``bootstrap`` -> io.read_csv, bench.run_bootstrap, io.write_results
@@ -22,19 +22,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import bench, datagen, io as data_io
 from .errors import ConfigError, SubdataError
-from .regression import expand_interactions
-from .selectors import (
-    LevssConfig,
-    select_iboss,
-    select_levss,
-    select_oss,
-    select_uniform,
-)
 
 _CASE_ALIASES = {
     "1": "uniform01",
@@ -64,40 +56,48 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 
 
 # one row per flag: dest -> (flag string, converter for config-file text,
-# argparse kwargs). Converters also serve as the config-file type map.
-_FLAGS: dict[str, tuple[str, object, dict]] = {
-    "input": ("--input", str, {"help": "input CSV path"}),
-    "output": ("--output", str, {"help": "output path (CSV; JSON lands beside it)"}),
-    "config": ("--config", str, {"help": "flat key = value config file"}),
+# default, argparse kwargs). Converters also serve as the config-file type
+# map. A dict default maps command -> default (None for commands not
+# listed); every command's RunConfig carries every row's default.
+_FLAGS: dict[str, tuple[str, object, object, dict]] = {
+    "input": ("--input", str, None, {"help": "input CSV path"}),
+    "output": ("--output", str, None,
+               {"help": "output path (CSV; JSON lands beside it)"}),
+    "config": ("--config", str, None, {"help": "flat key = value config file"}),
     "method": ("--method", _parse_str_list,
+               {"simulate": bench.SELECTOR_NAMES, "timing": bench.SELECTOR_NAMES},
                {"help": "selector name, or comma-separated list where the "
-                        "command compares several (levss,iboss,oss,uniform)"}),
-    "k": ("--k", int, {"help": "subdata size"}),
-    "threshold": ("--threshold", float,
+                        "command compares several (levss,iboss,oss,uniform); "
+                        "bootstrap defaults to a levss threshold ladder "
+                        "plus iboss and oss"}),
+    "k": ("--k", int, None, {"help": "subdata size"}),
+    "threshold": ("--threshold", float, None,
                   {"help": "condition-number stopping bound for levss; "
                            "omit for no stopping rule"}),
-    "case": ("--case", str,
+    "case": ("--case", str, "mvnormal",
              {"help": "scenario: uniform01 | mvnormal | truncated-mvnormal "
                       "(aliases 1, 2, 3)"}),
-    "n": ("--n", _parse_int_list,
+    "n": ("--n", _parse_int_list, None,
           {"help": "data size; timing accepts a comma-separated list"}),
-    "p": ("--p", int, {"help": "covariate count"}),
-    "reps": ("--reps", int, {"help": "repetition count"}),
-    "boot": ("--boot", int, {"help": "bootstrap replicate count"}),
-    "seed": ("--seed", int, {"help": "base RNG seed"}),
-    "iboss_design": ("--iboss-design", str,
+    "p": ("--p", int, None, {"help": "covariate count"}),
+    "reps": ("--reps", int, {"simulate": 100, "timing": 5},
+             {"help": "repetition count"}),
+    "boot": ("--boot", int, {"bootstrap": 100},
+             {"help": "bootstrap replicate count"}),
+    "seed": ("--seed", int, 0, {"help": "base RNG seed"}),
+    "iboss_design": ("--iboss-design", str, "main",
                      {"choices": ["main", "expanded"],
                       "help": "design the iboss selector sees"}),
-    "log_response": ("--log-response", _parse_bool,
+    "log_response": ("--log-response", _parse_bool, False,
                      {"action": argparse.BooleanOptionalAction,
                       "help": "natural-log the response at ingestion"}),
-    "k_multiples": ("--k-multiples", _parse_int_list,
+    "k_multiples": ("--k-multiples", _parse_int_list, (5, 10, 20, 30),
                     {"help": "bootstrap k grid as multiples of p, e.g. 5,10,20,30"}),
-    "covariates": ("--covariates", _parse_str_list,
+    "covariates": ("--covariates", _parse_str_list, None,
                    {"help": "comma-separated covariate column names "
                             "(default: all but the response)"}),
-    "response": ("--response", str, {"help": "response column name"}),
-    "interaction": ("--interaction", _parse_bool,
+    "response": ("--response", str, None, {"help": "response column name"}),
+    "interaction": ("--interaction", _parse_bool, False,
                     {"action": argparse.BooleanOptionalAction,
                      "help": "include pairwise interactions in the scenario"}),
 }
@@ -116,17 +116,8 @@ _COMMAND_FLAGS = {
                  "interaction"),
 }
 
-_DEFAULTS = {
-    "method": ("levss", "iboss", "oss", "uniform"),
-    "case": "mvnormal",
-    "seed": 0,
-    "reps": {"simulate": 100, "timing": 5},
-    "boot": 100,
-    "k_multiples": (5, 10, 20, 30),
-    "iboss_design": "main",
-    "log_response": False,
-    "interaction": False,
-}
+# RunConfig attributes whose echo() key is the flag's dest instead
+_ECHO_KEYS = {"methods": "method", "n_values": "n"}
 
 
 @dataclass(frozen=True)
@@ -135,46 +126,32 @@ class RunConfig:
 
     command: str
     output: str
-    input: str | None = None
-    methods: tuple[str, ...] = ()
-    k: int | None = None
-    threshold: float | None = None
-    case: str = "mvnormal"
-    n_values: tuple[int, ...] = ()
-    p: int | None = None
-    reps: int | None = None
-    boot: int | None = None
-    seed: int = 0
-    iboss_design: str = "main"
-    log_response: bool = False
-    k_multiples: tuple[int, ...] = (5, 10, 20, 30)
-    covariates: tuple[str, ...] | None = None
-    response: str | None = None
-    interaction: bool = False
+    input: str | None
+    methods: tuple[str, ...]
+    k: int | None
+    threshold: float | None
+    case: str
+    n_values: tuple[int, ...]
+    p: int | None
+    reps: int | None
+    boot: int | None
+    seed: int
+    iboss_design: str
+    log_response: bool
+    k_multiples: tuple[int, ...]
+    covariates: tuple[str, ...] | None
+    response: str | None
+    interaction: bool
 
     def echo(self) -> dict:
         """JSON-ready mirror of the effective options."""
-        return {
-            "command": self.command,
-            "input": self.input,
-            "output": self.output,
-            "method": list(self.methods),
-            "k": self.k,
-            "threshold": self.threshold,
-            "case": self.case,
-            "n": list(self.n_values),
-            "p": self.p,
-            "reps": self.reps,
-            "boot": self.boot,
-            "seed": self.seed,
-            "iboss_design": self.iboss_design,
-            "log_response": self.log_response,
-            "k_multiples": list(self.k_multiples),
-            "covariates": None if self.covariates is None else list(self.covariates),
-            "response": self.response,
-            "interaction": self.interaction,
-            "workers": bench.resolve_workers(),
-        }
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[_ECHO_KEYS.get(f.name, f.name)] = (
+                list(value) if isinstance(value, tuple) else value)
+        doc["workers"] = bench.resolve_workers()
+        return doc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -186,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, dests in _COMMAND_FLAGS.items():
         cp = sub.add_parser(command)
         for dest in dests:
-            flag, _conv, kwargs = _FLAGS[dest]
+            flag, _conv, _default, kwargs = _FLAGS[dest]
             kw = dict(kwargs)
             action = kw.get("action")
             if action is argparse.BooleanOptionalAction:
@@ -217,9 +194,12 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def _merge(command: str, args: argparse.Namespace,
            parser: argparse.ArgumentParser) -> dict:
-    """Explicit flags, then config file, then package defaults."""
+    """Explicit flags, then config file, then the defaults in ``_FLAGS``.
+
+    Every row of ``_FLAGS`` gets a value; the parser and the config-file
+    check only let the user set the command's own flags.
+    """
     dests = _COMMAND_FLAGS[command]
-    merged: dict = {}
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
@@ -227,10 +207,10 @@ def _merge(command: str, args: argparse.Namespace,
         if unknown:
             parser.error(f"unknown config file key(s) for {command}: {unknown}")
 
-    for dest in dests:
+    merged: dict = {}
+    for dest, (_flag, conv, default, kwargs) in _FLAGS.items():
         if dest == "config":
             continue
-        _flag, conv, kwargs = _FLAGS[dest]
         raw = getattr(args, dest, None)
         if raw is not None:
             value = raw if kwargs.get("action") else conv(raw)
@@ -240,10 +220,7 @@ def _merge(command: str, args: argparse.Namespace,
             except ValueError as exc:
                 parser.error(f"config file value for {dest}: {exc}")
         else:
-            default = _DEFAULTS.get(dest)
-            if isinstance(default, dict):
-                default = default.get(command)
-            value = default
+            value = default.get(command) if isinstance(default, dict) else default
         merged[dest] = value
     return merged
 
@@ -256,24 +233,21 @@ def parse_cli(argv) -> RunConfig:
     m = _merge(command, args, parser)
 
     def need(dest):
-        if m.get(dest) is None:
+        if m[dest] is None:
             parser.error(f"{command} requires {_FLAGS[dest][0]}")
 
-    case = m.get("case") or "mvnormal"
-    case = _CASE_ALIASES.get(str(case), case)
+    case = _CASE_ALIASES.get(m["case"], m["case"])
     if case not in datagen.CASES:
-        parser.error(f"unknown case {m.get('case')!r}")
+        parser.error(f"unknown case {m['case']!r}")
 
-    methods = m.get("method") or ()
-    if isinstance(methods, str):
-        methods = (methods,)
+    methods = m["method"] or ()
     for name in methods:
         if name not in bench.SELECTOR_NAMES:
             parser.error(
                 f"unknown method {name!r}, expected one of {bench.SELECTOR_NAMES}"
             )
 
-    n_values = m.get("n") or ()
+    n_values = m["n"] or ()
     if command in ("simulate", "gen-data") and len(n_values) > 1:
         parser.error(f"{command} takes a single --n value")
 
@@ -294,30 +268,13 @@ def parse_cli(argv) -> RunConfig:
     if command == "bootstrap":
         need("response")
 
-    threshold = m.get("threshold")
+    threshold = m["threshold"]
     if threshold is not None and not (threshold >= 1.0 or math.isinf(threshold)):
         parser.error(f"--threshold must be >= 1, got {threshold}")
 
-    return RunConfig(
-        command=command,
-        output=m["output"],
-        input=m.get("input"),
-        methods=tuple(methods),
-        k=m.get("k"),
-        threshold=threshold,
-        case=case,
-        n_values=tuple(n_values),
-        p=m.get("p"),
-        reps=m.get("reps"),
-        boot=m.get("boot"),
-        seed=m.get("seed") or 0,
-        iboss_design=m.get("iboss_design") or "main",
-        log_response=bool(m.get("log_response")),
-        k_multiples=tuple(m.get("k_multiples") or (5, 10, 20, 30)),
-        covariates=m.get("covariates"),
-        response=m.get("response"),
-        interaction=bool(m.get("interaction")),
-    )
+    m["case"] = case
+    del m["method"], m["n"]  # carried as methods and n_values
+    return RunConfig(command=command, methods=methods, n_values=n_values, **m)
 
 
 def _specs_from(rc: RunConfig) -> tuple[bench.SelectorSpec, ...]:
@@ -335,19 +292,8 @@ def _specs_from(rc: RunConfig) -> tuple[bench.SelectorSpec, ...]:
 def _cmd_select(rc: RunConfig) -> int:
     data = data_io.read_csv(rc.input, covariates=rc.covariates,
                             response=rc.response, log_response=rc.log_response)
-    method = rc.methods[0]
-    if method == "levss":
-        result = select_levss(data, LevssConfig(k=rc.k, threshold=rc.threshold,
-                                                seed=rc.seed))
-    elif method == "iboss":
-        target = data
-        if rc.iboss_design == "expanded":
-            target = expand_interactions(data.values)
-        result = select_iboss(target, rc.k)
-    elif method == "oss":
-        result = select_oss(data, rc.k, rc.seed)
-    else:
-        result = select_uniform(data, rc.k, rc.seed)
+    (spec,) = _specs_from(rc)
+    result = bench._run_selector(spec, data, rc.k, rc.seed)
     summary = {"rng": bench.RNG_LABEL, "config": rc.echo()}
     data_io.write_selection(result, summary, rc.output)
     return 0
@@ -374,7 +320,7 @@ def _cmd_timing(rc: RunConfig) -> int:
 def _cmd_bootstrap(rc: RunConfig) -> int:
     data = data_io.read_csv(rc.input, covariates=rc.covariates,
                             response=rc.response, log_response=rc.log_response)
-    if rc.methods and set(rc.methods) != set(bench.SELECTOR_NAMES):
+    if rc.methods:
         selectors = _specs_from(rc)
     else:
         selectors = bench.default_bootstrap_selectors()

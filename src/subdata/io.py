@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import typing
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -138,6 +139,23 @@ def _json_paths(path) -> tuple[Path, Path]:
     return base.with_suffix(".csv"), base.with_suffix(".json")
 
 
+def _write_pair(path, header, rows, summary: dict) -> tuple[Path, Path]:
+    """Write ``header`` and ``rows`` as CSV, then ``summary`` as JSON beside it."""
+    csv_path, json_path = _json_paths(path)
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    with open(json_path, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return csv_path, json_path
+
+
+def _record_rows(records, columns):
+    return ([_fmt(getattr(rec, c)) for c in columns] for rec in records)
+
+
 def write_results(records, summary: dict, path) -> tuple[Path, Path]:
     """Write a records CSV and its JSON summary; returns both paths.
 
@@ -146,20 +164,20 @@ def write_results(records, summary: dict, path) -> tuple[Path, Path]:
     written at round-trip precision, and an empty record list still
     produces the header line.
     """
-    csv_path, json_path = _json_paths(path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, c)) for c in RECORD_COLUMNS])
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path
+    return _write_pair(path, RECORD_COLUMNS,
+                       _record_rows(records, RECORD_COLUMNS), summary)
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+# cell text -> value, keyed by the annotated type of a MetricsRecord field
+_CELL_PARSERS = {
+    int: int,
+    str: str,
+    float: float,
+    float | None: lambda text: None if text == "" else float(text),
+    bool: lambda text: text == "true",
+}
+_RECORD_TYPES = typing.get_type_hints(MetricsRecord)
+_RECORD_PARSERS = tuple(_CELL_PARSERS[_RECORD_TYPES[c]] for c in RECORD_COLUMNS)
 
 
 def read_records(path) -> list[MetricsRecord]:
@@ -170,56 +188,30 @@ def read_records(path) -> list[MetricsRecord]:
             f"unexpected records header {header}, wanted {list(RECORD_COLUMNS)}"
         )
     out = []
-    for row in rows:
-        vals = dict(zip(header, row))
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"row {i + 1} has {len(row)} fields, header has {len(header)}",
+                row=i + 1,
+            )
         out.append(MetricsRecord(
-            repetition=int(vals["repetition"]),
-            selector=vals["selector"],
-            k=int(vals["k"]),
-            k_star=int(vals["k_star"]),
-            mse_intercept=float(vals["mse_intercept"]),
-            mse_slopes=float(vals["mse_slopes"]),
-            mse_main=_parse_optional_float(vals["mse_main"]),
-            mse_interaction=_parse_optional_float(vals["mse_interaction"]),
-            logdet=float(vals["logdet"]),
-            elapsed_select=float(vals["elapsed_select"]),
-            elapsed_fit=float(vals["elapsed_fit"]),
-            failed=vals["failed"] == "true",
-            error=vals["error"],
-        ))
+            *(parse(cell) for parse, cell in zip(_RECORD_PARSERS, row))))
     return out
 
 
 def write_timing(records, summary: dict, path) -> tuple[Path, Path]:
     """Write timing records the same way :func:`write_results` does."""
-    csv_path, json_path = _json_paths(path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMING_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, c)) for c in TIMING_COLUMNS])
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path
+    return _write_pair(path, TIMING_COLUMNS,
+                       _record_rows(records, TIMING_COLUMNS), summary)
 
 
 def write_selection(result, summary: dict, path) -> tuple[Path, Path]:
     """Write selected row indices (one per line) plus the JSON summary."""
-    csv_path, json_path = _json_paths(path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"])
-        for i in result.indices:
-            writer.writerow([int(i)])
     doc = dict(summary)
     doc["k_star"] = int(result.k_star)
     doc["elapsed"] = float(result.elapsed)
     doc["condition_trace"] = [float(v) for v in result.condition_trace]
-    with open(json_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path
+    return _write_pair(path, ["index"], ([int(i)] for i in result.indices), doc)
 
 
 def write_dataset(data: DataMatrix, path) -> Path:

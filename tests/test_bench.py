@@ -12,13 +12,16 @@ from subdata import (
     MetricsRecord,
     ScenarioConfig,
     SelectorSpec,
+    bench,
     default_bootstrap_selectors,
+    expand_interactions,
     fit_ols,
     gen_dataset,
     resolve_workers,
     run_bootstrap,
     run_simulation,
     run_timing,
+    select_iboss,
     summarize,
     with_intercept,
 )
@@ -70,9 +73,9 @@ class TestSelectorSpec:
         x = np.random.default_rng(11).uniform(size=(300, 4))
         dm = DataMatrix(x)
         k = 25
-        plain = _run_selector(SelectorSpec("levss"), dm, None, k, seed=0)
+        plain = _run_selector(SelectorSpec("levss"), dm, k, seed=0)
         variant = _run_selector(
-            SelectorSpec("levss", design="intercept"), dm, None, k, seed=0
+            SelectorSpec("levss", design="intercept"), dm, k, seed=0
         )
         h_x = hat_diagonal(x)
         h_1x = hat_diagonal(with_intercept(x))
@@ -102,6 +105,31 @@ class TestResolveWorkers:
         monkeypatch.setenv(THREADS_ENV_VAR, "zero")
         with pytest.raises(ConfigError):
             resolve_workers()
+
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, pools):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setenv(THREADS_ENV_VAR, "100000")
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        cfg = ScenarioConfig(case="uniform01", n=200, p=2, k=20, seed=1)
+        recs = run_simulation(cfg, ("uniform",), reps=3)
+        assert started == pools
+        assert [r.repetition for r in recs] == [0, 1, 2]
 
 
 class TestRunSimulation:
@@ -207,6 +235,13 @@ class TestRunTiming:
         with pytest.raises(ConfigError):
             run_timing([], p=2, k=10, selectors=("levss",))
 
+    def test_expanded_design_selector(self):
+        recs = run_timing([200], p=3, k=20,
+                          selectors=(SelectorSpec("iboss", design="expanded"),),
+                          reps=1)
+        assert [r.selector for r in recs] == ["iboss:design=expanded"]
+        assert recs[0].mean_seconds > 0.0
+
 
 class TestRunBootstrap:
     def test_identity_replicates_have_zero_error(self):
@@ -268,6 +303,25 @@ class TestRunBootstrap:
         by_sel = {r.selector: r for r in recs}
         assert by_sel["iboss"].failed
         assert not by_sel["uniform"].failed
+
+    def test_expanded_design_selector(self, monkeypatch):
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=300, p=3, k=20, seed=2))
+        seen = []
+
+        def recording_iboss(X, k):
+            seen.append(select_iboss(X, k))
+            return seen[-1]
+
+        monkeypatch.setattr(bench, "select_iboss", recording_iboss)
+        plan = BootstrapPlan(k_values=(20,), n_boot=1, seed=4,
+                             selectors=(SelectorSpec("iboss", design="expanded"),))
+        recs = run_bootstrap(data, plan)
+        assert [r.failed for r in recs] == [False]
+        assert recs[0].selector == "iboss:design=expanded"
+        rows = np.random.default_rng(4).integers(0, data.n, size=data.n)
+        want = select_iboss(expand_interactions(data.values[rows]), 20)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0].indices, want.indices)
 
     def test_requires_response(self):
         cfg = ScenarioConfig(case="mvnormal", n=100, p=2, k=20, seed=6)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from subdata import LevssConfig, read_csv, select_levss
+from subdata import LevssConfig, SelectorSpec, read_csv, select_levss
+from subdata.bench import _run_selector
 from subdata.cli import main, parse_cli
 
 
@@ -214,6 +215,30 @@ class TestEndToEnd:
             ) == 0
             assert len(out.read_text().splitlines()) == 9
 
+    @pytest.mark.parametrize("flags, spec", [
+        (["--method", "levss"], SelectorSpec("levss")),
+        (["--method", "levss", "--threshold", "10"],
+         SelectorSpec("levss", threshold=10.0)),
+        (["--method", "iboss"], SelectorSpec("iboss")),
+        (["--method", "iboss", "--iboss-design", "expanded"],
+         SelectorSpec("iboss", design="expanded")),
+        (["--method", "oss"], SelectorSpec("oss")),
+        (["--method", "uniform"], SelectorSpec("uniform")),
+    ])
+    def test_select_matches_library_dispatch(self, tmp_path, flags, spec):
+        data_path = tmp_path / "d.csv"
+        out = tmp_path / "sel.csv"
+        main(["gen-data", "--n", "300", "--p", "3", "--seed", "8",
+              "--output", str(data_path)])
+        assert main(
+            ["select", *flags, "--k", "24", "--seed", "5",
+             "--input", str(data_path), "--response", "y",
+             "--output", str(out)]
+        ) == 0
+        got = [int(v) for v in out.read_text().splitlines()[1:]]
+        want = _run_selector(spec, read_csv(data_path, response="y"), 24, seed=5)
+        assert got == want.indices.tolist()
+
     def test_simulate_writes_records_and_summary(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert main(
@@ -276,6 +301,20 @@ class TestEndToEnd:
         ) == 0
         doc = json.loads((tmp_path / "b.json").read_text())
         assert {g["selector"] for g in doc["groups"]} == {"uniform"}
+
+    def test_bootstrap_explicit_method_list(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        out = tmp_path / "b.csv"
+        main(["gen-data", "--n", "150", "--p", "2", "--output", str(data_path)])
+        assert main(
+            ["bootstrap", "--input", str(data_path), "--response", "y",
+             "--boot", "1", "--method", "levss,iboss,oss,uniform",
+             "--k-multiples", "5", "--output", str(out)]
+        ) == 0
+        doc = json.loads((tmp_path / "b.json").read_text())
+        assert {g["selector"] for g in doc["groups"]} == {
+            "levss", "iboss", "oss", "uniform"
+        }
 
     def test_missing_input_file_exits_1(self, tmp_path):
         code = main(
