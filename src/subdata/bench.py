@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import subprocess
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +41,12 @@ SELECTOR_NAMES = ("levss", "iboss", "oss", "uniform")
 THREADS_ENV_VAR = "SUBDATA_THREADS"
 
 RNG_LABEL = "numpy default_rng (PCG64)"
+
+# BLAS threads of the process run_timing times in, and the variables
+# the common BLAS builds read them from at load time.
+TIMING_BLAS_THREADS = 1
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 # design name -> the one selector it applies to (None: every selector)
 _DESIGN_SELECTOR = {"main": None, "expanded": "iboss", "intercept": "levss"}
@@ -274,7 +284,8 @@ class TimingRecord:
 
 
 def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
-               case: str = "uniform01", base_seed: int = 0) -> list[TimingRecord]:
+               case: str = "uniform01", base_seed: int = 0,
+               blas_threads: int | None = TIMING_BLAS_THREADS) -> list[TimingRecord]:
     """Wall-clock selection time per selector across data sizes.
 
     For each n, one warm-up repetition is run and discarded, then
@@ -284,19 +295,33 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     Runs are strictly serial so timings are not polluted by sibling
     workers. Reported statistics are the mean and the median over
     repetitions.
+
+    The grid is timed in one fresh Python process whose BLAS libraries
+    start with ``blas_threads`` threads (default 1), so the times
+    measure the selectors' own work rather than the host's scheduling
+    of a BLAS thread pool, which dominates small-n calls on a busy
+    machine. ``blas_threads=None`` times in this process instead, with
+    whatever threads its BLAS already runs.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ConfigError("n_values must not be empty")
-    specs = _coerce_specs(selectors)
+    if blas_threads is not None and blas_threads < 1:
+        raise ConfigError(f"blas_threads must be >= 1 or None, got {blas_threads}")
+    args = (n_values, p, k, _coerce_specs(selectors), reps, case, base_seed)
+    if blas_threads is None:
+        return _time_grid(*args)
+    return _time_grid_in_child(args, blas_threads)
+
+
+def _time_grid(n_values, p, k, specs, reps, case, base_seed) -> list[TimingRecord]:
     out = []
     for n in n_values:
         times: dict[str, list[float]] = {s.label: [] for s in specs}
         for rep in range(reps + 1):  # rep 0 is the discarded warm-up
-            cfg = ScenarioConfig(case=case, n=int(n), p=p, k=k,
-                                 seed=base_seed + rep)
+            cfg = ScenarioConfig(case=case, n=n, p=p, k=k, seed=base_seed + rep)
             X = gen_covariates(cfg)
             for spec in specs:
                 res = _run_selector(spec, X, k, seed=cfg.seed)
@@ -305,11 +330,46 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
         for spec in specs:
             vals = np.asarray(times[spec.label])
             out.append(TimingRecord(
-                n=int(n), selector=spec.label, reps=reps,
+                n=n, selector=spec.label, reps=reps,
                 mean_seconds=float(vals.mean()),
                 median_seconds=float(np.median(vals)),
             ))
     return out
+
+
+def _time_grid_in_child(args, blas_threads: int) -> list[TimingRecord]:
+    """Run ``_time_grid(*args)`` in a fresh interpreter with pinned BLAS threads.
+
+    Thread counts are read when a BLAS library loads, so they can only
+    be set through the environment of a new process. Arguments and the
+    result (or the exception raised) travel as pickles over stdin and
+    stdout.
+    """
+    env = dict(os.environ)
+    env.update({var: str(blas_threads) for var in _BLAS_THREAD_VARS})
+    package_root = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from subdata.bench import _timing_child; _timing_child()"],
+        input=pickle.dumps(args), capture_output=True, env=env, check=False,
+    )
+    if proc.returncode != 0:
+        tail = proc.stderr.decode(errors="replace")[-2000:]
+        raise SubdataError(f"timing process exited with status {proc.returncode}: {tail}")
+    ok, payload = pickle.loads(proc.stdout)
+    if not ok:
+        raise payload
+    return payload
+
+
+def _timing_child() -> None:
+    """Entry point of the timing process: read args, write (ok, result)."""
+    args = pickle.load(sys.stdin.buffer)
+    try:
+        out = (True, _time_grid(*args))
+    except Exception as exc:  # re-raised in the parent
+        out = (False, exc)
+    pickle.dump(out, sys.stdout.buffer)
 
 
 def default_bootstrap_selectors() -> tuple[SelectorSpec, ...]:

@@ -1,6 +1,11 @@
 """Benchmark harness: simulation loop, timing loop, bootstrap loop."""
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +239,42 @@ class TestRunTiming:
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
             run_timing([], p=2, k=10, selectors=("levss",))
+
+    def test_in_process_timing_gives_the_same_grid(self):
+        recs = run_timing([200, 400], p=3, k=20, selectors=("levss",), reps=1,
+                          blas_threads=None)
+        assert [(r.n, r.selector, r.reps) for r in recs] == [
+            (200, "levss", 1), (400, "levss", 1)]
+        assert all(r.mean_seconds > 0.0 for r in recs)
+
+    def test_rejects_zero_blas_threads(self):
+        with pytest.raises(ConfigError):
+            run_timing([200], p=3, k=20, selectors=("levss",), blas_threads=0)
+
+    def test_child_error_keeps_its_type(self):
+        with pytest.raises(ConfigError, match="n >= k"):
+            run_timing([10], p=3, k=20, selectors=("levss",), reps=1)
+
+    def test_child_process_pins_blas_threads(self, monkeypatch):
+        # a fake subprocess.run records the call and starts no process
+        seen = {}
+
+        def fake_run(cmd, input, capture_output, env, check):
+            seen.update(cmd=cmd, args=pickle.loads(input), env=env)
+            return subprocess.CompletedProcess(cmd, 0, pickle.dumps((True, [])), b"")
+
+        monkeypatch.setattr(bench.subprocess, "run", fake_run)
+        monkeypatch.setenv("PYTHONPATH", "elsewhere")
+        assert run_timing([200], p=3, k=20, selectors=("levss",), reps=2,
+                          blas_threads=3) == []
+        for var in bench._BLAS_THREAD_VARS:
+            assert seen["env"][var] == "3"
+        package_root = str(Path(bench.__file__).resolve().parents[1])
+        assert seen["env"]["PYTHONPATH"] == os.pathsep.join([package_root, "elsewhere"])
+        assert seen["cmd"][0] == sys.executable
+        n_values, p, k, specs, reps, case, seed = seen["args"]
+        assert (n_values, p, k, reps, case, seed) == ([200], 3, 20, 2, "uniform01", 0)
+        assert [s.label for s in specs] == ["levss"]
 
     def test_expanded_design_selector(self):
         recs = run_timing([200], p=3, k=20,
