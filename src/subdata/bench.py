@@ -284,8 +284,7 @@ class TimingRecord:
 
 
 def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
-               case: str = "uniform01", base_seed: int = 0,
-               blas_threads: int | None = TIMING_BLAS_THREADS) -> list[TimingRecord]:
+               case: str = "uniform01", base_seed: int = 0) -> list[TimingRecord]:
     """Wall-clock selection time per selector across data sizes.
 
     For each n, one warm-up repetition is run and discarded, then
@@ -297,23 +296,35 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     repetitions.
 
     The grid is timed in one fresh Python process whose BLAS libraries
-    start with ``blas_threads`` threads (default 1), so the times
-    measure the selectors' own work rather than the host's scheduling
-    of a BLAS thread pool, which dominates small-n calls on a busy
-    machine. ``blas_threads=None`` times in this process instead, with
-    whatever threads its BLAS already runs.
+    start with TIMING_BLAS_THREADS threads, so the times measure the
+    selectors' own work rather than the host's scheduling of a BLAS
+    thread pool, which dominates small-n calls on a busy machine.
+    Thread counts are read when a BLAS library loads, so they can only
+    be set through the environment of a new process; arguments and the
+    result (or the exception raised) travel as pickles over stdin and
+    stdout.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ConfigError("n_values must not be empty")
-    if blas_threads is not None and blas_threads < 1:
-        raise ConfigError(f"blas_threads must be >= 1 or None, got {blas_threads}")
     args = (n_values, p, k, _coerce_specs(selectors), reps, case, base_seed)
-    if blas_threads is None:
-        return _time_grid(*args)
-    return _time_grid_in_child(args, blas_threads)
+    env = dict(os.environ)
+    env.update({var: str(TIMING_BLAS_THREADS) for var in _BLAS_THREAD_VARS})
+    package_root = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from subdata.bench import _timing_child; _timing_child()"],
+        input=pickle.dumps(args), capture_output=True, env=env, check=False,
+    )
+    if proc.returncode != 0:
+        tail = proc.stderr.decode(errors="replace")[-2000:]
+        raise SubdataError(f"timing process exited with status {proc.returncode}: {tail}")
+    ok, payload = pickle.loads(proc.stdout)
+    if not ok:
+        raise payload
+    return payload
 
 
 def _time_grid(n_values, p, k, specs, reps, case, base_seed) -> list[TimingRecord]:
@@ -337,33 +348,8 @@ def _time_grid(n_values, p, k, specs, reps, case, base_seed) -> list[TimingRecor
     return out
 
 
-def _time_grid_in_child(args, blas_threads: int) -> list[TimingRecord]:
-    """Run ``_time_grid(*args)`` in a fresh interpreter with pinned BLAS threads.
-
-    Thread counts are read when a BLAS library loads, so they can only
-    be set through the environment of a new process. Arguments and the
-    result (or the exception raised) travel as pickles over stdin and
-    stdout.
-    """
-    env = dict(os.environ)
-    env.update({var: str(blas_threads) for var in _BLAS_THREAD_VARS})
-    package_root = str(Path(__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from subdata.bench import _timing_child; _timing_child()"],
-        input=pickle.dumps(args), capture_output=True, env=env, check=False,
-    )
-    if proc.returncode != 0:
-        tail = proc.stderr.decode(errors="replace")[-2000:]
-        raise SubdataError(f"timing process exited with status {proc.returncode}: {tail}")
-    ok, payload = pickle.loads(proc.stdout)
-    if not ok:
-        raise payload
-    return payload
-
-
 def _timing_child() -> None:
-    """Entry point of the timing process: read args, write (ok, result)."""
+    """Entry point of run_timing's process: read args, write (ok, result)."""
     args = pickle.load(sys.stdin.buffer)
     try:
         out = (True, _time_grid(*args))

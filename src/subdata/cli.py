@@ -312,8 +312,7 @@ def _cmd_timing(rc: RunConfig) -> int:
     records = bench.run_timing(rc.n_values, p=rc.p, k=rc.k,
                                selectors=_specs_from(rc), reps=rc.reps,
                                case=rc.case, base_seed=rc.seed)
-    summary = {"rng": bench.RNG_LABEL, "blas_threads": bench.TIMING_BLAS_THREADS,
-               "config": rc.echo()}
+    summary = {"rng": bench.RNG_LABEL, "config": rc.echo()}
     data_io.write_timing(records, summary, rc.output)
     return 0
 

@@ -240,17 +240,6 @@ class TestRunTiming:
         with pytest.raises(ConfigError):
             run_timing([], p=2, k=10, selectors=("levss",))
 
-    def test_in_process_timing_gives_the_same_grid(self):
-        recs = run_timing([200, 400], p=3, k=20, selectors=("levss",), reps=1,
-                          blas_threads=None)
-        assert [(r.n, r.selector, r.reps) for r in recs] == [
-            (200, "levss", 1), (400, "levss", 1)]
-        assert all(r.mean_seconds > 0.0 for r in recs)
-
-    def test_rejects_zero_blas_threads(self):
-        with pytest.raises(ConfigError):
-            run_timing([200], p=3, k=20, selectors=("levss",), blas_threads=0)
-
     def test_child_error_keeps_its_type(self):
         with pytest.raises(ConfigError, match="n >= k"):
             run_timing([10], p=3, k=20, selectors=("levss",), reps=1)
@@ -265,10 +254,9 @@ class TestRunTiming:
 
         monkeypatch.setattr(bench.subprocess, "run", fake_run)
         monkeypatch.setenv("PYTHONPATH", "elsewhere")
-        assert run_timing([200], p=3, k=20, selectors=("levss",), reps=2,
-                          blas_threads=3) == []
+        assert run_timing([200], p=3, k=20, selectors=("levss",), reps=2) == []
         for var in bench._BLAS_THREAD_VARS:
-            assert seen["env"][var] == "3"
+            assert seen["env"][var] == str(bench.TIMING_BLAS_THREADS)
         package_root = str(Path(bench.__file__).resolve().parents[1])
         assert seen["env"]["PYTHONPATH"] == os.pathsep.join([package_root, "elsewhere"])
         assert seen["cmd"][0] == sys.executable

@@ -14,7 +14,7 @@ from subdata import (
     logdet_info,
     thin_svd,
 )
-from subdata.linalg import _cholesky_qr2_r, matrix_rank_from_singular_values
+from subdata.linalg import matrix_rank_from_singular_values
 
 from _oracles import det_cofactor, hat_diagonal
 
@@ -72,28 +72,6 @@ class TestThinSvd:
         assert np.max(np.abs(u.T @ u - np.eye(6))) <= 1e-10
         rel = np.linalg.norm(u * s @ v.T - x) / np.linalg.norm(x)
         assert rel <= 1e-8
-
-    def test_cholesky_qr2_factor_matches_householder(self):
-        # cond near 1e4: the first Cholesky pass alone would lose ~1e-8
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(3000, 8)) * np.logspace(0, -4, 8)
-        r = _cholesky_qr2_r(x)
-        r_ref = np.linalg.qr(x, mode="r")
-        r_ref *= np.sign(np.diag(r_ref))[:, None]  # Cholesky R has a positive diagonal
-        assert np.allclose(np.triu(r), r, atol=0.0)
-        assert np.max(np.abs(r - r_ref) / np.abs(np.diag(r_ref))[:, None]) <= 1e-10
-        h = leverage_scores(thin_svd(x))
-        assert np.max(np.abs(h - hat_diagonal(x))) <= 1e-10
-
-    @pytest.mark.parametrize("scale", [0.0, 1e-12])
-    def test_cholesky_qr2_declines_singular_input(self, scale):
-        rng = np.random.default_rng(9)
-        base = rng.normal(size=(200, 3))
-        # exactly collinear, or cond near 1e12: beyond what two passes repair
-        x = np.column_stack([base, base[:, 1] + scale * rng.normal(size=200)])
-        assert _cholesky_qr2_r(x) is None
-        u, s, v = thin_svd(x)
-        assert np.max(np.abs(u.T @ u - np.eye(4))) <= 1e-10
 
     def test_identity(self):
         u, s, v = thin_svd(np.eye(3))
