@@ -44,15 +44,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_str_list(text: str) -> tuple[str, ...]:
+    items = tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
+    if not items:
+        raise ValueError(f"expected a comma-separated list, got {text!r}")
+    return items
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+        return tuple(int(tok) for tok in _parse_str_list(text))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
 
 
 # one row per flag: dest -> (flag string, converter for config-file text,
@@ -192,6 +195,14 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _convert(parser: argparse.ArgumentParser, conv, text: str, where: str):
+    """``conv(text)``, or a usage error (exit 2) naming ``where``."""
+    try:
+        return conv(text)
+    except ValueError as exc:
+        parser.error(f"{where}: {exc}")
+
+
 def _merge(command: str, args: argparse.Namespace,
            parser: argparse.ArgumentParser) -> dict:
     """Explicit flags, then config file, then the defaults in ``_FLAGS``.
@@ -208,17 +219,17 @@ def _merge(command: str, args: argparse.Namespace,
             parser.error(f"unknown config file key(s) for {command}: {unknown}")
 
     merged: dict = {}
-    for dest, (_flag, conv, default, kwargs) in _FLAGS.items():
+    for dest, (flag, conv, default, kwargs) in _FLAGS.items():
         if dest == "config":
             continue
         raw = getattr(args, dest, None)
-        if raw is not None:
-            value = raw if kwargs.get("action") else conv(raw)
+        if raw is not None and kwargs.get("action"):
+            value = raw
+        elif raw is not None:
+            value = _convert(parser, conv, raw, f"argument {flag}")
         elif dest in file_values:
-            try:
-                value = conv(file_values[dest])
-            except ValueError as exc:
-                parser.error(f"config file value for {dest}: {exc}")
+            value = _convert(parser, conv, file_values[dest],
+                             f"config file value for {dest}")
         else:
             value = default.get(command) if isinstance(default, dict) else default
         merged[dest] = value

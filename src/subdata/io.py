@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import typing
+import warnings
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -36,6 +37,107 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+# bytes read at a time by _count_lines
+_COUNT_BLOCK_BYTES = 1 << 20
+
+
+def _count_lines(path) -> int:
+    r"""Physical lines in ``path`` as ``open(newline="")`` splits them.
+
+    ``\n``, ``\r\n`` and a lone ``\r`` each end a line, a last line
+    without an ending counts too, and blank lines count like any other.
+    The file is streamed in blocks, never held whole.
+    """
+    lines = 0
+    prev_cr = False  # the block before ended in a \r
+    last = b""
+    with open(path, "rb") as fh:
+        while block := fh.read(_COUNT_BLOCK_BYTES):
+            lines += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            if prev_cr and block.startswith(b"\n"):
+                lines -= 1  # a \r\n split across two blocks
+            prev_cr = block.endswith(b"\r")
+            last = block[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
+
+
+def _parse_cell(cell: str) -> float:
+    """``float(cell)``, refusing the underscores Python numeric literals allow."""
+    if "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
+
+
+def _scan_cells(path, col_of: dict[str, int], names: list[str]) -> np.ndarray:
+    """Parse the named columns cell by cell, naming the first bad cell."""
+    header, rows = _read_rows(path)
+    width = len(header)
+    parsed = np.empty((len(rows), len(names)))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataFormatError(
+                f"row {i + 1} has {len(row)} fields, header has {width}",
+                row=i + 1,
+            )
+        for j, name in enumerate(names):
+            c = col_of[name]
+            cell = row[c]
+            try:
+                val = _parse_cell(cell)
+            except ValueError:
+                raise DataFormatError(
+                    f"malformed numeric cell {cell!r} at row {i + 1}, "
+                    f"col {c + 1}",
+                    row=i + 1, col=c + 1,
+                ) from None
+            if not math.isfinite(val):
+                raise DataFormatError(
+                    f"non-finite cell {cell!r} at row {i + 1}, col {c + 1}",
+                    row=i + 1, col=c + 1,
+                )
+            parsed[i, j] = val
+    return parsed
+
+
+def _read_header(path) -> tuple[list[str], int, int]:
+    """Header cells, the physical lines they span and the data lines below."""
+    try:
+        n_lines = _count_lines(path)
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if header is None:
+        raise DataFormatError(f"{path} is empty")
+    return header, reader.line_num, n_lines - reader.line_num
+
+
+def _load_body(path, skip: int, width: int, n_rows: int,
+               cols: list[int]) -> np.ndarray | None:
+    """Parse the lines below the header in one vectorised pass, or None.
+
+    The result stands only where :func:`_scan_cells` would return the
+    same array: ``n_rows`` rows (``loadtxt`` skips blank lines, the
+    scanner rejects them) of ``width`` cells each, and finite values in
+    the named columns ``cols``. ``loadtxt`` converts with the parser
+    behind ``float()`` but takes no underscore, quote or non-ASCII
+    digit, so every cell it accepts the scanner reads to the same bits.
+    """
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            # a body of blank lines only: the row count below rejects it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
+                              skiprows=skip, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if body.shape != (n_rows, width):
+        return None
+    parsed = body[:, cols]
+    return parsed if np.isfinite(parsed).all() else None
+
+
 def read_csv(path, covariates: list[str] | None = None,
              response: str | None = None, log_response: bool = False) -> DataMatrix:
     """Load a headered CSV into a DataMatrix.
@@ -45,12 +147,20 @@ def read_csv(path, covariates: list[str] | None = None,
     any. ``log_response`` applies a natural log to the response at
     ingestion time.
 
-    Malformed or non-finite cells raise :class:`DataFormatError` naming
-    1-based (row, column) file coordinates, data rows counted from 1
-    below the header.
+    Cells are plain decimal or exponent numerals, surrounding spaces
+    allowed. Malformed cells (underscores included), non-finite cells,
+    blank lines and rows whose width differs from the header's raise
+    :class:`DataFormatError` naming 1-based (row, column) file
+    coordinates, data rows counted from 1 below the header. Cells of
+    columns not named are not parsed.
+
+    A well-formed body is parsed in one ``np.loadtxt`` pass; whatever
+    that pass cannot vouch for is scanned cell by cell, which returns
+    the same array (quoted numerals and non-ASCII digits read as
+    ``float()`` reads them) or names the offending cell.
     """
-    header, rows = _read_rows(path)
-    if not rows:
+    header, header_lines, n_rows = _read_header(path)
+    if not n_rows:
         raise DataFormatError(f"{path} has a header but no data rows")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
@@ -76,31 +186,10 @@ def read_csv(path, covariates: list[str] | None = None,
         raise ConfigError("no covariate columns left after excluding the response")
 
     names = cov_names + ([response] if response is not None else [])
-    width = len(header)
-    parsed = np.empty((len(rows), len(names)))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(
-                f"row {i + 1} has {len(row)} fields, header has {width}",
-                row=i + 1,
-            )
-        for j, name in enumerate(names):
-            c = col_of[name]
-            cell = row[c]
-            try:
-                val = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"malformed numeric cell {cell!r} at row {i + 1}, "
-                    f"col {c + 1}",
-                    row=i + 1, col=c + 1,
-                ) from None
-            if not math.isfinite(val):
-                raise DataFormatError(
-                    f"non-finite cell {cell!r} at row {i + 1}, col {c + 1}",
-                    row=i + 1, col=c + 1,
-                )
-            parsed[i, j] = val
+    parsed = _load_body(path, header_lines, len(header), n_rows,
+                        [col_of[name] for name in names])
+    if parsed is None:
+        parsed = _scan_cells(path, col_of, names)
 
     if response is not None:
         y = parsed[:, -1].copy()
@@ -214,19 +303,26 @@ def write_selection(result, summary: dict, path) -> tuple[Path, Path]:
     return _write_pair(path, ["index"], ([int(i)] for i in result.indices), doc)
 
 
+# rows converted to Python floats at a time by write_dataset
+_WRITE_BLOCK_ROWS = 8192
+
+
 def write_dataset(data: DataMatrix, path) -> Path:
-    """Dump covariates (x1..xp) and optional response (y) to CSV."""
+    r"""Dump covariates (x1..xp) and optional response (y) to CSV.
+
+    Each cell is the ``repr`` of its float and each line ends in
+    ``\r\n``: the bytes ``csv.writer`` writes for the same rows.
+    """
     out = Path(path)
-    p = data.p
-    header = [f"x{j + 1}" for j in range(p)]
+    header = [f"x{j + 1}" for j in range(data.p)]
+    columns = [data.values]
     if data.response is not None:
         header.append("y")
+        columns.append(data.response)
+    table = np.column_stack(columns)
     with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.values[i]]
-            if data.response is not None:
-                row.append(repr(float(data.response[i])))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, data.n, _WRITE_BLOCK_ROWS):
+            block = table[start:start + _WRITE_BLOCK_ROWS].tolist()
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
     return out

@@ -123,6 +123,51 @@ class TestParse:
         assert rc.interaction is True
 
 
+class TestMalformedFlagValues:
+    """Flag text a converter rejects is a usage error, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--k", "abc", "--n", "100", "--p", "2", "--output", "o.csv"],
+        ["simulate", "--n", "1e3", "--p", "2", "--k", "10", "--output", "o.csv"],
+        ["simulate", "--threshold", "high", "--n", "100", "--p", "2",
+         "--k", "10", "--output", "o.csv"],
+        ["bootstrap", "--input", "d.csv", "--response", "y", "--boot", "x",
+         "--output", "o.csv"],
+    ])
+    def test_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_config_file_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--n", "100", "--p", "2",
+                  "--output", "o.csv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "", "--p", "2", "--k", "10", "--output", "o.csv"],
+        ["simulate", "--n", ",", "--p", "2", "--k", "10", "--output", "o.csv"],
+        ["gen-data", "--n", "", "--p", "2", "--output", "o.csv"],
+        ["gen-data", "--n", " , ", "--p", "2", "--output", "o.csv"],
+        ["timing", "--n", ",", "--p", "2", "--k", "10", "--output", "t.csv"],
+        ["bootstrap", "--input", "d.csv", "--response", "y",
+         "--k-multiples", "", "--output", "o.csv"],
+        ["select", "--method", "levss", "--k", "5", "--input", "d.csv",
+         "--covariates", ",", "--output", "o.csv"],
+        ["simulate", "--method", "", "--n", "100", "--p", "2", "--k", "10",
+         "--output", "o.csv"],
+    ])
+    def test_empty_list_exits_2(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
+
 class TestConfigFile:
     def test_flags_beat_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 """CSV ingestion with coordinate-carrying errors, and result round-trips."""
 
+import csv
 import json
 import math
 
@@ -18,7 +19,9 @@ from subdata import (
     write_dataset,
     write_results,
 )
+from subdata import io as subdata_io
 from subdata.io import RECORD_COLUMNS, write_selection, write_timing
+from subdata.linalg import DataMatrix
 from subdata import LevssConfig, select_levss, run_timing
 
 
@@ -184,3 +187,164 @@ class TestWriteSelection:
         assert [int(v) for v in lines[1:]] == res.indices.tolist()
         doc = json.loads(json_path.read_text())
         assert doc["method"] == "levss"
+
+
+def _outcome(read):
+    """What a read gives: its arrays' exact bits, or the error's coordinates."""
+    try:
+        d = read()
+    except DataFormatError as err:
+        return ("error", err.row, err.col, str(err))
+    y = None if d.response is None else d.response.tobytes()
+    return ("data", d.values.shape, d.values.tobytes(), y)
+
+
+def _scan_only(monkeypatch):
+    """Make read_csv skip its vectorised pass, as if loadtxt had refused."""
+    monkeypatch.setattr(subdata_io, "_load_body", lambda *args: None)
+
+
+def _refuse_scan(monkeypatch):
+    """Fail the test if read_csv falls back to the cell scanner."""
+    def refuse(*args):
+        raise AssertionError("the cell scanner ran on a clean file")
+
+    monkeypatch.setattr(subdata_io, "_scan_cells", refuse)
+
+
+# (file text, read_csv keyword arguments, the rows of [covariates..., response]
+# that the cell-by-cell parse gives, or the (row, col) of its DataFormatError)
+_AWKWARD = {
+    "blank line in the middle": ("a,b\n1,2\n\n3,4\n", {}, (2, None)),
+    "blank line at the end": ("a,b\n1,2\n3,4\n\n", {}, (3, None)),
+    "blank line only": ("a,b\n\n", {}, (1, None)),
+    "crlf endings": ("a,b\r\n1,2\r\n3,4\r\n", {}, [[1, 2], [3, 4]]),
+    "lone cr endings": ("a,b\r1,2\r3,4\r", {}, [[1, 2], [3, 4]]),
+    "cr blank line": ("a,b\r\n1,2\r\r\n3,4\r\n", {}, (2, None)),
+    "no final newline": ("a,b\n1,2\n3,4", {}, [[1, 2], [3, 4]]),
+    "quoted cells": ('a,b\n"1",2\n3,"4.5"\n', {}, [[1, 2], [3, 4.5]]),
+    "quoted header": ('"a","b"\n1,2\n', {}, [[1, 2]]),
+    "unicode digits": ("a,b\n١,2\n", {}, [[1, 2]]),
+    "spaces around cells": ("a,b\n 1 ,\t2\n", {}, [[1, 2]]),
+    "short row": ("a,b,c\n1,2,3\n4,5\n", {}, (2, None)),
+    "long row": ("a,b\n1,2\n3,4,5\n", {}, (2, None)),
+    "trailing comma": ("a,b\n1,2,\n", {}, (1, None)),
+    "inf cell": ("a,b\n1,2\ninf,4\n", {}, (2, 1)),
+    "nan cell": ("a,b\n1,nan\n", {}, (1, 2)),
+    "overflowing cell": ("a,b\n1,2\n3,-1e500\n", {}, (2, 2)),
+    "empty cell": ("a,b\n1,\n", {}, (1, 2)),
+    "underscore cell": ("a,b\n1,2\n1_000,4\n", {}, (2, 1)),
+    "comment-like cell": ("a,b\n1,#2\n", {}, (1, 2)),
+    "bad cell in an unread column": (
+        "a,b,y\n1,x,3\n4,nan,6\n", {"covariates": ["a"], "response": "y"},
+        [[1, 3], [4, 6]]),
+    "covariate subset reordered": (
+        "a,b,c,y\n1,2,3,4\n5,6,7,8\n",
+        {"covariates": ["c", "a"], "response": "y"}, [[3, 1, 4], [7, 5, 8]]),
+    "response not last": ("y,a\n4,1\n8,5\n", {"response": "y"}, [[1, 4], [5, 8]]),
+    "log response": (
+        "x,y\n1,1\n2,7.389056098930650\n", {"response": "y", "log_response": True},
+        [[1, 0.0], [2, math.log(7.389056098930650)]]),
+    "log response of zero": (
+        "x,y\n1,5\n2,0\n", {"response": "y", "log_response": True}, (2, 2)),
+    "header with no rows": ("a,b\n", {}, (None, None)),
+    "header with no newline": ("a,b", {}, (None, None)),
+}
+
+
+class TestParsePaths:
+    """The vectorised pass and the cell scan agree on every input."""
+
+    @pytest.mark.parametrize("name", list(_AWKWARD))
+    def test_awkward_input(self, tmp_path, monkeypatch, name):
+        text, kwargs, want = _AWKWARD[name]
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode())
+        got = _outcome(lambda: read_csv(f, **kwargs))
+        if isinstance(want, tuple):
+            assert got[:3] == ("error", *want)
+        else:
+            rows = np.array(want, dtype=np.float64)
+            X, y = (rows[:, :-1], rows[:, -1].tobytes()) if "response" in kwargs \
+                else (rows, None)
+            assert got == ("data", X.shape, X.tobytes(), y)
+        _scan_only(monkeypatch)
+        assert _outcome(lambda: read_csv(f, **kwargs)) == got
+
+    def test_written_dataset_parses_to_the_same_bits(self, tmp_path, monkeypatch):
+        cfg = ScenarioConfig(case="mvnormal", n=3000, p=4, k=10, seed=7)
+        data = gen_dataset(cfg)
+        edge = np.array([[5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308],
+                         [1e-300, -1e22, 0.1, 1 / 3]])
+        data = DataMatrix(np.vstack([data.values, edge]),
+                          np.concatenate([data.response, [1.0, -2.5]]))
+        f = write_dataset(data, tmp_path / "d.csv")
+        with open(f, "a") as fh:
+            fh.write("1,1.,.5,+2E3,-7e-1\n")
+        fast = _outcome(lambda: read_csv(f, response="y"))
+        _scan_only(monkeypatch)
+        assert _outcome(lambda: read_csv(f, response="y")) == fast
+        assert fast[1] == (data.n + 1, 4)
+        back = np.frombuffer(fast[2]).reshape(fast[1])
+        assert np.array_equal(back[:-1].view(np.int64), data.values.view(np.int64))
+        assert back[-1].tolist() == [1.0, 1.0, 0.5, 2000.0]
+        y = np.frombuffer(fast[3])
+        assert np.array_equal(y[:-1].view(np.int64), data.response.view(np.int64))
+        assert y[-1] == -0.7
+
+    def test_clean_file_takes_the_vectorised_path(self, tmp_path, monkeypatch):
+        _refuse_scan(monkeypatch)
+        f = _write(tmp_path, "a,b,y\r\n1,2,3\r\n4.5,-6e-3,7\r\n")
+        d = read_csv(f, response="y")
+        assert np.array_equal(d.values, [[1.0, 2.0], [4.5, -6e-3]])
+        assert np.array_equal(d.response, [3.0, 7.0])
+
+    def test_crlf_split_across_count_blocks(self, tmp_path, monkeypatch):
+        # put a row's "\r" last in one block and its "\n" first in the next
+        block = subdata_io._COUNT_BLOCK_BYTES
+        header = next(h for h in (f"{'a' * m},b\r\n" for m in range(1, 6))
+                      if (block - 4 - len(h)) % 5 == 0)
+        rows = block // 5 + 2
+        text = (header + "1,2\r\n" * rows).encode()
+        assert text[block - 1:block + 1] == b"\r\n"
+        f = tmp_path / "d.csv"
+        f.write_bytes(text)
+        _refuse_scan(monkeypatch)
+        assert read_csv(f).n == rows
+
+    def test_underscore_numeral_rejected(self, tmp_path):
+        f = _write(tmp_path, "a,b\n1,2\n3,1_000\n")
+        with pytest.raises(DataFormatError, match="row 2, col 2") as err:
+            read_csv(f)
+        assert (err.value.row, err.value.col) == (2, 2)
+
+
+class TestWriteDataset:
+    @staticmethod
+    def _csv_writer_bytes(data, path):
+        """The file csv.writer makes of repr'd cells: the reference bytes."""
+        header = [f"x{j + 1}" for j in range(data.p)]
+        if data.response is not None:
+            header.append("y")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i in range(data.n):
+                row = [repr(float(v)) for v in data.values[i]]
+                if data.response is not None:
+                    row.append(repr(float(data.response[i])))
+                writer.writerow(row)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("with_response", [True, False])
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, with_response):
+        monkeypatch.setattr(subdata_io, "_WRITE_BLOCK_ROWS", 7)  # several blocks
+        cfg = ScenarioConfig(case="mvnormal", n=40, p=3, k=10, seed=11)
+        data = gen_dataset(cfg)
+        values = data.values.copy()
+        values[0] = [-0.0, 5e-324, 1e22]
+        data = DataMatrix(values, data.response if with_response else None)
+        want = self._csv_writer_bytes(data, tmp_path / "ref.csv")
+        got = write_dataset(data, tmp_path / "d.csv").read_bytes()
+        assert got == want
+        assert got.startswith(b"x1,x2,x3,y\r\n" if with_response else b"x1,x2,x3\r\n")
