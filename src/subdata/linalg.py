@@ -126,7 +126,9 @@ def thin_svd(X) -> SvdFactors:
         raise DimensionError(f"thin_svd requires n >= p, got n={n}, p={p}")
     try:
         if n >= 2 * p:
-            R = sla.qr(A, mode="r", check_finite=False)[0][:p]
+            # raw mode triangularizes only the top p x p block; mode="r"
+            # would run triu over the whole n x p Householder factor
+            _, R = sla.qr(A, mode="raw", check_finite=False)
             Ur, s, Vt = sla.svd(R, check_finite=False)
             if s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
                 U = A @ (Vt.T / s)

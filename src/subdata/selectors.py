@@ -195,14 +195,37 @@ def _iboss_quotas(k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _extreme_positions(col: np.ndarray, want: int, largest: bool) -> np.ndarray:
+    """Positions of the ``want`` smallest (or largest) entries of ``col``.
+
+    Order is by (value, position): among entries equal to the boundary
+    value, the lowest positions are taken. ``argpartition`` picks among
+    such ties arbitrarily, so when the boundary value also occurs among
+    the entries left out, the picks equal to it are swapped, in place,
+    for the lowest positions holding it.
+    """
+    kth = col.size - want if largest else want - 1
+    part = np.argpartition(col, kth)
+    picks = part[kth:] if largest else part[:want]
+    edge = col[part[kth]]
+    tied = np.flatnonzero(col == edge)
+    at_edge = col[picks] == edge
+    n_edge = int(np.count_nonzero(at_edge))
+    if tied.size > n_edge:
+        picks[at_edge] = tied[:n_edge]
+    return picks
+
+
 def select_iboss(X, k: int) -> SelectionResult:
     """Extreme-value subdata selection, one covariate at a time.
 
     Covariate j contributes the rows with its smallest values and then
     the rows with its largest values, skipping rows already selected by
-    earlier covariates. Partial selection (introselect) keeps each pass
-    linear in the number of remaining rows, so the whole selection is
-    O(n p) for fixed subdata size.
+    earlier covariates. Rows tied at a tail's boundary value go in
+    ascending row order, so the selected set is a function of the data
+    alone. Partial selection (introselect) keeps each pass linear in the
+    number of remaining rows, so the whole selection is O(n p) for fixed
+    subdata size.
 
     Parameters
     ----------
@@ -242,12 +265,8 @@ def select_iboss(X, k: int) -> SelectionResult:
             col = vals[idx, j]
             if want >= idx.size:
                 chosen = idx
-            elif largest:
-                part = np.argpartition(col, idx.size - want)[idx.size - want:]
-                chosen = idx[part]
             else:
-                part = np.argpartition(col, want - 1)[:want]
-                chosen = idx[part]
+                chosen = idx[_extreme_positions(col, want, largest)]
             avail[chosen] = False
             out[pos:pos + chosen.size] = chosen
             pos += chosen.size
@@ -269,6 +288,22 @@ def _scale_to_unit_box(vals: np.ndarray) -> np.ndarray:
     return 2.0 * (vals - lo) / span - 1.0
 
 
+def _pack_signs(Z: np.ndarray) -> np.ndarray:
+    """Each row's bits [Z > 0 | Z < 0] as unsigned words, one row per word column.
+
+    The word is the narrowest of uint8, uint16 and uint32 that holds 2p
+    bits; wider patterns take ceil(2p / 64) uint64 words. The result has
+    shape (words per row, n), so each word's column is contiguous.
+    """
+    n, p = Z.shape
+    packed = np.packbits(np.concatenate([Z > 0, Z < 0], axis=1), axis=1, bitorder="little")
+    width = next((w for w in (1, 2, 4) if 2 * p <= 8 * w), 8)
+    nwords = -(-packed.shape[1] // width)
+    padded = np.zeros((n, nwords * width), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return np.ascontiguousarray(padded.view(f"u{width}").T)
+
+
 def select_oss(X, k: int, seed: int | None = 0) -> SelectionResult:
     """Greedy discrepancy-minimizing selection on the scaled unit box.
 
@@ -284,10 +319,14 @@ def select_oss(X, k: int, seed: int | None = 0) -> SelectionResult:
     deterministic, so ``seed`` is accepted only for interface parity
     with the other randomized selectors and is never consumed.
 
-    Scores are maintained incrementally: with running sums of delta,
-    b_x * delta and delta^2 per candidate, each step costs one sign
-    mat-vec plus O(n) vector work, which reproduces the naive greedy
-    exactly at a fraction of its cost.
+    Each row's strict signs are packed into one 2p-bit pattern
+    [z > 0 | z < 0], held in the narrowest unsigned word that fits
+    (uint8, uint16, uint32, else as many uint64 words as needed), so
+    delta(z, x) is the popcount of the two patterns' AND: an exact
+    integer, zero on coordinates whose scaled entry is exactly 0. Each
+    step then adds the new row's loss term to every candidate's running
+    score, summed in selection order as the naive greedy sums it, and a
+    picked row's score is pinned at +inf so it is never picked again.
 
     Parameters
     ----------
@@ -323,37 +362,31 @@ def select_oss(X, k: int, seed: int | None = 0) -> SelectionResult:
     norms2 = np.einsum("ij,ij->i", Z, Z)
     u = p - 0.5 * norms2          # candidate-side constant of the loss
     b = 0.5 * norms2              # selected-side constant
+    words = _pack_signs(Z)        # (words per row) x n
 
-    # sign matrix in float32: [sgn(Z) | abs(sgn(Z))] so that one mat-vec
-    # yields 2 * delta(z, x) for all candidates z at once
-    sgn = np.sign(Z).astype(np.float32)
-    paired = np.concatenate([sgn, np.abs(sgn)], axis=1)
-
-    d1 = np.zeros(n)              # sum of delta over selected rows
-    e = np.zeros(n)               # sum of b_x * delta
-    f = np.zeros(n)               # sum of delta^2
-    s1 = 0.0                      # sum of b_x
-    s2 = 0.0                      # sum of b_x^2
+    both = np.empty(n, dtype=words.dtype)
+    count = np.empty(n, dtype=np.uint8)
+    delta = np.empty(n, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
+    term = np.empty(n)
+    scores = np.zeros(n)
     chosen = np.empty(k, dtype=np.intp)
-    taken = np.zeros(n, dtype=bool)
 
     current = int(np.argmax(norms2))
     chosen[0] = current
-    taken[current] = True
+    scores[current] = np.inf
     for step in range(1, k):
-        va = paired[current]
-        delta = (paired @ va).astype(np.float64)
-        delta *= 0.5
-        d1 += delta
-        e += b[current] * delta
-        f += delta * delta
-        s1 += b[current]
-        s2 += b[current] * b[current]
-        scores = step * u * u - 2.0 * u * s1 + s2 + 2.0 * u * d1 - 2.0 * e + f
-        scores[taken] = np.inf
+        mine = words[:, current]
+        np.bitwise_count(np.bitwise_and(words[0], mine[0], out=both), out=delta)
+        for w in range(1, words.shape[0]):
+            np.bitwise_count(np.bitwise_and(words[w], mine[w], out=both), out=count)
+            delta += count
+        np.subtract(u, b[current], out=term)
+        term += delta
+        np.square(term, out=term)
+        scores += term
         current = int(np.argmin(scores))
         chosen[step] = current
-        taken[current] = True
+        scores[current] = np.inf
 
     elapsed = time.perf_counter() - t0
     return SelectionResult(chosen, k, _EMPTY_TRACE, elapsed)

@@ -185,6 +185,26 @@ class TestIboss:
                 want = sorted(iboss_sequential_trace(x, k))
                 assert got == want, f"seed={seed} k={k}"
 
+    def test_ties_follow_value_then_row(self):
+        # small integer values tie at almost every tail boundary; the set
+        # must be the (value, row) oracle's, not introselect's choice
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            x = rng.integers(0, 5, size=(50, 2)).astype(float)
+            for k in (4, 8, 11, 16, 25):
+                got = sorted(select_iboss(x, k).indices.tolist())
+                want = sorted(iboss_sequential_trace(x, k))
+                assert got == want, f"seed={seed} k={k}"
+
+    def test_ties_on_duplicate_rows(self):
+        # a bootstrap-style resample: every tie comes from repeated rows
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(30, 3))
+        x = base[rng.integers(0, 30, size=90)]
+        for k in (6, 13, 20):
+            got = sorted(select_iboss(x, k).indices.tolist())
+            assert got == sorted(iboss_sequential_trace(x, k)), f"k={k}"
+
     def test_remainder_spreads_extra_pairs(self):
         x = np.arange(1.0, 9.0).reshape(-1, 1)
         idx = select_iboss(x, k=5).indices
@@ -255,6 +275,39 @@ class TestOss:
             got = select_oss(x, k).indices.tolist()
             want = oss_naive_greedy(x, k)
             assert got == want, f"n={n} p={p} k={k} seed={seed}"
+
+    def test_every_word_width_matches_naive_greedy(self):
+        # 2p sign bits fill uint8, uint16, uint32, one and two uint64 words
+        for p in (1, 4, 5, 8, 16, 17, 32, 33):
+            x = np.random.default_rng(40 + p).normal(size=(60, p))
+            got = select_oss(x, 8).indices.tolist()
+            assert got == oss_naive_greedy(x, 8), f"p={p}"
+
+    def test_wide_pattern_matches_naive_greedy(self):
+        # 140 sign bits: three uint64 words per row
+        x = np.random.default_rng(70).normal(size=(40, 70))
+        assert select_oss(x, 6).indices.tolist() == oss_naive_greedy(x, 6)
+
+    def test_integer_data_matches_naive_greedy(self):
+        # values 0..4 with both ends present scale to {-1, -0.5, 0, 0.5, 1}:
+        # exact zeros carry no sign, and every loss is exact, so ties are
+        # real and must go to the lowest row
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            x = rng.integers(0, 5, size=(50, 3)).astype(float)
+            x[0], x[1] = 0.0, 4.0
+            for k in (5, 12):
+                got = select_oss(x, k).indices.tolist()
+                assert got == oss_naive_greedy(x, k), f"seed={seed} k={k}"
+
+    def test_duplicate_rows_match_naive_greedy(self):
+        # a bootstrap-style resample, with and without rounded entries
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(25, 4))
+        for data in (base, np.round(base)):
+            x = data[rng.integers(0, 25, size=70)]
+            got = select_oss(x, 10).indices.tolist()
+            assert got == oss_naive_greedy(x, 10)
 
     def test_deterministic_and_seed_ignored(self):
         x = np.random.default_rng(17).normal(size=(90, 4))
