@@ -6,8 +6,8 @@ Subset selection only pays off if choosing the rows is much cheaper
 than fitting on all of them. This demo times each selector over a grid
 of dataset sizes with the covariate count and subset size held fixed,
 using the harness that discards a warm-up repetition and reports mean
-and median wall-clock seconds, measured in a fresh process with one
-BLAS thread.
+and median wall-clock seconds, measured with the process's OpenBLAS
+libraries pinned to one thread for the duration of the scan.
 """
 
 import numpy as np

@@ -11,20 +11,16 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
-import subprocess
-import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .datagen import ScenarioConfig, gen_covariates, gen_response
 from .errors import ConfigError, SubdataError
-from .linalg import DataMatrix, logdet_info
+from .linalg import DataMatrix, blas_threads, logdet_info
 from .regression import (LinearFit, adjusted_intercept, expand_interactions,
                          fit_ols, with_intercept)
 from .selectors import (
@@ -42,11 +38,8 @@ THREADS_ENV_VAR = "SUBDATA_THREADS"
 
 RNG_LABEL = "numpy default_rng (PCG64)"
 
-# BLAS threads of the process run_timing times in, and the variables
-# the common BLAS builds read them from at load time.
+# BLAS threads run_timing times the selectors on
 TIMING_BLAS_THREADS = 1
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 # design name -> the one selector it applies to (None: every selector)
 _DESIGN_SELECTOR = {"main": None, "expanded": "iboss", "intercept": "levss"}
@@ -295,36 +288,23 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     workers. Reported statistics are the mean and the median over
     repetitions.
 
-    The grid is timed in one fresh Python process whose BLAS libraries
-    start with TIMING_BLAS_THREADS threads, so the times measure the
-    selectors' own work rather than the host's scheduling of a BLAS
-    thread pool, which dominates small-n calls on a busy machine.
-    Thread counts are read when a BLAS library loads, so they can only
-    be set through the environment of a new process; arguments and the
-    result (or the exception raised) travel as pickles over stdin and
-    stdout.
+    The grid runs with every loaded OpenBLAS library pinned to
+    TIMING_BLAS_THREADS threads (``linalg.blas_threads``), so the times
+    measure the selectors' work rather than a BLAS thread pool's
+    scheduling, which dominates small-n calls on a busy host. Where no
+    OpenBLAS library is found, a warning says so.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ConfigError("n_values must not be empty")
-    args = (n_values, p, k, _coerce_specs(selectors), reps, case, base_seed)
-    env = dict(os.environ)
-    env.update({var: str(TIMING_BLAS_THREADS) for var in _BLAS_THREAD_VARS})
-    package_root = str(Path(__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from subdata.bench import _timing_child; _timing_child()"],
-        input=pickle.dumps(args), capture_output=True, env=env, check=False,
-    )
-    if proc.returncode != 0:
-        tail = proc.stderr.decode(errors="replace")[-2000:]
-        raise SubdataError(f"timing process exited with status {proc.returncode}: {tail}")
-    ok, payload = pickle.loads(proc.stdout)
-    if not ok:
-        raise payload
-    return payload
+    specs = _coerce_specs(selectors)
+    with blas_threads(TIMING_BLAS_THREADS) as pinned:
+        if not pinned:
+            warnings.warn("no OpenBLAS library found to pin; selection times "
+                          "include the BLAS thread pool", stacklevel=2)
+        return _time_grid(n_values, p, k, specs, reps, case, base_seed)
 
 
 def _time_grid(n_values, p, k, specs, reps, case, base_seed) -> list[TimingRecord]:
@@ -346,16 +326,6 @@ def _time_grid(n_values, p, k, specs, reps, case, base_seed) -> list[TimingRecor
                 median_seconds=float(np.median(vals)),
             ))
     return out
-
-
-def _timing_child() -> None:
-    """Entry point of run_timing's process: read args, write (ok, result)."""
-    args = pickle.load(sys.stdin.buffer)
-    try:
-        out = (True, _time_grid(*args))
-    except Exception as exc:  # re-raised in the parent
-        out = (False, exc)
-    pickle.dump(out, sys.stdout.buffer)
 
 
 def default_bootstrap_selectors() -> tuple[SelectorSpec, ...]:

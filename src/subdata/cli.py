@@ -14,13 +14,12 @@ file, which wins over built-in defaults. SUBDATA_THREADS caps the
 simulation worker pool.
 
 Exit status: 0 on success with zero flagged records, 1 when any record
-was flagged or a run failed, 2 on usage errors.
+was flagged or a run failed, 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -280,7 +279,7 @@ def parse_cli(argv) -> RunConfig:
         need("response")
 
     threshold = m["threshold"]
-    if threshold is not None and not (threshold >= 1.0 or math.isinf(threshold)):
+    if threshold is not None and not threshold >= 1.0:
         parser.error(f"--threshold must be >= 1, got {threshold}")
 
     m["case"] = case
@@ -366,14 +365,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         rc = parse_cli(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _HANDLERS[rc.command](rc)
     except SubdataError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
             reader = csv.reader(fh)
             rows = list(reader)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path} is empty")
     return rows[0], rows[1:]
@@ -107,7 +107,7 @@ def _read_header(path) -> tuple[list[str], int, int]:
             reader = csv.reader(fh)
             header = next(reader, None)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if header is None:
         raise DataFormatError(f"{path} is empty")
     return header, reader.line_num, n_lines - reader.line_num

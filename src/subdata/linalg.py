@@ -8,14 +8,16 @@ condition numbers of small symmetric Gram matrices.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 # Relative cutoff below which a singular/eigen value is treated as zero.
 EPS_RANK = 1e-12
@@ -27,6 +29,47 @@ SYMMETRY_TOL = 1e-8
 # eps * cond(X); beyond this cutoff we pay for the LAPACK divide-and-conquer
 # driver instead so that U stays orthonormal to ~1e-11.
 _FAST_PATH_MAX_COND = 1e5
+
+# thread-count (setter, getter) of the numpy wheel's OpenBLAS, then scipy's
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_libraries() -> list[tuple]:
+    """(setter, getter) of each OpenBLAS library in ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    found = [(getattr(lib, set_name), getattr(lib, get_name)) for lib in libs
+             for set_name, get_name in _OPENBLAS_THREAD_FUNCS if hasattr(lib, set_name)]
+    for setter, getter in found:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return found
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Pin every loaded OpenBLAS library to ``n`` threads within the block.
+
+    On exit, by an exception too, each gets back the (process-wide) count
+    it had. Yields how many were pinned: 0, changing nothing, under
+    another BLAS (MKL, Accelerate) or without ``/proc/self/maps``.
+    """
+    libs = _openblas_libraries()
+    previous = [get() for _set, get in libs]
+    try:
+        for set_count, _get in libs:
+            set_count(n)
+        yield len(libs)
+    finally:
+        for (set_count, _get), count in zip(libs, previous):
+            set_count(count)
 
 
 @dataclass(frozen=True)
@@ -228,8 +271,6 @@ def logdet_info(Z, sigma2: float) -> float:
     sigma2 : float
         Error variance, must be positive.
     """
-    from .errors import ConfigError
-
     M = np.asarray(Z, dtype=np.float64)
     if M.ndim != 2:
         raise DimensionError(f"expected a 2-d design, got ndim={M.ndim}")

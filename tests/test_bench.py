@@ -1,11 +1,6 @@
 """Benchmark harness: simulation loop, timing loop, bootstrap loop."""
 
 import dataclasses
-import os
-import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +25,18 @@ from subdata import (
     summarize,
     with_intercept,
 )
+from subdata import linalg
 from subdata.bench import THREADS_ENV_VAR, _run_selector
 
 from _oracles import hat_diagonal
+
+
+def _blas_counts() -> list[int]:
+    return [get() for _set, get in linalg._openblas_libraries()]
+
+
+needs_openblas = pytest.mark.skipif(not _blas_counts(),
+                                    reason="no OpenBLAS library loaded")
 
 
 def _strip_elapsed(rec: MetricsRecord) -> tuple:
@@ -244,25 +248,42 @@ class TestRunTiming:
         with pytest.raises(ConfigError, match="n >= k"):
             run_timing([10], p=3, k=20, selectors=("levss",), reps=1)
 
-    def test_child_process_pins_blas_threads(self, monkeypatch):
-        # a fake subprocess.run records the call and starts no process
-        seen = {}
+    # the tests below start from two threads per library, so a pin to
+    # TIMING_BLAS_THREADS = 1 and its undoing are both visible
 
-        def fake_run(cmd, input, capture_output, env, check):
-            seen.update(cmd=cmd, args=pickle.loads(input), env=env)
-            return subprocess.CompletedProcess(cmd, 0, pickle.dumps((True, [])), b"")
+    @needs_openblas
+    def test_every_timed_call_runs_pinned(self, monkeypatch):
+        seen = []
 
-        monkeypatch.setattr(bench.subprocess, "run", fake_run)
-        monkeypatch.setenv("PYTHONPATH", "elsewhere")
-        assert run_timing([200], p=3, k=20, selectors=("levss",), reps=2) == []
-        for var in bench._BLAS_THREAD_VARS:
-            assert seen["env"][var] == str(bench.TIMING_BLAS_THREADS)
-        package_root = str(Path(bench.__file__).resolve().parents[1])
-        assert seen["env"]["PYTHONPATH"] == os.pathsep.join([package_root, "elsewhere"])
-        assert seen["cmd"][0] == sys.executable
-        n_values, p, k, specs, reps, case, seed = seen["args"]
-        assert (n_values, p, k, reps, case, seed) == ([200], 3, 20, 2, "uniform01", 0)
-        assert [s.label for s in specs] == ["levss"]
+        def recording(*args, **kwargs):
+            seen.append(_blas_counts())
+            return _run_selector(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_run_selector", recording)
+        with linalg.blas_threads(2):
+            run_timing([200, 400], p=3, k=20, selectors=("levss", "iboss"), reps=2)
+        pinned = [bench.TIMING_BLAS_THREADS] * len(_blas_counts())
+        assert len(seen) == 2 * 3 * 2  # n values x (warm-up + reps) x selectors
+        assert all(counts == pinned for counts in seen)
+
+    @needs_openblas
+    def test_counts_restored_after_return(self):
+        with linalg.blas_threads(2):
+            run_timing([200], p=3, k=20, selectors=("levss",), reps=1)
+            assert _blas_counts() == [2] * len(_blas_counts())
+
+    @needs_openblas
+    def test_counts_restored_after_error(self):
+        with linalg.blas_threads(2):
+            with pytest.raises(ConfigError, match="n >= k"):
+                run_timing([10], p=3, k=20, selectors=("levss",), reps=1)
+            assert _blas_counts() == [2] * len(_blas_counts())
+
+    def test_warns_when_no_openblas_found(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas_libraries", lambda: [])
+        with pytest.warns(UserWarning, match="BLAS thread pool"):
+            recs = run_timing([200], p=3, k=20, selectors=("levss",), reps=1)
+        assert [r.selector for r in recs] == ["levss"]
 
     def test_expanded_design_selector(self):
         recs = run_timing([200], p=3, k=20,

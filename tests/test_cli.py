@@ -139,6 +139,13 @@ class TestMalformedFlagValues:
             main(argv)
         assert exc.value.code == 2
 
+    def test_negative_infinite_threshold_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--threshold=-inf", "--n", "100", "--p", "2",
+                  "--k", "10", "--output", "o.csv"])
+        assert exc.value.code == 2
+
     def test_config_file_value_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = abc\n")
@@ -368,3 +375,25 @@ class TestEndToEnd:
              "--output", str(tmp_path / "o.csv")]
         )
         assert code == 1
+
+
+class TestRuntimeConfigErrors:
+    """A ConfigError raised after parsing is a configuration error: exit 2."""
+
+    @pytest.mark.parametrize("argv, env", [
+        (["select", "--method", "levss", "--k", "300", "--input", "d.csv",
+          "--output", "o.csv"], {}),
+        (["select", "--method", "oss", "--k", "1", "--input", "d.csv",
+          "--output", "o.csv"], {}),
+        (["simulate", "--n", "100", "--p", "2", "--k", "10", "--reps", "1",
+          "--method", "uniform", "--output", "o.csv"], {"SUBDATA_THREADS": "abc"}),
+        (["timing", "--n", "10", "--p", "2", "--k", "20", "--reps", "1",
+          "--method", "levss", "--output", "o.csv"], {}),
+    ], ids=["k-equals-n", "oss-k-1", "threads-env", "timing-n-below-k"])
+    def test_exits_2(self, argv, env, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data", "--n", "300", "--p", "2", "--output", "d.csv"]) == 0
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert main(argv) == 2
+        assert not (tmp_path / "o.csv").exists()
