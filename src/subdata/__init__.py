@@ -57,7 +57,6 @@ from .linalg import (
     thin_svd,
 )
 from .regression import (
-    InteractionSpec,
     LinearFit,
     adjusted_intercept,
     expand_interactions,
@@ -84,7 +83,6 @@ __all__ = [
     "DataFormatError",
     "DataMatrix",
     "DimensionError",
-    "InteractionSpec",
     "LevssConfig",
     "LinearFit",
     "MetricsRecord",

@@ -115,7 +115,7 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int,
         target = expand_interactions(data.values) if spec.design == "expanded" else data
         return select_iboss(target, k)
     if spec.name == "oss":
-        return select_oss(data, k, seed)
+        return select_oss(data, k)
     return select_uniform(data, k, seed)
 
 
@@ -146,12 +146,8 @@ class MetricsRecord:
     error: str = ""
 
 
-def resolve_workers(n_jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else SUBDATA_THREADS, else 1."""
-    if n_jobs is not None:
-        if n_jobs < 1:
-            raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
-        return int(n_jobs)
+def resolve_workers() -> int:
+    """Worker count from SUBDATA_THREADS, else 1."""
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         val = int(raw)
@@ -225,7 +221,7 @@ def _warn_failures(records: list[MetricsRecord], unit: str) -> None:
 
 def _simulate_rep(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
                   rep: int) -> list[MetricsRecord]:
-    cfg = replace(config, seed=config.seed + rep, beta_slopes=config.beta_slopes)
+    cfg = replace(config, seed=config.seed + rep)
     X = gen_covariates(cfg)
     y = gen_response(X, cfg)
     design = expand_interactions(X.values) if cfg.interaction else X.values
@@ -234,8 +230,7 @@ def _simulate_rep(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
     return [scorer.score(rep, spec, cfg.k, cfg.seed) for spec in specs]
 
 
-def run_simulation(config: ScenarioConfig, selectors, reps: int,
-                   n_jobs: int | None = None) -> list[MetricsRecord]:
+def run_simulation(config: ScenarioConfig, selectors, reps: int) -> list[MetricsRecord]:
     """Generate, select, fit, and score ``reps`` independent repetitions.
 
     Repetition r draws its dataset from seed ``config.seed + r``, runs
@@ -245,15 +240,15 @@ def run_simulation(config: ScenarioConfig, selectors, reps: int,
     failure yields a flagged record (and a warning), never a silent
     drop, so record counts are always reps x selectors.
 
-    Parallel execution over repetitions (``n_jobs`` workers, default
-    from SUBDATA_THREADS, at most ``reps`` and the CPU count) produces
-    byte-identical records to the serial run because each repetition is
-    a pure function of its own seed.
+    Parallel execution over repetitions (SUBDATA_THREADS workers, at
+    most ``reps`` and the CPU count) produces byte-identical records to
+    the serial run because each repetition is a pure function of its
+    own seed.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     specs = _coerce_specs(selectors)
-    workers = min(resolve_workers(n_jobs), reps, os.cpu_count() or 1)
+    workers = min(resolve_workers(), reps, os.cpu_count() or 1)
     if workers == 1:
         per_rep = [_simulate_rep(config, specs, r) for r in range(reps)]
     else:
@@ -300,31 +295,28 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     if not n_values:
         raise ConfigError("n_values must not be empty")
     specs = _coerce_specs(selectors)
+    out = []
     with blas_threads(TIMING_BLAS_THREADS) as pinned:
         if not pinned:
             warnings.warn("no OpenBLAS library found to pin; selection times "
                           "include the BLAS thread pool", stacklevel=2)
-        return _time_grid(n_values, p, k, specs, reps, case, base_seed)
-
-
-def _time_grid(n_values, p, k, specs, reps, case, base_seed) -> list[TimingRecord]:
-    out = []
-    for n in n_values:
-        times: dict[str, list[float]] = {s.label: [] for s in specs}
-        for rep in range(reps + 1):  # rep 0 is the discarded warm-up
-            cfg = ScenarioConfig(case=case, n=n, p=p, k=k, seed=base_seed + rep)
-            X = gen_covariates(cfg)
+        for n in n_values:
+            times: dict[str, list[float]] = {s.label: [] for s in specs}
+            for rep in range(reps + 1):  # rep 0 is the discarded warm-up
+                cfg = ScenarioConfig(case=case, n=n, p=p, k=k,
+                                     seed=base_seed + rep)
+                X = gen_covariates(cfg)
+                for spec in specs:
+                    res = _run_selector(spec, X, k, seed=cfg.seed)
+                    if rep > 0:
+                        times[spec.label].append(res.elapsed)
             for spec in specs:
-                res = _run_selector(spec, X, k, seed=cfg.seed)
-                if rep > 0:
-                    times[spec.label].append(res.elapsed)
-        for spec in specs:
-            vals = np.asarray(times[spec.label])
-            out.append(TimingRecord(
-                n=n, selector=spec.label, reps=reps,
-                mean_seconds=float(vals.mean()),
-                median_seconds=float(np.median(vals)),
-            ))
+                vals = np.asarray(times[spec.label])
+                out.append(TimingRecord(
+                    n=n, selector=spec.label, reps=reps,
+                    mean_seconds=float(vals.mean()),
+                    median_seconds=float(np.median(vals)),
+                ))
     return out
 
 

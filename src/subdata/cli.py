@@ -114,8 +114,7 @@ _COMMAND_FLAGS = {
     "bootstrap": ("input", "output", "config", "method", "threshold", "boot",
                   "k_multiples", "seed", "covariates", "response",
                   "log_response"),
-    "gen-data": ("output", "config", "case", "n", "p", "k", "seed",
-                 "interaction"),
+    "gen-data": ("output", "config", "case", "n", "p", "seed", "interaction"),
 }
 
 # RunConfig attributes whose echo() key is the flag's dest instead
@@ -281,6 +280,12 @@ def parse_cli(argv) -> RunConfig:
     threshold = m["threshold"]
     if threshold is not None and not threshold >= 1.0:
         parser.error(f"--threshold must be >= 1, got {threshold}")
+    # a selector's own flag is an error where that selector does not run;
+    # bootstrap without --method runs a fixed ladder, levss thresholds included
+    if threshold is not None and "levss" not in methods:
+        parser.error("--threshold applies only to levss; give --method with levss")
+    if m["iboss_design"] != "main" and "iboss" not in methods:
+        parser.error("--iboss-design applies only to iboss; give --method with iboss")
 
     m["case"] = case
     del m["method"], m["n"]  # carried as methods and n_values
@@ -345,8 +350,8 @@ def _cmd_bootstrap(rc: RunConfig) -> int:
 
 
 def _cmd_gen_data(rc: RunConfig) -> int:
-    k = rc.k if rc.k is not None else rc.p + 1
-    cfg = datagen.ScenarioConfig(case=rc.case, n=rc.n_values[0], p=rc.p, k=k,
+    # the generators ignore k; p + 1 is the smallest value the config accepts
+    cfg = datagen.ScenarioConfig(case=rc.case, n=rc.n_values[0], p=rc.p, k=rc.p + 1,
                                  seed=rc.seed, interaction=rc.interaction)
     data = datagen.gen_dataset(cfg)
     data_io.write_dataset(data, rc.output)

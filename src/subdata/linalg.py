@@ -118,11 +118,11 @@ class DataMatrix:
         return DataMatrix(self.values[idx], resp)
 
 
-def as_data_matrix(x, response=None) -> DataMatrix:
+def as_data_matrix(x) -> DataMatrix:
     """Coerce a plain array (or pass through a DataMatrix) to DataMatrix."""
     if isinstance(x, DataMatrix):
         return x
-    return DataMatrix(np.asarray(x), response)
+    return DataMatrix(np.asarray(x))
 
 
 class SvdFactors(NamedTuple):

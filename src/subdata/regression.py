@@ -6,22 +6,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SingularDesignError
+from .errors import DimensionError, SingularDesignError
 from .linalg import as_data_matrix
 
 
 @dataclass(frozen=True)
 class LinearFit:
-    """OLS coefficients split into intercept and slopes.
-
-    ``intercept_variant`` records how the intercept was produced:
-    "joint-ols" straight from the least-squares solve, or "adjusted"
-    after re-centering against full-data means.
-    """
+    """OLS coefficients split into intercept and slopes."""
 
     intercept: float
     slopes: np.ndarray
-    intercept_variant: str = "joint-ols"
 
 
 def with_intercept(design) -> np.ndarray:
@@ -54,7 +48,7 @@ def fit_ols(X, y) -> LinearFit:
             f"design is rank deficient: numerical rank {rank} < {q} columns",
             rank=int(rank),
         )
-    return LinearFit(float(coef[0]), coef[1:], "joint-ols")
+    return LinearFit(float(coef[0]), coef[1:])
 
 
 def adjusted_intercept(fit: LinearFit, x_means, y_mean: float) -> LinearFit:
@@ -62,8 +56,8 @@ def adjusted_intercept(fit: LinearFit, x_means, y_mean: float) -> LinearFit:
 
     ``x_means`` are the column means of the FULL design and ``y_mean``
     is the full-data response mean; the slopes come from the subdata
-    fit. Returns a new LinearFit tagged "adjusted" whose slopes are the
-    very same array as the input's.
+    fit. Returns a new LinearFit whose slopes are the very same array as
+    the input's.
     """
     means = np.asarray(x_means, dtype=np.float64).ravel()
     if means.shape[0] != fit.slopes.shape[0]:
@@ -71,63 +65,19 @@ def adjusted_intercept(fit: LinearFit, x_means, y_mean: float) -> LinearFit:
             f"got {means.shape[0]} design means for {fit.slopes.shape[0]} slopes"
         )
     b0 = float(y_mean) - float(means @ fit.slopes)
-    return replace(fit, intercept=b0, intercept_variant="adjusted")
+    return replace(fit, intercept=b0)
 
 
-@dataclass(frozen=True)
-class InteractionSpec:
-    """Which pairwise interaction columns to append, and in what order.
+def expand_interactions(X) -> np.ndarray:
+    """Append the product x_j * x_l of every column pair j < l.
 
-    ``pairs`` holds (j, l) column index pairs with j < l. The default
-    built by :meth:`full` is every pair in lexicographic order, giving
-    p + p(p-1)/2 design columns after expansion.
-    """
-
-    base_p: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.base_p < 1:
-            raise ConfigError(f"base_p must be >= 1, got {self.base_p}")
-        seen = set()
-        for j, l in self.pairs:
-            if not (0 <= j < l < self.base_p):
-                raise ConfigError(
-                    f"interaction pair ({j}, {l}) is not ordered within "
-                    f"0 .. {self.base_p - 1}"
-                )
-            if (j, l) in seen:
-                raise ConfigError(f"duplicate interaction pair ({j}, {l})")
-            seen.add((j, l))
-
-    @classmethod
-    def full(cls, p: int) -> "InteractionSpec":
-        pairs = tuple(
-            (j, l) for j in range(p) for l in range(j + 1, p)
-        )
-        return cls(base_p=p, pairs=pairs)
-
-
-def expand_interactions(X, spec: InteractionSpec | None = None) -> np.ndarray:
-    """Append products x_j * x_l for each requested pair.
-
-    With the default spec the output has p + p(p-1)/2 columns: the p
-    originals followed by the pairwise products in lexicographic order
-    (0,1), (0,2), ..., (p-2, p-1).
+    The output has p + p(p-1)/2 columns: the p originals followed by
+    the pairwise products in lexicographic order (0,1), (0,2), ...,
+    (p-2, p-1).
     """
     vals = as_data_matrix(X).values
-    p = vals.shape[1]
-    if spec is None:
-        spec = InteractionSpec.full(p)
-    if spec.base_p != p:
-        raise DimensionError(
-            f"interaction spec built for {spec.base_p} columns, matrix has {p}"
-        )
-    if not spec.pairs:
-        return vals.copy()
-    left = np.fromiter((j for j, _ in spec.pairs), dtype=np.intp)
-    right = np.fromiter((l for _, l in spec.pairs), dtype=np.intp)
-    return np.concatenate([vals, vals[:, left] * vals[:, right]], axis=1)
+    j, l = np.triu_indices(vals.shape[1], 1)
+    return np.concatenate([vals, vals[:, j] * vals[:, l]], axis=1)
 
 
 def expanded_column_count(p: int) -> int:

@@ -34,6 +34,13 @@ from .linalg import (
 _EMPTY_TRACE = np.empty(0, dtype=np.float64)
 
 
+def _subdata_size(k) -> int:
+    """``k`` as an int, or ConfigError unless it is a positive whole number."""
+    if int(k) != k or k < 1:
+        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     """Outcome of one selector run.
@@ -75,9 +82,7 @@ class LevssConfig:
     seed: int | None = 0
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _subdata_size(self.k))
         if self.threshold is not None:
             t = float(self.threshold)
             if not t >= 1.0:
@@ -232,8 +237,8 @@ def select_iboss(X, k: int) -> SelectionResult:
     X : DataMatrix or array_like
         Covariate matrix, n x p.
     k : int
-        Subdata size; must satisfy 2p <= k <= n so every covariate gets
-        at least one point per tail.
+        Subdata size, a whole number with 2p <= k <= n so every
+        covariate gets at least one point per tail.
 
     Returns
     -------
@@ -243,7 +248,7 @@ def select_iboss(X, k: int) -> SelectionResult:
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
     n, p = dm.n, dm.p
-    k = int(k)
+    k = _subdata_size(k)
     if k < 2 * p:
         raise ConfigError(
             f"extreme-value selection needs k >= 2p so each covariate "
@@ -304,7 +309,7 @@ def _pack_signs(Z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(padded.view(f"u{width}").T)
 
 
-def select_oss(X, k: int, seed: int | None = 0) -> SelectionResult:
+def select_oss(X, k: int) -> SelectionResult:
     """Greedy discrepancy-minimizing selection on the scaled unit box.
 
     After scaling each column to [-1, 1], the loss of a candidate row z
@@ -316,8 +321,7 @@ def select_oss(X, k: int, seed: int | None = 0) -> SelectionResult:
     The first selected row maximizes |z|^2; every later step adds the
     candidate with the smallest summed loss against the current
     selection, ties going to the lowest row index. The greedy is
-    deterministic, so ``seed`` is accepted only for interface parity
-    with the other randomized selectors and is never consumed.
+    deterministic and consumes no randomness.
 
     Each row's strict signs are packed into one 2p-bit pattern
     [z > 0 | z < 0], held in the narrowest unsigned word that fits
@@ -333,9 +337,7 @@ def select_oss(X, k: int, seed: int | None = 0) -> SelectionResult:
     X : DataMatrix or array_like
         Covariate matrix, n x p.
     k : int
-        Subdata size, 2 <= k < n.
-    seed : int, optional
-        Unused; see above.
+        Subdata size, a whole number with 2 <= k < n.
 
     Returns
     -------
@@ -345,14 +347,14 @@ def select_oss(X, k: int, seed: int | None = 0) -> SelectionResult:
     Raises
     ------
     ConfigError
-        If k < 2 or k >= n.
+        If k is not a whole number, k < 2 or k >= n.
     ScalingError
         If some column is constant, naming that column.
     """
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
     n, p = dm.n, dm.p
-    k = int(k)
+    k = _subdata_size(k)
     if k < 2:
         raise ConfigError(f"discrepancy selection needs k >= 2, got k={k}")
     if k >= n:
@@ -401,8 +403,8 @@ def select_uniform(X, k: int, seed: int | None = 0) -> SelectionResult:
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
     n = dm.n
-    k = int(k)
-    if k < 1 or k > n:
+    k = _subdata_size(k)
+    if k > n:
         raise ConfigError(f"uniform selection needs 1 <= k <= n, got k={k}, n={n}")
     if k == n:
         indices = np.arange(n, dtype=np.intp)

@@ -115,6 +115,21 @@ class TestParse:
         assert echo["k_multiples"] == [5, 10]
         assert echo["log_response"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["bootstrap", "--input", "d.csv", "--response", "y", "--threshold", "40",
+         "--output", "o.csv"],
+        ["select", "--method", "iboss", "--threshold", "30", "--k", "20",
+         "--input", "d.csv", "--output", "o.csv"],
+        ["simulate", "--method", "levss,oss", "--iboss-design", "expanded",
+         "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"],
+        ["gen-data", "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"],
+    ], ids=["bootstrap-ladder-threshold", "select-iboss-threshold",
+            "expanded-without-iboss", "gen-data-k"])
+    def test_flag_that_cannot_apply_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(argv)
+        assert exc.value.code == 2
+
     def test_interaction_flag(self):
         rc = parse_cli(
             ["simulate", "--interaction", "--n", "100", "--p", "3",

@@ -87,7 +87,7 @@ def test_selectors_return_k_distinct_valid_indices(seed, p, extra):
     for res in (
         select_levss(x, LevssConfig(k=k, seed=seed)),
         select_iboss(x, k),
-        select_oss(x, k, seed=seed),
+        select_oss(x, k),
         select_uniform(x, k, seed=seed),
     ):
         idx = res.indices

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from subdata import (
-    ConfigError,
     DimensionError,
-    InteractionSpec,
     SingularDesignError,
     adjusted_intercept,
     expand_interactions,
@@ -25,7 +23,6 @@ class TestFitOls:
         fit = fit_ols(x, y)
         assert fit.intercept == pytest.approx(1.5, abs=1e-10)
         assert np.allclose(fit.slopes, beta, atol=1e-10)
-        assert fit.intercept_variant == "joint-ols"
 
     def test_matches_normal_equations(self):
         for seed in range(10):
@@ -83,8 +80,6 @@ class TestAdjustedIntercept:
         want = y.mean() - x.mean(axis=0) @ sub.slopes
         assert adj.intercept == pytest.approx(want, abs=1e-12)
         assert np.array_equal(adj.slopes, sub.slopes)
-        assert adj.intercept_variant == "adjusted"
-        assert sub.intercept_variant == "joint-ols"
 
     def test_full_data_adjustment_reproduces_joint_fit(self):
         # the first normal equation makes these identical in exact math
@@ -123,29 +118,15 @@ class TestExpandInteractions:
         assert expanded_column_count(2) == 3
         assert expanded_column_count(3) == 6
 
-    def test_custom_spec(self):
-        x = np.arange(6.0).reshape(2, 3)
-        spec = InteractionSpec(base_p=3, pairs=((0, 2),))
-        z = expand_interactions(x, spec)
-        assert z.shape == (2, 4)
-        assert np.array_equal(z[:, 3], x[:, 0] * x[:, 2])
-
-    def test_full_spec_matches_default(self):
-        x = np.random.default_rng(3).normal(size=(5, 4))
-        assert np.array_equal(
-            expand_interactions(x), expand_interactions(x, InteractionSpec.full(4))
-        )
-
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            InteractionSpec(base_p=2, pairs=((0, 2),))
-        with pytest.raises(ConfigError):
-            InteractionSpec(base_p=2, pairs=((1, 0),))
-        with pytest.raises(ConfigError):
-            InteractionSpec(base_p=0, pairs=())
-        x = np.ones((3, 3))
-        with pytest.raises(DimensionError):
-            expand_interactions(x, InteractionSpec(base_p=2, pairs=((0, 1),)))
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 20])
+    def test_every_pair_in_lexicographic_order(self, p):
+        x = np.random.default_rng(p).normal(size=(6, p))
+        want = [x[:, j] * x[:, l] for j in range(p) for l in range(j + 1, p)]
+        z = expand_interactions(x)
+        assert z.shape == (6, p + len(want))
+        assert np.array_equal(z[:, :p], x)
+        for col, product in enumerate(want, start=p):
+            assert np.array_equal(z[:, col], product)
 
 
 class TestWithIntercept:

@@ -309,10 +309,10 @@ class TestOss:
             got = select_oss(x, 10).indices.tolist()
             assert got == oss_naive_greedy(x, 10)
 
-    def test_deterministic_and_seed_ignored(self):
+    def test_deterministic(self):
         x = np.random.default_rng(17).normal(size=(90, 4))
-        a = select_oss(x, 10, seed=0).indices
-        b = select_oss(x, 10, seed=12345).indices
+        a = select_oss(x, 10).indices
+        b = select_oss(x, 10).indices
         assert np.array_equal(a, b)
 
     def test_constant_column_rejected_by_name(self):
@@ -368,3 +368,16 @@ class TestUniform:
             select_uniform(x, 6)
         with pytest.raises(ConfigError):
             select_uniform(x, 0)
+
+
+@pytest.mark.parametrize("select", [
+    lambda x, k: select_levss(x, LevssConfig(k=k)),
+    select_iboss,
+    select_oss,
+    select_uniform,
+], ids=["levss", "iboss", "oss", "uniform"])
+@pytest.mark.parametrize("k", [20.7, 20.0001, np.float64(19.5)])
+def test_non_integer_k_rejected(select, k):
+    x = np.random.default_rng(4).normal(size=(200, 3))
+    with pytest.raises(ConfigError, match="positive integer"):
+        select(x, k)
