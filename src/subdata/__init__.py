@@ -65,8 +65,11 @@ from .regression import (
     with_intercept,
 )
 from .selectors import (
+    LeverageRanking,
     LevssConfig,
     SelectionResult,
+    oss_prefix,
+    rank_by_leverage,
     select_iboss,
     select_levss,
     select_oss,
@@ -83,6 +86,7 @@ __all__ = [
     "DataFormatError",
     "DataMatrix",
     "DimensionError",
+    "LeverageRanking",
     "LevssConfig",
     "LinearFit",
     "MetricsRecord",
@@ -107,6 +111,8 @@ __all__ = [
     "gen_response",
     "leverage_scores",
     "logdet_info",
+    "oss_prefix",
+    "rank_by_leverage",
     "read_csv",
     "read_records",
     "resolve_workers",

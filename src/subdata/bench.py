@@ -24,8 +24,12 @@ from .linalg import DataMatrix, blas_threads, logdet_info
 from .regression import (LinearFit, adjusted_intercept, expand_interactions,
                          fit_ols, with_intercept)
 from .selectors import (
+    LeverageRanking,
     LevssConfig,
     SelectionResult,
+    _stopping_threshold,
+    oss_prefix,
+    rank_by_leverage,
     select_iboss,
     select_levss,
     select_oss,
@@ -49,7 +53,8 @@ _DESIGN_SELECTOR = {"main": None, "expanded": "iboss", "intercept": "levss"}
 class SelectorSpec:
     """A selector plus the per-method options the harness understands.
 
-    ``threshold`` applies to the leverage selector only. ``design``
+    ``threshold`` applies to the leverage selector only and must be at
+    least 1, as in :class:`~subdata.selectors.LevssConfig`. ``design``
     names the matrix the selector sees besides the raw covariates
     ("main"): "expanded" applies to the extreme-value selector only and
     hands it the interaction-expanded design; "intercept" applies to
@@ -66,8 +71,10 @@ class SelectorSpec:
             raise ConfigError(
                 f"unknown selector {self.name!r}, expected one of {SELECTOR_NAMES}"
             )
-        if self.threshold is not None and self.name != "levss":
-            raise ConfigError("threshold only applies to the levss selector")
+        if self.threshold is not None:
+            if self.name != "levss":
+                raise ConfigError("threshold only applies to the levss selector")
+            object.__setattr__(self, "threshold", _stopping_threshold(self.threshold))
         if self.design not in _DESIGN_SELECTOR:
             raise ConfigError(
                 f"design must be one of {tuple(_DESIGN_SELECTOR)}, got {self.design!r}"
@@ -99,23 +106,70 @@ def _coerce_specs(selectors) -> tuple[SelectorSpec, ...]:
     return tuple(specs)
 
 
-def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int,
-                  seed: int) -> SelectionResult:
+def _selector_input(spec: SelectorSpec, data: DataMatrix):
+    """The matrix ``spec``'s selector sees, built from ``data`` itself.
+
+    [1, X] for design="intercept", the interaction-expanded design for
+    design="expanded", and X for every other spec.
+    """
+    if spec.design == "intercept":
+        return with_intercept(data.values)
+    if spec.design == "expanded":
+        return expand_interactions(data.values)
+    return data
+
+
+class _Preparation:
+    """Shared work for the cells of one selector and design on one dataset.
+
+    Every (k, threshold, seed) cell uses it. levss factors and ranks
+    its design once. oss runs one greedy to ``oss_k``, the largest k
+    of the grid it can serve (2 <= k < n); the greedy is
+    prefix-consistent, so every smaller k is its first k rows. Each
+    is made when a cell first needs it. A preparation that raises is
+    not kept, so every cell that needs it raises the same error. iboss
+    quotas are not prefix-consistent and uniform draws follow the
+    seed, so those selectors run per cell.
+    """
+
+    def __init__(self, data: DataMatrix, k_values):
+        self.data = data
+        self.oss_k = max((k for k in k_values if 2 <= k < data.n), default=0)
+        self._ranking: LeverageRanking | None = None
+        self._greedy: SelectionResult | None = None
+
+    def ranking(self, spec: SelectorSpec) -> LeverageRanking:
+        if self._ranking is None:
+            self._ranking = rank_by_leverage(_selector_input(spec, self.data))
+        return self._ranking
+
+    def oss(self, k: int) -> SelectionResult:
+        if not 2 <= k <= self.oss_k:
+            return select_oss(self.data, k)  # a k the greedy does not cover
+        if self._greedy is None:
+            self._greedy = select_oss(self.data, self.oss_k)
+        return oss_prefix(self._greedy, k)
+
+
+def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
+                  prep: _Preparation | None = None) -> SelectionResult:
     """Run the selector ``spec`` names on ``data``.
 
-    Builds the design each spec needs from ``data`` itself: [1, X] for
-    levss with design="intercept", the interaction-expanded design for
-    iboss with design="expanded", and X for every other spec. This is
-    the only place a SelectorSpec turns into a selector call.
+    Each selector sees the matrix :func:`_selector_input` builds. With
+    ``prep``, a preparation of ``data`` for a k grid and for ``spec``'s
+    selector and design, levss takes its ranking and oss its greedy
+    from ``prep``; without, the call prepares for itself alone. The records are the same either way,
+    timings aside. This is the only place a SelectorSpec turns into a
+    selector call.
     """
     if spec.name == "levss":
-        target = with_intercept(data.values) if spec.design == "intercept" else data
-        return select_levss(target, LevssConfig(k=k, threshold=spec.threshold, seed=seed))
+        config = LevssConfig(k=k, threshold=spec.threshold, seed=seed)
+        target = prep.ranking(spec) if prep else _selector_input(spec, data)
+        return select_levss(target, config)
     if spec.name == "iboss":
-        target = expand_interactions(data.values) if spec.design == "expanded" else data
-        return select_iboss(target, k)
+        return select_iboss(_selector_input(spec, data), k)
     if spec.name == "oss":
-        return select_oss(data, k)
+        return prep.oss(k) if prep else select_oss(data, k)
     return select_uniform(data, k, seed)
 
 
@@ -129,6 +183,11 @@ class MetricsRecord:
     first-order and interaction coefficients and are None outside
     interaction scenarios. ``failed`` records flagged repetitions that
     aggregation must exclude.
+
+    ``elapsed_select`` is the selection's wall-clock seconds. Where
+    cells on one dataset share a preparation (a levss ranking, the OSS
+    greedy), each cell counts that preparation in full besides its own
+    time, so it reads as if the cell had prepared alone.
     """
 
     repetition: int
@@ -182,10 +241,31 @@ class _CellScorer:
         self.design_means = design.mean(axis=0)
         self.y_mean = float(y.mean())
 
-    def score(self, rep: int, spec: SelectorSpec, k: int, seed: int) -> MetricsRecord:
+    def score_grid(self, rep: int, specs: tuple[SelectorSpec, ...], k_values,
+                   seed: int) -> list[MetricsRecord]:
+        """Score every (k, spec) cell; records come k-major, specs in order.
+
+        Cells run grouped by selector and design, each group sharing one
+        :class:`_Preparation` that is dropped when the group is done, so
+        a levss ranking is never held beside another selector's scratch
+        memory.
+        """
+        groups: dict[tuple[str, str], list[int]] = {}
+        for i, spec in enumerate(specs):
+            groups.setdefault((spec.name, spec.design), []).append(i)
+        scored = {}
+        for members in groups.values():
+            prep = _Preparation(self.data, k_values)
+            for i in members:
+                for j, k in enumerate(k_values):
+                    scored[i, j] = self.score(rep, specs[i], k, seed, prep)
+        return [scored[i, j] for j in range(len(k_values)) for i in range(len(specs))]
+
+    def score(self, rep: int, spec: SelectorSpec, k: int, seed: int,
+              prep: _Preparation) -> MetricsRecord:
         """Select, fit and score one cell; a failure yields a flagged record."""
         try:
-            sel = _run_selector(spec, self.data, k, seed)
+            sel = _run_selector(spec, self.data, k, seed, prep)
             t0 = time.perf_counter()
             fit = fit_ols(self.design[sel.indices], self.y[sel.indices])
             fit = adjusted_intercept(fit, self.design_means, self.y_mean)
@@ -227,7 +307,7 @@ def _simulate_rep(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
     design = expand_interactions(X.values) if cfg.interaction else X.values
     scorer = _CellScorer(X, design, y, LinearFit(cfg.beta0, cfg.beta_slopes),
                          cfg.sigma2, split=cfg.p if cfg.interaction else None)
-    return [scorer.score(rep, spec, cfg.k, cfg.seed) for spec in specs]
+    return scorer.score_grid(rep, specs, (cfg.k,), cfg.seed)
 
 
 def run_simulation(config: ScenarioConfig, selectors, reps: int) -> list[MetricsRecord]:
@@ -278,7 +358,9 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     For each n, one warm-up repetition is run and discarded, then
     ``reps`` timed repetitions follow, each on a freshly seeded dataset
     shared by all selectors. Only the selection call is timed (the
-    selector measures itself); generation and fitting stay outside.
+    selector measures itself), and every call prepares for itself
+    alone, so each time is one selector's whole cost; generation and
+    fitting stay outside.
     Runs are strictly serial so timings are not polluted by sibling
     workers. Reported statistics are the mean and the median over
     repetitions.
@@ -374,6 +456,12 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
     and records squared deviations of its adjusted-intercept estimate
     from the reference. Log-determinants use sigma2 = 1 since the error
     variance is unknown here.
+
+    Within a replicate every levss cell of one design shares one
+    factorization and ranking, and every oss cell the first rows of one
+    greedy run to the largest k; the records equal those of cells run
+    one by one, and each cell's ``elapsed_select`` counts the shared
+    work in full.
     """
     if data.response is None:
         raise ConfigError("bootstrap needs a dataset with a response column")
@@ -393,8 +481,8 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
             rep_data = data
         scorer = _CellScorer(rep_data, rep_data.values, rep_data.response,
                              reference, 1.0)
-        records.extend(scorer.score(b, spec, k, plan.seed + b)
-                       for k in plan.k_values for spec in plan.selectors)
+        records.extend(scorer.score_grid(b, plan.selectors, plan.k_values,
+                                         plan.seed + b))
     _warn_failures(records, "bootstrap replicate")
     return records
 

@@ -170,8 +170,12 @@ def thin_svd(X) -> SvdFactors:
     try:
         if n >= 2 * p:
             # raw mode triangularizes only the top p x p block; mode="r"
-            # would run triu over the whole n x p Householder factor
-            _, R = sla.qr(A, mode="raw", check_finite=False)
+            # would run triu over the whole n x p Householder factor. The
+            # QR overwrites a Fortran copy made here (np.asfortranarray
+            # would hand over an F-ordered A itself), and taking R alone
+            # frees the Householder factor before U is formed.
+            R = sla.qr(np.array(A, order="F"), mode="raw", overwrite_a=True,
+                       check_finite=False)[1]
             Ur, s, Vt = sla.svd(R, check_finite=False)
             if s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
                 U = A @ (Vt.T / s)

@@ -13,6 +13,12 @@ Four selectors share one result type:
 
 All selectors return exactly ``k`` distinct row indices and report their
 own wall-clock time, so harness code can compare them on equal terms.
+
+Two selectors split off the work that depends on the matrix alone, so
+that many subdata sizes on one matrix share it: :func:`rank_by_leverage`
+factors and ranks once for every :func:`select_levss` call, and
+:func:`oss_prefix` reads any smaller selection off one :func:`select_oss`
+run.
 """
 
 from __future__ import annotations
@@ -58,13 +64,27 @@ class SelectionResult:
         rule, one entry per evaluation starting at subdata size k. Empty
         when no threshold is in force and for every other selector.
     elapsed : float
-        Selection wall-clock seconds, measured inside the selector.
+        Selection wall-clock seconds, measured inside the selector. A
+        selection served from shared work (a :class:`LeverageRanking`,
+        or a longer greedy run through :func:`oss_prefix`) counts that
+        work's seconds in full besides its own.
     """
 
     indices: np.ndarray
     k_star: int
     condition_trace: np.ndarray
     elapsed: float
+
+
+def _stopping_threshold(threshold) -> float:
+    """``threshold`` as a float, or ConfigError unless it is >= 1 (NaN fails)."""
+    t = float(threshold)
+    if not t >= 1.0:
+        raise ConfigError(
+            f"threshold must be >= 1 (condition numbers never go "
+            f"lower), got {threshold!r}"
+        )
+    return t
 
 
 @dataclass(frozen=True)
@@ -84,13 +104,60 @@ class LevssConfig:
     def __post_init__(self):
         object.__setattr__(self, "k", _subdata_size(self.k))
         if self.threshold is not None:
-            t = float(self.threshold)
-            if not t >= 1.0:
-                raise ConfigError(
-                    f"threshold must be >= 1 (condition numbers never go "
-                    f"lower), got {self.threshold!r}"
-                )
-            object.__setattr__(self, "threshold", t)
+            object.__setattr__(self, "threshold", _stopping_threshold(self.threshold))
+
+
+@dataclass(frozen=True)
+class LeverageRanking:
+    """The part of leverage selection that depends on the matrix alone.
+
+    One ranking serves every (k, threshold, seed) cell on its matrix:
+    pass it to :func:`select_levss` in place of the matrix.
+
+    Attributes
+    ----------
+    order : numpy.ndarray
+        All n row indices by descending leverage, equal scores in
+        ascending row order.
+    U : numpy.ndarray
+        The thin-SVD factor's columns for the nonzero singular values,
+        n x rank; the stopping rule reads its rows.
+    p : int
+        Column count of the ranked matrix.
+    elapsed : float
+        Wall-clock seconds the ranking took.
+    """
+
+    order: np.ndarray
+    U: np.ndarray
+    p: int
+    elapsed: float
+
+    @property
+    def n(self) -> int:
+        return self.order.size
+
+
+def rank_by_leverage(X) -> LeverageRanking:
+    """Factor X once and rank its rows by leverage score.
+
+    Parameters
+    ----------
+    X : DataMatrix or array_like
+        Matrix to rank, n x p with n >= p.
+
+    Returns
+    -------
+    LeverageRanking
+    """
+    t0 = time.perf_counter()
+    dm = as_data_matrix(X)
+    factors = thin_svd(dm)
+    scores = leverage_scores(factors)
+    # stable sort on negated scores: equal scores keep ascending row order
+    order = np.argsort(-scores, kind="stable")
+    r = matrix_rank_from_singular_values(factors.singular_values)
+    return LeverageRanking(order, factors.U[:, :r], dm.p, time.perf_counter() - t0)
 
 
 def select_levss(X, config: LevssConfig) -> SelectionResult:
@@ -117,17 +184,25 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
     then counts the intercept column, and the stopping rule sees the
     same design.
 
+    Several selections on one matrix can share its factorization: pass
+    ``rank_by_leverage(X)`` as X to each. A matrix given as such is
+    ranked within the call, so ``select_levss(X, config)`` equals
+    ``select_levss(rank_by_leverage(X), config)`` in every field but
+    ``elapsed``.
+
     Parameters
     ----------
-    X : DataMatrix or array_like
+    X : DataMatrix, array_like or LeverageRanking
         Design matrix, n x p: the covariates, or the covariates with a
-        leading column of ones.
+        leading column of ones; or its ranking.
     config : LevssConfig
         Subdata size k, optional threshold, down-selection seed.
 
     Returns
     -------
     SelectionResult
+        With a ranking given, ``elapsed`` counts the ranking's own
+        seconds in full besides this call's.
 
     Raises
     ------
@@ -135,18 +210,18 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
         If k <= p or n <= k.
     """
     t0 = time.perf_counter()
-    dm = as_data_matrix(X)
-    n, p = dm.n, dm.p
+    shared = isinstance(X, LeverageRanking)
+    source = X if shared else as_data_matrix(X)
+    if shared:
+        t0 -= X.elapsed  # every cell served from a ranking counts it in full
+    n, p = source.n, source.p
     k = config.k
     if k <= p:
         raise ConfigError(f"leverage selection needs k > p, got k={k}, p={p}")
     if n <= k:
         raise ConfigError(f"leverage selection needs n > k, got n={n}, k={k}")
-
-    factors = thin_svd(dm)
-    scores = leverage_scores(factors)
-    # stable sort on negated scores: equal scores keep ascending row order
-    order = np.argsort(-scores, kind="stable")
+    ranking = source if shared else rank_by_leverage(source)
+    order = ranking.order
 
     if config.threshold is None:
         indices = order[:k].copy()
@@ -154,8 +229,8 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
         return SelectionResult(indices, k, _EMPTY_TRACE, elapsed)
 
     T = config.threshold
-    r = matrix_rank_from_singular_values(factors.singular_values)
-    U = factors.U[:, :r]
+    U = ranking.U
+    r = U.shape[1]
     taken = U[order[:k]]
     gram = taken.T @ taken
     trace = []
@@ -290,7 +365,12 @@ def _scale_to_unit_box(vals: np.ndarray) -> np.ndarray:
         raise ScalingError(
             f"column {j} is constant and cannot be scaled to [-1, 1]", column=j
         )
-    return 2.0 * (vals - lo) / span - 1.0
+    # 2 (vals - lo) / span - 1, in place on one n x p buffer
+    Z = vals - lo
+    Z *= 2.0
+    Z /= span
+    Z -= 1.0
+    return Z
 
 
 def _pack_signs(Z: np.ndarray) -> np.ndarray:
@@ -321,7 +401,9 @@ def select_oss(X, k: int) -> SelectionResult:
     The first selected row maximizes |z|^2; every later step adds the
     candidate with the smallest summed loss against the current
     selection, ties going to the lowest row index. The greedy is
-    deterministic and consumes no randomness.
+    deterministic and consumes no randomness. No step looks at k, so
+    the selection of size k is the first k rows of any longer run on
+    the same matrix (see :func:`oss_prefix`).
 
     Each row's strict signs are packed into one 2p-bit pattern
     [z > 0 | z < 0], held in the narrowest unsigned word that fits
@@ -392,6 +474,29 @@ def select_oss(X, k: int) -> SelectionResult:
 
     elapsed = time.perf_counter() - t0
     return SelectionResult(chosen, k, _EMPTY_TRACE, elapsed)
+
+
+def oss_prefix(greedy: SelectionResult, k: int) -> SelectionResult:
+    """The :func:`select_oss` selection of size k, read off a longer run.
+
+    ``greedy`` is ``select_oss(X, K)`` for some K >= k on the matrix X
+    meant; the result equals ``select_oss(X, k)`` in every field but
+    ``elapsed``, which counts the longer run's seconds in full besides
+    this call's.
+
+    Raises
+    ------
+    ConfigError
+        If k is not a whole number with 2 <= k <= K.
+    """
+    t0 = time.perf_counter()
+    k = _subdata_size(k)
+    if not 2 <= k <= greedy.indices.size:
+        raise ConfigError(
+            f"oss_prefix needs 2 <= k <= {greedy.indices.size}, got k={k}")
+    indices = greedy.indices[:k].copy()
+    elapsed = greedy.elapsed + time.perf_counter() - t0
+    return SelectionResult(indices, k, _EMPTY_TRACE, elapsed)
 
 
 def select_uniform(X, k: int, seed: int | None = 0) -> SelectionResult:

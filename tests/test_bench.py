@@ -1,6 +1,7 @@
 """Benchmark harness: simulation loop, timing loop, bootstrap loop."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from subdata import (
     MetricsRecord,
     ScenarioConfig,
     SelectorSpec,
+    SubdataError,
     bench,
     default_bootstrap_selectors,
     expand_interactions,
@@ -25,7 +27,7 @@ from subdata import (
     summarize,
     with_intercept,
 )
-from subdata import linalg
+from subdata import linalg, selectors
 from subdata.bench import THREADS_ENV_VAR, _run_selector
 
 from _oracles import hat_diagonal
@@ -68,6 +70,11 @@ class TestSelectorSpec:
             SelectorSpec("oss", threshold=10.0)
         with pytest.raises(ConfigError):
             SelectorSpec("levss", design="quadratic")
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.0, -1.0, float("nan"), -np.inf])
+    def test_threshold_below_one_rejected(self, threshold):
+        with pytest.raises(ConfigError, match="threshold must be >= 1"):
+            SelectorSpec("levss", threshold=threshold)
 
     @pytest.mark.parametrize("name", ["iboss", "oss", "uniform"])
     def test_intercept_design_is_levss_only(self, name):
@@ -368,6 +375,64 @@ class TestRunBootstrap:
         want = select_iboss(expand_interactions(data.values[rows]), 20)
         assert len(seen) == 1
         assert np.array_equal(seen[0].indices, want.indices)
+
+    def test_every_cell_matches_its_own_selection(self, monkeypatch):
+        # T in {1.5, 3} walks hundreds of rows past k (beyond the largest
+        # feasible k), k = n fails levss and oss, k = p + 1 fails the
+        # intercept design, and k < 2p fails iboss
+        data = gen_dataset(ScenarioConfig(case="uniform01", n=2000, p=5, k=6, seed=3))
+        specs = tuple(SelectorSpec("levss", threshold=t) for t in (1.5, 3.0, np.inf)) + (
+            SelectorSpec("levss"), SelectorSpec("levss", design="intercept"),
+            SelectorSpec("levss", threshold=3.0, design="intercept"),
+            SelectorSpec("iboss"), SelectorSpec("iboss", design="expanded"),
+            SelectorSpec("oss"), SelectorSpec("uniform"))
+        plan = BootstrapPlan(k_values=(6, 40, 100, 2000), n_boot=2, selectors=specs, seed=5)
+        cells = []
+
+        def recording(spec, rep_data, k, seed, prep):
+            try:
+                out = _run_selector(spec, rep_data, k, seed, prep)
+            except SubdataError as exc:
+                cells.append((spec, rep_data, k, seed, exc))
+                raise
+            cells.append((spec, rep_data, k, seed, out))
+            return out
+
+        monkeypatch.setattr(bench, "_run_selector", recording)
+        with pytest.warns(UserWarning):
+            recs = run_bootstrap(data, plan)
+        assert len(cells) == len(recs) == 2 * 4 * len(specs)
+        failed, walked = set(), 0
+        for spec, rep_data, k, seed, got in cells:
+            try:
+                want = _run_selector(spec, rep_data, k, seed)
+            except SubdataError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                failed.add((spec.label, k))
+                continue
+            assert np.array_equal(got.indices, want.indices), (spec.label, k)
+            assert got.k_star == want.k_star
+            assert np.array_equal(got.condition_trace, want.condition_trace)
+            walked = max(walked, got.k_star)
+        assert {("levss", 2000), ("oss", 2000), ("levss:design=intercept", 6),
+                ("iboss", 6), ("iboss:design=expanded", 6)} <= failed
+        assert walked > 100
+
+    def test_prepares_once_per_replicate(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(selectors, "thin_svd", counting("thin_svd", selectors.thin_svd))
+        monkeypatch.setattr(bench, "select_oss", counting("oss", bench.select_oss))
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=2000, p=4, k=5, seed=1))
+        recs = run_bootstrap(data, BootstrapPlan.from_multiples(4, n_boot=3, seed=2))
+        assert len(recs) == 3 * 4 * 6 and not any(r.failed for r in recs)
+        assert calls == {"thin_svd": 3, "oss": 3}
 
     def test_requires_response(self):
         cfg = ScenarioConfig(case="mvnormal", n=100, p=2, k=20, seed=6)

@@ -87,6 +87,15 @@ class TestThinSvd:
         u, s, v = thin_svd(d)
         assert u.shape == (9, 2)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_input_untouched(self, order):
+        # n >= 2p takes the QR path, which factors a copy in place
+        x = np.array(np.random.default_rng(3).normal(size=(40, 4)), order=order)
+        before = x.copy()
+        for arg in (x, DataMatrix(x)):
+            thin_svd(arg)
+            assert np.array_equal(x, before)
+
     def test_rank_from_singular_values(self):
         assert matrix_rank_from_singular_values(np.array([3.0, 2.0, 1.0])) == 3
         assert matrix_rank_from_singular_values(np.array([3.0, 1e-30])) == 1

@@ -1,7 +1,7 @@
 """Property-based checks over randomized instances."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subdata import (
@@ -12,6 +12,7 @@ from subdata import (
     fit_ols,
     leverage_scores,
     logdet_info,
+    oss_prefix,
     select_iboss,
     select_levss,
     select_oss,
@@ -95,6 +96,21 @@ def test_selectors_return_k_distinct_valid_indices(seed, p, extra):
         assert np.unique(idx).size == k
         assert idx.min() >= 0 and idx.max() < n
         assert res.k_star >= k
+
+
+@given(seeds, st.integers(6, 40), st.integers(1, 4), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_oss_is_prefix_consistent(seed, n, p, resample):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    if resample:  # duplicate rows, as in every bootstrap replicate
+        x = x[rng.integers(0, n // 2 + 1, size=n)]
+    assume(np.all(np.ptp(x, axis=0) > 0))
+    longest = select_oss(x, n - 1)
+    for k in range(2, n - 1):
+        want = select_oss(x, k).indices
+        assert np.array_equal(longest.indices[:k], want)
+        assert np.array_equal(oss_prefix(longest, k).indices, want)
 
 
 @given(seeds)

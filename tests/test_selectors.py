@@ -11,6 +11,8 @@ from subdata import (
     LevssConfig,
     ScalingError,
     leverage_scores,
+    oss_prefix,
+    rank_by_leverage,
     select_iboss,
     select_levss,
     select_oss,
@@ -150,6 +152,21 @@ class TestLevss:
         x = _case2_like(100, 3, 1)
         res = select_levss(x, LevssConfig(k=10))
         assert res.elapsed >= 0.0
+
+    def test_one_ranking_serves_every_cell(self):
+        x = np.random.default_rng(5).uniform(size=(600, 3))
+        ranking = rank_by_leverage(x)
+        for k, t in [(10, None), (10, 1.5), (40, 3.0), (40, np.inf)]:
+            cfg = LevssConfig(k=k, threshold=t, seed=2)
+            shared, alone = select_levss(ranking, cfg), select_levss(x, cfg)
+            assert np.array_equal(shared.indices, alone.indices)
+            assert shared.k_star == alone.k_star
+            assert np.array_equal(shared.condition_trace, alone.condition_trace)
+            assert shared.elapsed >= ranking.elapsed
+        with pytest.raises(ConfigError, match="k > p"):
+            select_levss(ranking, LevssConfig(k=3))
+        with pytest.raises(ConfigError, match="n > k"):
+            select_levss(ranking, LevssConfig(k=600))
 
 
 class TestIboss:
@@ -335,6 +352,9 @@ class TestOss:
             select_oss(x, 1)
         with pytest.raises(ConfigError):
             select_oss(x, 11)
+        for k in (1, 6):
+            with pytest.raises(ConfigError, match="oss_prefix"):
+                oss_prefix(select_oss(x, 5), k)
 
 
 class TestUniform:
