@@ -68,7 +68,6 @@ from .selectors import (
     LeverageRanking,
     LevssConfig,
     SelectionResult,
-    oss_prefix,
     rank_by_leverage,
     select_iboss,
     select_levss,
@@ -111,7 +110,6 @@ __all__ = [
     "gen_response",
     "leverage_scores",
     "logdet_info",
-    "oss_prefix",
     "rank_by_leverage",
     "read_csv",
     "read_records",

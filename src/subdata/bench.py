@@ -20,15 +20,13 @@ import numpy as np
 
 from .datagen import ScenarioConfig, gen_covariates, gen_response
 from .errors import ConfigError, SubdataError
-from .linalg import DataMatrix, blas_threads, logdet_info
+from .linalg import DataMatrix, blas_threads, logdet_info, positive_integer
 from .regression import (LinearFit, adjusted_intercept, expand_interactions,
                          fit_ols, with_intercept)
 from .selectors import (
-    LeverageRanking,
     LevssConfig,
     SelectionResult,
     _stopping_threshold,
-    oss_prefix,
     rank_by_leverage,
     select_iboss,
     select_levss,
@@ -106,70 +104,63 @@ def _coerce_specs(selectors) -> tuple[SelectorSpec, ...]:
     return tuple(specs)
 
 
-def _selector_input(spec: SelectorSpec, data: DataMatrix):
-    """The matrix ``spec``'s selector sees, built from ``data`` itself.
-
-    [1, X] for design="intercept", the interaction-expanded design for
-    design="expanded", and X for every other spec.
-    """
-    if spec.design == "intercept":
-        return with_intercept(data.values)
-    if spec.design == "expanded":
-        return expand_interactions(data.values)
-    return data
-
-
 class _Preparation:
     """Shared work for the cells of one selector and design on one dataset.
 
-    Every (k, threshold, seed) cell uses it. levss factors and ranks
-    its design once. oss runs one greedy to ``oss_k``, the largest k
-    of the grid it can serve (2 <= k < n); the greedy is
-    prefix-consistent, so every smaller k is its first k rows. Each
-    is made when a cell first needs it. A preparation that raises is
-    not kept, so every cell that needs it raises the same error. iboss
-    quotas are not prefix-consistent and uniform draws follow the
-    seed, so those selectors run per cell.
+    Every (k, threshold, seed) cell of the group takes one piece of work
+    from :meth:`shared`, made when a cell first needs it: levss the
+    ranking of its design ([1, X] for design="intercept"), oss one
+    greedy run to ``oss_k``, the largest k of the grid it can serve
+    (2 <= k < n; the greedy is prefix-consistent, so every smaller k is
+    its first k rows), and iboss the matrix it sees (the interaction
+    expansion for design="expanded"). A preparation that raises is not
+    kept, so every cell that needs it raises the same error. Uniform
+    draws follow the seed and share nothing.
     """
 
     def __init__(self, data: DataMatrix, k_values):
         self.data = data
         self.oss_k = max((k for k in k_values if 2 <= k < data.n), default=0)
-        self._ranking: LeverageRanking | None = None
-        self._greedy: SelectionResult | None = None
+        self._shared = None
 
-    def ranking(self, spec: SelectorSpec) -> LeverageRanking:
-        if self._ranking is None:
-            self._ranking = rank_by_leverage(_selector_input(spec, self.data))
-        return self._ranking
-
-    def oss(self, k: int) -> SelectionResult:
-        if not 2 <= k <= self.oss_k:
-            return select_oss(self.data, k)  # a k the greedy does not cover
-        if self._greedy is None:
-            self._greedy = select_oss(self.data, self.oss_k)
-        return oss_prefix(self._greedy, k)
+    def shared(self, spec: SelectorSpec):
+        if self._shared is None:
+            if spec.design == "intercept":
+                matrix = with_intercept(self.data.values)
+            elif spec.design == "expanded":
+                matrix = expand_interactions(self.data.values)
+            else:
+                matrix = self.data
+            if spec.name == "levss":
+                self._shared = rank_by_leverage(matrix)
+            elif spec.name == "oss":
+                self._shared = select_oss(matrix, self.oss_k)
+            else:
+                self._shared = matrix
+        return self._shared
 
 
 def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
                   prep: _Preparation | None = None) -> SelectionResult:
     """Run the selector ``spec`` names on ``data``.
 
-    Each selector sees the matrix :func:`_selector_input` builds. With
-    ``prep``, a preparation of ``data`` for a k grid and for ``spec``'s
-    selector and design, levss takes its ranking and oss its greedy
-    from ``prep``; without, the call prepares for itself alone. The records are the same either way,
-    timings aside. This is the only place a SelectorSpec turns into a
-    selector call.
+    ``prep`` is a preparation of ``data`` for a k grid and for
+    ``spec``'s selector and design; without one, the call prepares for
+    its own k alone. The records are the same either way, timings
+    aside. This is the only place a SelectorSpec turns into a selector
+    call.
     """
+    prep = prep or _Preparation(data, (k,))
     if spec.name == "levss":
         config = LevssConfig(k=k, threshold=spec.threshold, seed=seed)
-        target = prep.ranking(spec) if prep else _selector_input(spec, data)
-        return select_levss(target, config)
+        return select_levss(prep.shared(spec), config)
     if spec.name == "iboss":
-        return select_iboss(_selector_input(spec, data), k)
+        return select_iboss(prep.shared(spec), k)
     if spec.name == "oss":
-        return prep.oss(k) if prep else select_oss(data, k)
+        if not 2 <= k <= prep.oss_k:
+            return select_oss(data, k)  # a k the greedy does not cover
+        greedy = prep.shared(spec)
+        return replace(greedy, indices=greedy.indices[:k].copy(), k_star=k)
     return select_uniform(data, k, seed)
 
 
@@ -186,8 +177,8 @@ class MetricsRecord:
 
     ``elapsed_select`` is the selection's wall-clock seconds. Where
     cells on one dataset share a preparation (a levss ranking, the OSS
-    greedy), each cell counts that preparation in full besides its own
-    time, so it reads as if the cell had prepared alone.
+    greedy), each cell counts that preparation in full, so it reads as
+    if the cell had prepared alone.
     """
 
     repetition: int
@@ -325,8 +316,7 @@ def run_simulation(config: ScenarioConfig, selectors, reps: int) -> list[Metrics
     the serial run because each repetition is a pure function of its
     own seed.
     """
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
+    reps = positive_integer(reps, "reps")
     specs = _coerce_specs(selectors)
     workers = min(resolve_workers(), reps, os.cpu_count() or 1)
     if workers == 1:
@@ -358,9 +348,9 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     For each n, one warm-up repetition is run and discarded, then
     ``reps`` timed repetitions follow, each on a freshly seeded dataset
     shared by all selectors. Only the selection call is timed (the
-    selector measures itself), and every call prepares for itself
-    alone, so each time is one selector's whole cost; generation and
-    fitting stay outside.
+    selector measures itself), and every call takes the one selection
+    path with a preparation for its one k, so each time is one
+    selector's whole cost; generation and fitting stay outside.
     Runs are strictly serial so timings are not polluted by sibling
     workers. Reported statistics are the mean and the median over
     repetitions.
@@ -371,9 +361,8 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     scheduling, which dominates small-n calls on a busy host. Where no
     OpenBLAS library is found, a warning says so.
     """
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
-    n_values = [int(n) for n in n_values]
+    reps = positive_integer(reps, "reps")
+    n_values = [positive_integer(n, "n") for n in n_values]
     if not n_values:
         raise ConfigError("n_values must not be empty")
     specs = _coerce_specs(selectors)
@@ -433,9 +422,8 @@ class BootstrapPlan:
     resample: bool = True
 
     def __post_init__(self):
-        if self.n_boot < 1:
-            raise ConfigError(f"n_boot must be >= 1, got {self.n_boot}")
-        ks = tuple(int(k) for k in self.k_values)
+        object.__setattr__(self, "n_boot", positive_integer(self.n_boot, "n_boot"))
+        ks = tuple(positive_integer(k, "k") for k in self.k_values)
         if not ks:
             raise ConfigError("k_values must not be empty")
         object.__setattr__(self, "k_values", ks)
@@ -444,7 +432,7 @@ class BootstrapPlan:
     @classmethod
     def from_multiples(cls, p: int, multiples=(5, 10, 20, 30), **kwargs) -> "BootstrapPlan":
         """k grid as multiples of the covariate count, default 5p..30p."""
-        return cls(k_values=tuple(int(m) * int(p) for m in multiples), **kwargs)
+        return cls(k_values=tuple(m * p for m in multiples), **kwargs)
 
 
 def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
@@ -458,10 +446,11 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
     variance is unknown here.
 
     Within a replicate every levss cell of one design shares one
-    factorization and ranking, and every oss cell the first rows of one
-    greedy run to the largest k; the records equal those of cells run
-    one by one, and each cell's ``elapsed_select`` counts the shared
-    work in full.
+    factorization and ranking, every oss cell the first rows of one
+    greedy run to the largest k, and every iboss cell of one design the
+    matrix it sees; the records equal those of cells run one by one, and
+    each levss and oss cell's ``elapsed_select`` counts the shared work
+    in full.
     """
     if data.response is None:
         raise ConfigError("bootstrap needs a dataset with a response column")

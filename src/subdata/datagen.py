@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .linalg import DataMatrix
+from .linalg import DataMatrix, positive_integer
 from .regression import expand_interactions, expanded_column_count
 
 CASES = ("uniform01", "mvnormal", "truncated-mvnormal")
@@ -65,10 +65,7 @@ class ScenarioConfig:
                 f"unknown case {self.case!r}, expected one of {CASES}"
             )
         for name in ("n", "p", "k"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, positive_integer(getattr(self, name), name))
         if not self.k > self.p:
             raise ConfigError(f"need k > p, got k={self.k}, p={self.p}")
         if not self.n >= self.k:

@@ -30,15 +30,11 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path} is empty")
     return rows[0], rows[1:]
-
-
-# bytes read at a time by _count_lines
-_COUNT_BLOCK_BYTES = 1 << 20
 
 
 def _count_lines(path) -> int:
@@ -46,19 +42,10 @@ def _count_lines(path) -> int:
 
     ``\n``, ``\r\n`` and a lone ``\r`` each end a line, a last line
     without an ending counts too, and blank lines count like any other.
-    The file is streamed in blocks, never held whole.
+    The file is streamed, never held whole, and decoded in full.
     """
-    lines = 0
-    prev_cr = False  # the block before ended in a \r
-    last = b""
-    with open(path, "rb") as fh:
-        while block := fh.read(_COUNT_BLOCK_BYTES):
-            lines += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-            if prev_cr and block.startswith(b"\n"):
-                lines -= 1  # a \r\n split across two blocks
-            prev_cr = block.endswith(b"\r")
-            last = block[-1:]
-    return lines + (last not in (b"", b"\n", b"\r"))
+    with open(path, newline="") as fh:
+        return sum(1 for _line in fh)
 
 
 def _parse_cell(cell: str) -> float:
@@ -100,13 +87,17 @@ def _scan_cells(path, col_of: dict[str, int], names: list[str]) -> np.ndarray:
 
 
 def _read_header(path) -> tuple[list[str], int, int]:
-    """Header cells, the physical lines they span and the data lines below."""
+    """Header cells, the physical lines they span and the data lines below.
+
+    The count decodes the whole file, so a byte the text reader cannot
+    decode fails here, wherever it sits, and names the file.
+    """
     try:
         n_lines = _count_lines(path)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if header is None:
         raise DataFormatError(f"{path} is empty")

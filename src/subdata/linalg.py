@@ -72,6 +72,20 @@ def blas_threads(n: int):
             set_count(count)
 
 
+def positive_integer(value, name: str) -> int:
+    """``value`` as an int, or ConfigError unless it is a whole number >= 1.
+
+    Whole floats such as 20.0 pass; fractions, NaN and infinities fail.
+    """
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = 0
+    if whole != value or whole < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """An n x p covariate matrix with an optional response vector.

@@ -14,11 +14,10 @@ Four selectors share one result type:
 All selectors return exactly ``k`` distinct row indices and report their
 own wall-clock time, so harness code can compare them on equal terms.
 
-Two selectors split off the work that depends on the matrix alone, so
-that many subdata sizes on one matrix share it: :func:`rank_by_leverage`
-factors and ranks once for every :func:`select_levss` call, and
-:func:`oss_prefix` reads any smaller selection off one :func:`select_oss`
-run.
+Many subdata sizes on one matrix can share the work that depends on the
+matrix alone: :func:`rank_by_leverage` factors and ranks once for every
+:func:`select_levss` call, and the :func:`select_oss` selection of size
+k is the first k rows of any longer run.
 """
 
 from __future__ import annotations
@@ -34,17 +33,11 @@ from .linalg import (
     condition_number,
     leverage_scores,
     matrix_rank_from_singular_values,
+    positive_integer,
     thin_svd,
 )
 
 _EMPTY_TRACE = np.empty(0, dtype=np.float64)
-
-
-def _subdata_size(k) -> int:
-    """``k`` as an int, or ConfigError unless it is a positive whole number."""
-    if int(k) != k or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
-    return int(k)
 
 
 @dataclass(frozen=True)
@@ -65,9 +58,8 @@ class SelectionResult:
         when no threshold is in force and for every other selector.
     elapsed : float
         Selection wall-clock seconds, measured inside the selector. A
-        selection served from shared work (a :class:`LeverageRanking`,
-        or a longer greedy run through :func:`oss_prefix`) counts that
-        work's seconds in full besides its own.
+        selection served from a :class:`LeverageRanking` counts the
+        ranking's seconds in full besides its own.
     """
 
     indices: np.ndarray
@@ -102,7 +94,7 @@ class LevssConfig:
     seed: int | None = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _subdata_size(self.k))
+        object.__setattr__(self, "k", positive_integer(self.k, "k"))
         if self.threshold is not None:
             object.__setattr__(self, "threshold", _stopping_threshold(self.threshold))
 
@@ -323,7 +315,7 @@ def select_iboss(X, k: int) -> SelectionResult:
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
     n, p = dm.n, dm.p
-    k = _subdata_size(k)
+    k = positive_integer(k, "k")
     if k < 2 * p:
         raise ConfigError(
             f"extreme-value selection needs k >= 2p so each covariate "
@@ -403,7 +395,7 @@ def select_oss(X, k: int) -> SelectionResult:
     selection, ties going to the lowest row index. The greedy is
     deterministic and consumes no randomness. No step looks at k, so
     the selection of size k is the first k rows of any longer run on
-    the same matrix (see :func:`oss_prefix`).
+    the same matrix.
 
     Each row's strict signs are packed into one 2p-bit pattern
     [z > 0 | z < 0], held in the narrowest unsigned word that fits
@@ -436,7 +428,7 @@ def select_oss(X, k: int) -> SelectionResult:
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
     n, p = dm.n, dm.p
-    k = _subdata_size(k)
+    k = positive_integer(k, "k")
     if k < 2:
         raise ConfigError(f"discrepancy selection needs k >= 2, got k={k}")
     if k >= n:
@@ -476,29 +468,6 @@ def select_oss(X, k: int) -> SelectionResult:
     return SelectionResult(chosen, k, _EMPTY_TRACE, elapsed)
 
 
-def oss_prefix(greedy: SelectionResult, k: int) -> SelectionResult:
-    """The :func:`select_oss` selection of size k, read off a longer run.
-
-    ``greedy`` is ``select_oss(X, K)`` for some K >= k on the matrix X
-    meant; the result equals ``select_oss(X, k)`` in every field but
-    ``elapsed``, which counts the longer run's seconds in full besides
-    this call's.
-
-    Raises
-    ------
-    ConfigError
-        If k is not a whole number with 2 <= k <= K.
-    """
-    t0 = time.perf_counter()
-    k = _subdata_size(k)
-    if not 2 <= k <= greedy.indices.size:
-        raise ConfigError(
-            f"oss_prefix needs 2 <= k <= {greedy.indices.size}, got k={k}")
-    indices = greedy.indices[:k].copy()
-    elapsed = greedy.elapsed + time.perf_counter() - t0
-    return SelectionResult(indices, k, _EMPTY_TRACE, elapsed)
-
-
 def select_uniform(X, k: int, seed: int | None = 0) -> SelectionResult:
     """Uniform sampling of k distinct rows via a seeded shuffle.
 
@@ -508,7 +477,7 @@ def select_uniform(X, k: int, seed: int | None = 0) -> SelectionResult:
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
     n = dm.n
-    k = _subdata_size(k)
+    k = positive_integer(k, "k")
     if k > n:
         raise ConfigError(f"uniform selection needs 1 <= k <= n, got k={k}, n={n}")
     if k == n:

@@ -376,6 +376,21 @@ class TestRunBootstrap:
         assert len(seen) == 1
         assert np.array_equal(seen[0].indices, want.indices)
 
+    def test_expanded_design_expands_once_per_replicate(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(values.shape)
+            return expand_interactions(values)
+
+        monkeypatch.setattr(bench, "expand_interactions", counting)
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=400, p=3, k=20, seed=2))
+        plan = BootstrapPlan(k_values=(12, 20, 40, 80), n_boot=1, seed=4,
+                             selectors=(SelectorSpec("iboss", design="expanded"),))
+        recs = run_bootstrap(data, plan)
+        assert len(recs) == 4 and not any(r.failed for r in recs)
+        assert calls == [(400, 3)]
+
     def test_every_cell_matches_its_own_selection(self, monkeypatch):
         # T in {1.5, 3} walks hundreds of rows past k (beyond the largest
         # feasible k), k = n fails levss and oss, k = p + 1 fails the
@@ -488,3 +503,29 @@ class TestSummarize:
         doc = summarize([])
         assert doc["records"] == 0
         assert doc["groups"] == []
+
+
+_SCENARIO = dict(case="uniform01", n=200, p=2, k=20)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BootstrapPlan(k_values=(20.7,)),
+    lambda: BootstrapPlan(k_values=(20,), n_boot=2.5),
+    lambda: BootstrapPlan.from_multiples(3, multiples=(2.5,)),
+    lambda: run_timing([300.9], p=3, k=20, selectors=("uniform",), reps=1),
+    lambda: run_timing([300], p=3, k=20, selectors=("uniform",), reps=np.inf),
+    lambda: run_simulation(ScenarioConfig(**_SCENARIO), ("uniform",), reps=2.5),
+    lambda: ScenarioConfig(**{**_SCENARIO, "k": np.nan}),
+    lambda: ScenarioConfig(**{**_SCENARIO, "n": np.inf}),
+], ids=["plan-k", "plan-n-boot", "plan-multiple", "timing-n", "timing-reps",
+        "simulation-reps", "scenario-k-nan", "scenario-n-inf"])
+def test_non_integer_count_rejected(make):
+    with pytest.raises(ConfigError, match="positive integer"):
+        make()
+
+
+def test_whole_float_counts_accepted():
+    plan = BootstrapPlan(k_values=(20.0, 40), n_boot=2.0)
+    assert plan.k_values == (20, 40) and plan.n_boot == 2
+    assert BootstrapPlan.from_multiples(4, multiples=(2.5,)).k_values == (10,)
+    assert ScenarioConfig(**{**_SCENARIO, "k": 20.0}).k == 20

@@ -391,6 +391,15 @@ class TestEndToEnd:
         )
         assert code == 1
 
+    def test_undecodable_input_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"x1,x\xe92\n1,2\n3,4\n")
+        code = main(["select", "--method", "uniform", "--k", "1",
+                     "--input", str(f), "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "d.csv" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestRuntimeConfigErrors:
     """A ConfigError raised after parsing is a configuration error: exit 2."""

@@ -131,6 +131,13 @@ class TestResultsRoundTrip:
         back = read_records(csv_path)
         assert back == recs
 
+    def test_undecodable_records_file_rejected(self, tmp_path):
+        csv_path, _ = write_results([], {}, tmp_path / "r.csv")
+        with open(csv_path, "ab") as fh:
+            fh.write(b"\xe9\n")
+        with pytest.raises(DataFormatError, match="r.csv"):
+            read_records(csv_path)
+
     def test_nan_metrics_survive(self, tmp_path):
         cfg = ScenarioConfig(case="mvnormal", n=40, p=2, k=40, seed=2)
         with pytest.warns(UserWarning):
@@ -301,7 +308,7 @@ class TestParsePaths:
 
     def test_crlf_split_across_count_blocks(self, tmp_path, monkeypatch):
         # put a row's "\r" last in one block and its "\n" first in the next
-        block = subdata_io._COUNT_BLOCK_BYTES
+        block = 1 << 20
         header = next(h for h in (f"{'a' * m},b\r\n" for m in range(1, 6))
                       if (block - 4 - len(h)) % 5 == 0)
         rows = block // 5 + 2
@@ -311,6 +318,22 @@ class TestParsePaths:
         f.write_bytes(text)
         _refuse_scan(monkeypatch)
         assert read_csv(f).n == rows
+
+    def test_undecodable_header_byte_names_the_file(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"a\xe9,b\n1,2\n")
+        with pytest.raises(DataFormatError, match="d.csv"):
+            read_csv(f)
+
+    def test_undecodable_byte_past_the_first_block(self, tmp_path):
+        rows = [b"1.25,2.5"] * 2000
+        rows[1499] = b"1.25,\xe9.5"
+        text = b"a,b\n" + b"\n".join(rows) + b"\n"
+        assert text.index(b"\xe9") > 8192
+        f = tmp_path / "d.csv"
+        f.write_bytes(text)
+        with pytest.raises(DataFormatError, match="d.csv"):
+            read_csv(f)
 
     def test_underscore_numeral_rejected(self, tmp_path):
         f = _write(tmp_path, "a,b\n1,2\n3,1_000\n")

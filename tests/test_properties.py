@@ -12,7 +12,6 @@ from subdata import (
     fit_ols,
     leverage_scores,
     logdet_info,
-    oss_prefix,
     select_iboss,
     select_levss,
     select_oss,
@@ -110,7 +109,6 @@ def test_oss_is_prefix_consistent(seed, n, p, resample):
     for k in range(2, n - 1):
         want = select_oss(x, k).indices
         assert np.array_equal(longest.indices[:k], want)
-        assert np.array_equal(oss_prefix(longest, k).indices, want)
 
 
 @given(seeds)
