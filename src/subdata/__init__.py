@@ -65,9 +65,11 @@ from .regression import (
     with_intercept,
 )
 from .selectors import (
+    IbossTails,
     LeverageRanking,
     LevssConfig,
     SelectionResult,
+    iboss_tails,
     rank_by_leverage,
     select_iboss,
     select_levss,
@@ -85,6 +87,7 @@ __all__ = [
     "DataFormatError",
     "DataMatrix",
     "DimensionError",
+    "IbossTails",
     "LeverageRanking",
     "LevssConfig",
     "LinearFit",
@@ -108,6 +111,7 @@ __all__ = [
     "gen_covariates",
     "gen_dataset",
     "gen_response",
+    "iboss_tails",
     "leverage_scores",
     "logdet_info",
     "rank_by_leverage",

@@ -22,11 +22,14 @@ from .datagen import ScenarioConfig, gen_covariates, gen_response
 from .errors import ConfigError, SubdataError
 from .linalg import DataMatrix, blas_threads, logdet_info, positive_integer
 from .regression import (LinearFit, adjusted_intercept, expand_interactions,
-                         fit_ols, with_intercept)
+                         expanded_column_count, fit_ols, with_intercept)
 from .selectors import (
     LevssConfig,
     SelectionResult,
+    _iboss_size,
+    _levss_size,
     _stopping_threshold,
+    iboss_tails,
     rank_by_leverage,
     select_iboss,
     select_levss,
@@ -108,18 +111,22 @@ class _Preparation:
     """Shared work for the cells of one selector and design on one dataset.
 
     Every (k, threshold, seed) cell of the group takes one piece of work
-    from :meth:`shared`, made when a cell first needs it: levss the
-    ranking of its design ([1, X] for design="intercept"), oss one
-    greedy run to ``oss_k``, the largest k of the grid it can serve
-    (2 <= k < n; the greedy is prefix-consistent, so every smaller k is
-    its first k rows), and iboss the matrix it sees (the interaction
-    expansion for design="expanded"). A preparation that raises is not
-    kept, so every cell that needs it raises the same error. Uniform
-    draws follow the seed and share nothing.
+    from :meth:`shared`, made when a cell first needs it from the design
+    the spec names ([1, X] for design="intercept", the interaction
+    expansion for design="expanded"): levss the leverage ranking of its
+    design, iboss the tails of every column of its design to the largest
+    k of the grid (cut to n), and oss one greedy run to ``oss_k``, the
+    largest k of the grid it can serve (2 <= k < n; the greedy is
+    prefix-consistent, so every smaller k is its first k rows). Only the
+    ranking, the tails or the greedy's result is kept, not the design. A
+    preparation that raises is not kept, so every cell that needs it
+    raises the same error. Uniform draws follow the seed and share
+    nothing.
     """
 
     def __init__(self, data: DataMatrix, k_values):
         self.data = data
+        self.depth = max(k_values)
         self.oss_k = max((k for k in k_values if 2 <= k < data.n), default=0)
         self._shared = None
 
@@ -133,11 +140,20 @@ class _Preparation:
                 matrix = self.data
             if spec.name == "levss":
                 self._shared = rank_by_leverage(matrix)
-            elif spec.name == "oss":
-                self._shared = select_oss(matrix, self.oss_k)
+            elif spec.name == "iboss":
+                self._shared = iboss_tails(matrix, self.depth)
             else:
-                self._shared = matrix
+                self._shared = select_oss(matrix, self.oss_k)
         return self._shared
+
+
+def _design_width(spec: SelectorSpec, p: int) -> int:
+    """Column count of the matrix ``spec``'s selector sees for p covariates."""
+    if spec.design == "intercept":
+        return p + 1
+    if spec.design == "expanded":
+        return expanded_column_count(p)
+    return p
 
 
 def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
@@ -146,15 +162,20 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
 
     ``prep`` is a preparation of ``data`` for a k grid and for
     ``spec``'s selector and design; without one, the call prepares for
-    its own k alone. The records are the same either way, timings
-    aside. This is the only place a SelectorSpec turns into a selector
-    call.
+    its own k alone. k is checked against the design's shape before
+    any preparation is made, so a k the selector cannot serve raises
+    ConfigError without factoring or sorting. The records are the same
+    either way, timings aside. This is the only place a SelectorSpec
+    turns into a selector call.
     """
     prep = prep or _Preparation(data, (k,))
+    width = _design_width(spec, data.p)
     if spec.name == "levss":
         config = LevssConfig(k=k, threshold=spec.threshold, seed=seed)
+        _levss_size(data.n, width, config.k)
         return select_levss(prep.shared(spec), config)
     if spec.name == "iboss":
+        k = _iboss_size(data.n, width, k)
         return select_iboss(prep.shared(spec), k)
     if spec.name == "oss":
         if not 2 <= k <= prep.oss_k:
@@ -176,9 +197,9 @@ class MetricsRecord:
     aggregation must exclude.
 
     ``elapsed_select`` is the selection's wall-clock seconds. Where
-    cells on one dataset share a preparation (a levss ranking, the OSS
-    greedy), each cell counts that preparation in full, so it reads as
-    if the cell had prepared alone.
+    cells on one dataset share a preparation (a levss ranking, the iboss
+    tails, the OSS greedy), each cell counts that preparation in full,
+    so it reads as if the cell had prepared alone.
     """
 
     repetition: int
@@ -446,11 +467,11 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
     variance is unknown here.
 
     Within a replicate every levss cell of one design shares one
-    factorization and ranking, every oss cell the first rows of one
-    greedy run to the largest k, and every iboss cell of one design the
-    matrix it sees; the records equal those of cells run one by one, and
-    each levss and oss cell's ``elapsed_select`` counts the shared work
-    in full.
+    factorization and ranking, every iboss cell of one design one set
+    of sorted column tails, and every oss cell the first rows of one
+    greedy run to the largest k; the records equal those of cells run
+    one by one, and each cell's ``elapsed_select`` counts the shared
+    work in full.
     """
     if data.response is None:
         raise ConfigError("bootstrap needs a dataset with a response column")

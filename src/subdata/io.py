@@ -12,6 +12,7 @@ import json
 import math
 import typing
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -25,9 +26,18 @@ RECORD_COLUMNS = tuple(f.name for f in dataclass_fields(MetricsRecord))
 TIMING_COLUMNS = tuple(f.name for f in dataclass_fields(TimingRecord))
 
 
+@contextmanager
+def _open_csv(path):
+    """``path`` opened for ``csv.reader``, past a leading UTF-8 byte-order mark."""
+    with open(path, newline="") as fh:
+        if fh.read(1) != "\ufeff":
+            fh.seek(0)
+        yield fh
+
+
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     try:
-        with open(path, newline="") as fh:
+        with _open_csv(path) as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except (OSError, UnicodeDecodeError) as exc:
@@ -94,7 +104,7 @@ def _read_header(path) -> tuple[list[str], int, int]:
     """
     try:
         n_lines = _count_lines(path)
-        with open(path, newline="") as fh:
+        with _open_csv(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
     except (OSError, UnicodeDecodeError) as exc:

@@ -25,10 +25,11 @@ EPS_RANK = 1e-12
 # Absolute tolerance for the symmetry check in condition_number.
 SYMMETRY_TOL = 1e-8
 
-# The fast tall-matrix SVD path loses orthonormality of U at roughly
-# eps * cond(X); beyond this cutoff we pay for the LAPACK divide-and-conquer
-# driver instead so that U stays orthonormal to ~1e-11.
-_FAST_PATH_MAX_COND = 1e5
+# The Gram-Cholesky path loses orthonormality of U at roughly
+# eps * cond(X)**2; beyond this cutoff (cond(X)**2 = 1e5) we pay for
+# LAPACK's divide-and-conquer SVD (gesdd) instead so that U stays
+# orthonormal to ~1e-11.
+_FAST_PATH_MAX_COND = math.sqrt(1e5)
 
 # thread-count (setter, getter) of the numpy wheel's OpenBLAS, then scipy's
 _OPENBLAS_THREAD_FUNCS = (
@@ -155,10 +156,13 @@ def thin_svd(X) -> SvdFactors:
     """Thin singular value decomposition of an n x p matrix, n >= p.
 
     For clearly tall, well-conditioned inputs the factorization runs
-    through a QR of X followed by an SVD of the small triangular factor,
-    which is substantially faster than the general driver at the same
-    reconstruction accuracy; ill-conditioned or near-square inputs fall
-    back to LAPACK gesdd so U keeps orthonormal columns in all cases.
+    through the Cholesky factor R of the Gram matrix X'X followed by an
+    SVD of R, so U = X V / s costs one pass over X for the Gram matrix
+    and one for U. The Gram matrix squares the condition number, so a
+    Cholesky that fails, a singular value spread above
+    ``_FAST_PATH_MAX_COND`` (sqrt(1e5)) and near-square inputs fall back
+    to LAPACK gesdd, and U keeps orthonormal columns in all cases. A
+    badly scaled column fails the same guard and takes gesdd.
 
     Parameters
     ----------
@@ -181,19 +185,16 @@ def thin_svd(X) -> SvdFactors:
     n, p = A.shape
     if n < p:
         raise DimensionError(f"thin_svd requires n >= p, got n={n}, p={p}")
-    try:
-        if n >= 2 * p:
-            # raw mode triangularizes only the top p x p block; mode="r"
-            # would run triu over the whole n x p Householder factor. The
-            # QR overwrites a Fortran copy made here (np.asfortranarray
-            # would hand over an F-ordered A itself), and taking R alone
-            # frees the Householder factor before U is formed.
-            R = sla.qr(np.array(A, order="F"), mode="raw", overwrite_a=True,
-                       check_finite=False)[1]
+    if n >= 2 * p:
+        try:
+            R = sla.cholesky(A.T @ A, check_finite=False)
             Ur, s, Vt = sla.svd(R, check_finite=False)
-            if s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
-                U = A @ (Vt.T / s)
-                return SvdFactors(U, s, Vt.T)
+        except np.linalg.LinAlgError:
+            s = None  # X'X is not numerically positive definite: use gesdd
+        if s is not None and s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
+            U = A @ (Vt.T / s)
+            return SvdFactors(U, s, Vt.T)
+    try:
         U, s, Vt = sla.svd(
             A, full_matrices=False, check_finite=False, lapack_driver="gesdd"
         )

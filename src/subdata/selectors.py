@@ -15,9 +15,10 @@ All selectors return exactly ``k`` distinct row indices and report their
 own wall-clock time, so harness code can compare them on equal terms.
 
 Many subdata sizes on one matrix can share the work that depends on the
-matrix alone: :func:`rank_by_leverage` factors and ranks once for every
-:func:`select_levss` call, and the :func:`select_oss` selection of size
-k is the first k rows of any longer run.
+matrix alone: :func:`rank_by_leverage` factors once for every
+:func:`select_levss` call, :func:`iboss_tails` sorts each column's tails
+once for every :func:`select_iboss` call, and the :func:`select_oss`
+selection of size k is the first k rows of any longer run.
 """
 
 from __future__ import annotations
@@ -68,6 +69,22 @@ class SelectionResult:
     elapsed: float
 
 
+def _argsort_head(v: np.ndarray, m: int) -> np.ndarray:
+    """The first m positions of ``v`` in (value, position) order.
+
+    Equal to ``np.argsort(v, kind="stable")[:m]``, but only the block of
+    positions at or below the m-th smallest value is sorted, so the cost
+    is linear in ``v.size`` plus a sort of that block.
+    """
+    if m >= v.size:
+        return np.argsort(v, kind="stable")
+    if m <= 0:
+        return np.empty(0, dtype=np.intp)
+    edge = np.partition(v, m - 1)[m - 1]
+    block = np.flatnonzero(v <= edge)  # ascending positions, ties included
+    return block[np.argsort(v[block], kind="stable")[:m]]
+
+
 def _stopping_threshold(threshold) -> float:
     """``threshold`` as a float, or ConfigError unless it is >= 1 (NaN fails)."""
     t = float(threshold)
@@ -99,7 +116,6 @@ class LevssConfig:
             object.__setattr__(self, "threshold", _stopping_threshold(self.threshold))
 
 
-@dataclass(frozen=True)
 class LeverageRanking:
     """The part of leverage selection that depends on the matrix alone.
 
@@ -108,30 +124,40 @@ class LeverageRanking:
 
     Attributes
     ----------
-    order : numpy.ndarray
-        All n row indices by descending leverage, equal scores in
-        ascending row order.
+    scores : numpy.ndarray
+        Leverage score of every row.
     U : numpy.ndarray
         The thin-SVD factor's columns for the nonzero singular values,
         n x rank; the stopping rule reads its rows.
     p : int
         Column count of the ranked matrix.
     elapsed : float
-        Wall-clock seconds the ranking took.
+        Wall-clock seconds the factorization and the scores took.
     """
 
-    order: np.ndarray
-    U: np.ndarray
-    p: int
-    elapsed: float
+    def __init__(self, scores: np.ndarray, U: np.ndarray, p: int, elapsed: float):
+        self.scores, self.U, self.p, self.elapsed = scores, U, p, elapsed
+        self._top = np.empty(0, dtype=np.intp)
 
     @property
     def n(self) -> int:
-        return self.order.size
+        return self.scores.size
+
+    def top(self, m: int) -> np.ndarray:
+        """The first m rows by descending leverage, equal scores by ascending row.
+
+        Rows come from a cached head of the ranking. A request beyond it
+        sorts a new head at least twice as long; only ``m >= n`` sorts
+        every score. The result is a view of the cache: copy it to keep.
+        """
+        if m > self._top.size:
+            size = min(self.n, max(m, 2 * self._top.size))
+            self._top = _argsort_head(-self.scores, size)
+        return self._top[:m]
 
 
 def rank_by_leverage(X) -> LeverageRanking:
-    """Factor X once and rank its rows by leverage score.
+    """Factor X once and score its rows by leverage; rows are ranked on demand.
 
     Parameters
     ----------
@@ -146,10 +172,16 @@ def rank_by_leverage(X) -> LeverageRanking:
     dm = as_data_matrix(X)
     factors = thin_svd(dm)
     scores = leverage_scores(factors)
-    # stable sort on negated scores: equal scores keep ascending row order
-    order = np.argsort(-scores, kind="stable")
     r = matrix_rank_from_singular_values(factors.singular_values)
-    return LeverageRanking(order, factors.U[:, :r], dm.p, time.perf_counter() - t0)
+    return LeverageRanking(scores, factors.U[:, :r], dm.p, time.perf_counter() - t0)
+
+
+def _levss_size(n: int, p: int, k: int) -> None:
+    """ConfigError unless p < k < n, the sizes leverage selection needs."""
+    if k <= p:
+        raise ConfigError(f"leverage selection needs k > p, got k={k}, p={p}")
+    if n <= k:
+        raise ConfigError(f"leverage selection needs n > k, got n={n}, k={k}")
 
 
 def select_levss(X, config: LevssConfig) -> SelectionResult:
@@ -206,17 +238,13 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
     source = X if shared else as_data_matrix(X)
     if shared:
         t0 -= X.elapsed  # every cell served from a ranking counts it in full
-    n, p = source.n, source.p
-    k = config.k
-    if k <= p:
-        raise ConfigError(f"leverage selection needs k > p, got k={k}, p={p}")
-    if n <= k:
-        raise ConfigError(f"leverage selection needs n > k, got n={n}, k={k}")
+    n, k = source.n, config.k
+    _levss_size(n, source.p, k)
     ranking = source if shared else rank_by_leverage(source)
-    order = ranking.order
+    order = ranking.top(k)
 
     if config.threshold is None:
-        indices = order[:k].copy()
+        indices = order.copy()
         elapsed = time.perf_counter() - t0
         return SelectionResult(indices, k, _EMPTY_TRACE, elapsed)
 
@@ -230,6 +258,8 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
     kappa = condition_number(gram) if r > 0 else np.inf
     trace.append(kappa)
     while kappa >= T and size < n:
+        if size == order.size:
+            order = ranking.top(n)  # the walk passed the cached head
         u = U[order[size]]
         gram += np.outer(u, u)
         size += 1
@@ -267,54 +297,74 @@ def _iboss_quotas(k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _extreme_positions(col: np.ndarray, want: int, largest: bool) -> np.ndarray:
-    """Positions of the ``want`` smallest (or largest) entries of ``col``.
+@dataclass(frozen=True)
+class IbossTails:
+    """The part of extreme-value selection that depends on the matrix alone.
 
-    Order is by (value, position): among entries equal to the boundary
-    value, the lowest positions are taken. ``argpartition`` picks among
-    such ties arbitrarily, so when the boundary value also occurs among
-    the entries left out, the picks equal to it are swapped, in place,
-    for the lowest positions holding it.
+    One set of tails serves every subdata size k <= ``depth`` on its
+    matrix: pass it to :func:`select_iboss` in place of the matrix.
+
+    Attributes
+    ----------
+    lo : numpy.ndarray
+        p x depth; row j holds the ``depth`` rows with the smallest
+        values of covariate j in (value, row) order.
+    hi : numpy.ndarray
+        p x depth; row j holds the ``depth`` rows with the largest
+        values of covariate j, by descending value, equal values in
+        ascending row order.
+    n : int
+        Row count of the matrix.
+    elapsed : float
+        Wall-clock seconds the tails took.
     """
-    kth = col.size - want if largest else want - 1
-    part = np.argpartition(col, kth)
-    picks = part[kth:] if largest else part[:want]
-    edge = col[part[kth]]
-    tied = np.flatnonzero(col == edge)
-    at_edge = col[picks] == edge
-    n_edge = int(np.count_nonzero(at_edge))
-    if tied.size > n_edge:
-        picks[at_edge] = tied[:n_edge]
-    return picks
+
+    lo: np.ndarray
+    hi: np.ndarray
+    n: int
+    elapsed: float
+
+    @property
+    def p(self) -> int:
+        return self.lo.shape[0]
+
+    @property
+    def depth(self) -> int:
+        return self.lo.shape[1]
 
 
-def select_iboss(X, k: int) -> SelectionResult:
-    """Extreme-value subdata selection, one covariate at a time.
+def iboss_tails(X, depth: int) -> IbossTails:
+    """Sort the two tails of every column of X once, ``depth`` rows each.
 
-    Covariate j contributes the rows with its smallest values and then
-    the rows with its largest values, skipping rows already selected by
-    earlier covariates. Rows tied at a tail's boundary value go in
-    ascending row order, so the selected set is a function of the data
-    alone. Partial selection (introselect) keeps each pass linear in the
-    number of remaining rows, so the whole selection is O(n p) for fixed
-    subdata size.
+    Columns are taken one at a time, so no copy of the whole matrix is
+    made. ``depth`` above n is cut to n.
 
     Parameters
     ----------
     X : DataMatrix or array_like
         Covariate matrix, n x p.
-    k : int
-        Subdata size, a whole number with 2p <= k <= n so every
-        covariate gets at least one point per tail.
+    depth : int
+        Rows per tail: the largest subdata size the tails will serve.
 
     Returns
     -------
-    SelectionResult
-        ``k_star`` equals k and the condition trace is empty.
+    IbossTails
     """
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
-    n, p = dm.n, dm.p
+    depth = min(positive_integer(depth, "depth"), dm.n)
+    lo = np.empty((dm.p, depth), dtype=np.intp)
+    hi = np.empty((dm.p, depth), dtype=np.intp)
+    for j in range(dm.p):
+        col = dm.values[:, j].copy()  # negated in place below
+        lo[j] = _argsort_head(col, depth)
+        np.negative(col, out=col)
+        hi[j] = _argsort_head(col, depth)
+    return IbossTails(lo, hi, dm.n, time.perf_counter() - t0)
+
+
+def _iboss_size(n: int, p: int, k) -> int:
+    """``k`` as an int, or ConfigError unless it is whole and 2p <= k <= n."""
     k = positive_integer(k, "k")
     if k < 2 * p:
         raise ConfigError(
@@ -323,25 +373,72 @@ def select_iboss(X, k: int) -> SelectionResult:
         )
     if k > n:
         raise ConfigError(f"cannot select k={k} rows from n={n}")
+    return k
 
-    vals = dm.values
+
+def select_iboss(X, k: int) -> SelectionResult:
+    """Extreme-value subdata selection, one covariate at a time.
+
+    Covariate j contributes the rows with its smallest values and then
+    the rows with its largest values, skipping rows already selected by
+    earlier covariates. Within a tail, rows come in (value, row) order:
+    by ascending value for the smallest, by descending value for the
+    largest, equal values in ascending row order, so the selected set
+    and its order are a function of the data alone.
+
+    Several selections on one matrix can share its sorted tails: pass
+    ``iboss_tails(X, K)`` as X to each selection of size k <= K. A pass
+    that needs ``want`` rows after ``taken`` earlier picks reads only
+    the first ``want + taken`` rows of its tail, so a selection served
+    from tails costs O(p k). A matrix given as such gets tails of depth
+    k within the call, so ``select_iboss(X, k)`` equals
+    ``select_iboss(iboss_tails(X, K), k)`` in every field but
+    ``elapsed``.
+
+    Parameters
+    ----------
+    X : DataMatrix, array_like or IbossTails
+        Covariate matrix, n x p; or its tails.
+    k : int
+        Subdata size, a whole number with 2p <= k <= n so every
+        covariate gets at least one point per tail.
+
+    Returns
+    -------
+    SelectionResult
+        ``k_star`` equals k and the condition trace is empty. With tails
+        given, ``elapsed`` counts the tails' own seconds in full besides
+        this call's.
+
+    Raises
+    ------
+    ConfigError
+        If k is not whole, k < 2p, k > n, or k exceeds the depth of the
+        tails given.
+    """
+    t0 = time.perf_counter()
+    shared = isinstance(X, IbossTails)
+    source = X if shared else as_data_matrix(X)
+    if shared:
+        t0 -= X.elapsed  # every cell served from tails counts them in full
+    n, p = source.n, source.p
+    k = _iboss_size(n, p, k)
+    tails = source if shared else iboss_tails(source, k)
+    if k > tails.depth:
+        raise ConfigError(f"tails of depth {tails.depth} cannot serve k={k}")
+
     lo_quota, hi_quota = _iboss_quotas(k, p)
     avail = np.ones(n, dtype=bool)
     out = np.empty(k, dtype=np.intp)
     pos = 0
     for j in range(p):
-        for want, largest in ((int(lo_quota[j]), False), (int(hi_quota[j]), True)):
-            if want == 0:
-                continue
-            idx = np.flatnonzero(avail)
-            col = vals[idx, j]
-            if want >= idx.size:
-                chosen = idx
-            else:
-                chosen = idx[_extreme_positions(col, want, largest)]
+        for want, order in ((lo_quota[j], tails.lo[j]), (hi_quota[j], tails.hi[j])):
+            # at most pos of the first want + pos rows are taken already
+            head = order[:want + pos]
+            chosen = head[avail[head]][:want]
             avail[chosen] = False
-            out[pos:pos + chosen.size] = chosen
-            pos += chosen.size
+            out[pos:pos + want] = chosen
+            pos += want
     elapsed = time.perf_counter() - t0
     return SelectionResult(out, k, _EMPTY_TRACE, elapsed)
 

@@ -102,6 +102,31 @@ class TestSelectorSpec:
         assert not np.array_equal(np.sort(plain.indices), np.sort(variant.indices))
 
 
+class TestRunSelectorChecksK:
+    """k is checked against the design's shape before any preparation."""
+
+    @pytest.mark.parametrize("spec, shape, k, match", [
+        (SelectorSpec("levss"), (3, 5), 2, "needs k > p, got k=2, p=5"),
+        (SelectorSpec("levss"), (3, 5), 8, "needs n > k, got n=3, k=8"),
+        (SelectorSpec("levss"), (40, 3), 40, "needs n > k, got n=40, k=40"),
+        (SelectorSpec("levss", design="intercept"), (30, 5), 6,
+         "needs k > p, got k=6, p=6"),
+        (SelectorSpec("iboss"), (30, 5), 8, "needs k >= 2p .* got k=8, p=5"),
+        (SelectorSpec("iboss", design="expanded"), (30, 3), 10,
+         "needs k >= 2p .* got k=10, p=6"),
+        (SelectorSpec("iboss"), (30, 2), 31, "cannot select k=31 rows from n=30"),
+    ])
+    def test_infeasible_k_is_a_config_error(self, monkeypatch, spec, shape, k, match):
+        def unreachable(*args):
+            raise AssertionError("a preparation was made for an infeasible k")
+
+        monkeypatch.setattr(selectors, "thin_svd", unreachable)
+        monkeypatch.setattr(bench, "iboss_tails", unreachable)
+        data = DataMatrix(np.random.default_rng(0).normal(size=shape))
+        with pytest.raises(ConfigError, match=match):
+            _run_selector(spec, data, k, seed=0)
+
+
 class TestResolveWorkers:
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "3")
@@ -448,6 +473,29 @@ class TestRunBootstrap:
         recs = run_bootstrap(data, BootstrapPlan.from_multiples(4, n_boot=3, seed=2))
         assert len(recs) == 3 * 4 * 6 and not any(r.failed for r in recs)
         assert calls == {"thin_svd": 3, "oss": 3}
+
+    def test_sorts_heads_only_and_prepares_tails_once_per_design(self, monkeypatch):
+        tails, heads = Counter(), []
+
+        def counting_tails(matrix, depth):
+            tails[getattr(matrix, "values", matrix).shape[1]] += 1
+            return selectors.iboss_tails(matrix, depth)
+
+        def recording_head(v, m):
+            heads.append((v.size, m))
+            return head(v, m)
+
+        head = selectors._argsort_head
+        monkeypatch.setattr(bench, "iboss_tails", counting_tails)
+        monkeypatch.setattr(selectors, "_argsort_head", recording_head)
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=2000, p=4, k=5, seed=1))
+        specs = default_bootstrap_selectors() + (SelectorSpec("iboss", design="expanded"),)
+        plan = BootstrapPlan.from_multiples(4, n_boot=2, seed=2, selectors=specs)
+        recs = run_bootstrap(data, plan)
+        assert len(recs) == 2 * 4 * 7 and not any(r.failed for r in recs)
+        assert all(r.k_star == r.k for r in recs)  # no stopping-rule walk
+        assert tails == {4: 2, 10: 2}
+        assert heads and all(m < size for size, m in heads)
 
     def test_requires_response(self):
         cfg = ScenarioConfig(case="mvnormal", n=100, p=2, k=20, seed=6)

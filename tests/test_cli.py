@@ -421,3 +421,14 @@ class TestRuntimeConfigErrors:
             monkeypatch.setenv(var, value)
         assert main(argv) == 2
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("k", ["2", "8"])
+    def test_levss_on_fewer_rows_than_columns_exits_2(self, k, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("x1,x2,x3,x4,x5\n1,2,3,4,5\n2,1,4,3,6\n0,5,1,2,2\n")
+        out = tmp_path / "o.csv"
+        argv = ["select", "--method", "levss", "--k", k, "--input", str(data),
+                "--output", str(out)]
+        assert main(argv) == 2
+        assert "leverage selection needs" in capsys.readouterr().err
+        assert not out.exists()

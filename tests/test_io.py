@@ -131,6 +131,13 @@ class TestResultsRoundTrip:
         back = read_records(csv_path)
         assert back == recs
 
+    def test_records_with_byte_order_mark_survive(self, tmp_path):
+        cfg = ScenarioConfig(case="mvnormal", n=200, p=3, k=30, seed=1)
+        recs = run_simulation(cfg, ("levss", "iboss"), reps=2)
+        csv_path, _ = write_results(recs, summarize(recs), tmp_path / "out.csv")
+        csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        assert read_records(csv_path) == recs
+
     def test_undecodable_records_file_rejected(self, tmp_path):
         csv_path, _ = write_results([], {}, tmp_path / "r.csv")
         with open(csv_path, "ab") as fh:
@@ -249,6 +256,7 @@ _AWKWARD = {
         "a,b,c,y\n1,2,3,4\n5,6,7,8\n",
         {"covariates": ["c", "a"], "response": "y"}, [[3, 1, 4], [7, 5, 8]]),
     "response not last": ("y,a\n4,1\n8,5\n", {"response": "y"}, [[1, 4], [5, 8]]),
+    "byte-order mark": ("\ufeffy,a\n4,1\n8,5\n", {"response": "y"}, [[1, 4], [5, 8]]),
     "log response": (
         "x,y\n1,1\n2,7.389056098930650\n", {"response": "y", "log_response": True},
         [[1, 0.0], [2, math.log(7.389056098930650)]]),
@@ -334,6 +342,21 @@ class TestParsePaths:
         f.write_bytes(text)
         with pytest.raises(DataFormatError, match="d.csv"):
             read_csv(f)
+
+    def test_byte_order_mark_reads_as_without(self, tmp_path, monkeypatch):
+        # the response is the first column, so a kept mark would hide its name
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=50, p=2, k=10, seed=3))
+        rows = np.column_stack([data.response, data.values]).tolist()
+        text = "y,x1,x2\r\n" + "".join(",".join(map(repr, r)) + "\r\n" for r in rows)
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(text.encode("utf-8-sig"))
+        want = _outcome(lambda: read_csv(plain, response="y"))
+        assert want == ("data", (50, 2), data.values.tobytes(), data.response.tobytes())
+        assert _outcome(lambda: read_csv(marked, response="y")) == want
+        _scan_only(monkeypatch)
+        assert _outcome(lambda: read_csv(marked, response="y")) == want
 
     def test_underscore_numeral_rejected(self, tmp_path):
         f = _write(tmp_path, "a,b\n1,2\n3,1_000\n")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from subdata import (
     ConfigError,
@@ -14,6 +15,7 @@ from subdata import (
     logdet_info,
     thin_svd,
 )
+from subdata import linalg
 from subdata.linalg import matrix_rank_from_singular_values
 
 from _oracles import det_cofactor, hat_diagonal
@@ -89,7 +91,7 @@ class TestThinSvd:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_leaves_input_untouched(self, order):
-        # n >= 2p takes the QR path, which factors a copy in place
+        # n >= 2p takes the Gram-Cholesky path
         x = np.array(np.random.default_rng(3).normal(size=(40, 4)), order=order)
         before = x.copy()
         for arg in (x, DataMatrix(x)):
@@ -100,6 +102,76 @@ class TestThinSvd:
         assert matrix_rank_from_singular_values(np.array([3.0, 2.0, 1.0])) == 3
         assert matrix_rank_from_singular_values(np.array([3.0, 1e-30])) == 1
         assert matrix_rank_from_singular_values(np.array([0.0])) == 0
+
+
+class _LapackSpy:
+    """scipy.linalg as thin_svd sees it, noting the row count of each SVD
+    and whether each Cholesky factorization succeeded."""
+
+    def __init__(self):
+        self.svd_rows, self.cholesky_ok = [], []
+
+    def svd(self, a, *args, **kwargs):
+        self.svd_rows.append(a.shape[0])
+        return sla.svd(a, *args, **kwargs)
+
+    def cholesky(self, a, *args, **kwargs):
+        try:
+            r = sla.cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            self.cholesky_ok.append(False)
+            raise
+        self.cholesky_ok.append(True)
+        return r
+
+
+def _guard_case(name):
+    """(X, a well-scaled matrix with X's column space) for one guard case."""
+    rng = np.random.default_rng(0)
+    n, p = 2000, 5
+    x = rng.normal(size=(n, p)) @ np.linalg.cholesky(0.5 + 0.5 * np.eye(p)).T
+    if name == "near-collinear":
+        noise = rng.normal(size=n)
+        bad, good = x.copy(), x.copy()
+        bad[:, -1] = x[:, 0] + 1e-6 * noise
+        good[:, -1] = noise
+        return bad, good
+    if name.startswith("offset"):
+        c = float(name.split()[1])
+        bad = x + c
+        # (x0 + c) / c and the differences x_j - x0 span the same space
+        return bad, np.column_stack([bad[:, 0] / c, bad[:, 1:] - bad[:, :1]])
+    if name == "column scaled by 1e8":
+        bad = x.copy()
+        bad[:, 0] *= 1e8
+        return bad, x
+    return x, x
+
+
+class TestThinSvdGuard:
+    """Which path thin_svd takes on each hard case, and the leverage it gives.
+
+    The Gram path squares the condition number, so it is taken only for
+    cond(X) <= sqrt(1e5); anything worse goes to gesdd.
+    """
+
+    @pytest.mark.parametrize("name, path, cholesky_ok, bound", [
+        ("near-collinear", "gesdd", True, 1e-6),
+        ("offset 1e9", "gesdd", False, 1e-4),
+        ("offset 1e3", "gesdd", True, 1e-10),
+        ("column scaled by 1e8", "gesdd", True, 1e-13),
+        ("plain mvnormal", "gram", True, 1e-13),
+    ])
+    def test_path_and_leverage_error(self, monkeypatch, name, path, cholesky_ok, bound):
+        x, well_scaled = _guard_case(name)
+        spy = _LapackSpy()
+        monkeypatch.setattr(linalg, "sla", spy)
+        h = leverage_scores(thin_svd(x))
+        assert spy.cholesky_ok == [cholesky_ok]
+        assert ("gesdd" if x.shape[0] in spy.svd_rows else "gram") == path
+        q = np.linalg.qr(well_scaled)[0]
+        want = np.einsum("ij,ij->i", q, q)
+        assert np.max(np.abs(h - want) / want) <= bound
 
 
 class TestLeverageScores:

@@ -18,6 +18,7 @@ from subdata import (
     select_uniform,
     thin_svd,
 )
+from subdata.selectors import _argsort_head
 
 from _oracles import hat_diagonal
 
@@ -75,6 +76,22 @@ def test_adjusted_intercept_keeps_slopes(seed, p, n):
     adj = adjusted_intercept(fit, mx, my)
     assert np.array_equal(adj.slopes, fit.slopes)
     assert np.isclose(adj.intercept, my - mx @ fit.slopes, atol=1e-10)
+
+
+# few distinct values, so ties and duplicates are the rule; 0.0 and -0.0 compare equal
+tied_values = st.lists(
+    st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1e-300, 1.0, 3.0])
+    | st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    max_size=80)
+
+
+@given(tied_values)
+@settings(max_examples=200, deadline=None)
+def test_argsort_head_is_a_stable_argsort_prefix(values):
+    v = np.array(values, dtype=np.float64)
+    full = np.argsort(v, kind="stable")
+    for m in range(v.size + 2):
+        assert np.array_equal(_argsort_head(v, m), full[:m]), m
 
 
 @given(seeds, st.integers(1, 4), st.integers(0, 3))

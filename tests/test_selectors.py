@@ -10,6 +10,7 @@ from subdata import (
     ConfigError,
     LevssConfig,
     ScalingError,
+    iboss_tails,
     leverage_scores,
     rank_by_leverage,
     select_iboss,
@@ -18,6 +19,7 @@ from subdata import (
     select_uniform,
     thin_svd,
 )
+from subdata.selectors import _iboss_quotas
 
 from _oracles import (
     hat_diagonal,
@@ -220,6 +222,38 @@ class TestIboss:
         for k in (6, 13, 20):
             got = sorted(select_iboss(x, k).indices.tolist())
             assert got == sorted(iboss_sequential_trace(x, k)), f"k={k}"
+
+    @pytest.mark.parametrize("kind", ["resampled", "small integers"])
+    def test_one_set_of_tails_serves_every_k(self, kind):
+        rng = np.random.default_rng(12)
+        if kind == "resampled":  # every tie comes from a repeated row
+            x = rng.normal(size=(60, 3))[rng.integers(0, 60, size=240)]
+        else:
+            x = rng.integers(-2, 3, size=(240, 3)).astype(float)
+        tails = iboss_tails(x, 120)
+        for k in range(6, 121):
+            shared, alone = select_iboss(tails, k), select_iboss(x, k)
+            assert np.array_equal(shared.indices, alone.indices), k
+            assert sorted(shared.indices.tolist()) == sorted(iboss_sequential_trace(x, k))
+            assert shared.elapsed >= tails.elapsed
+            # each tail's rows come by value (descending for the max side), then row
+            lo, hi = _iboss_quotas(k, 3)
+            pos = 0
+            for j in range(3):
+                for want, sign in ((lo[j], 1.0), (hi[j], -1.0)):
+                    tail = shared.indices[pos:pos + want]
+                    keys = list(zip(sign * x[tail, j], tail))
+                    assert keys == sorted(keys), (k, j, sign)
+                    pos += want
+        with pytest.raises(ConfigError, match="depth 120"):
+            select_iboss(tails, 121)
+
+    def test_tails_deeper_than_n_cover_every_row(self):
+        x = np.random.default_rng(4).normal(size=(9, 2))
+        tails = iboss_tails(x, 50)
+        assert tails.depth == 9
+        assert np.array_equal(tails.lo[1], np.argsort(x[:, 1], kind="stable"))
+        assert np.array_equal(select_iboss(tails, 9).indices, select_iboss(x, 9).indices)
 
     def test_remainder_spreads_extra_pairs(self):
         x = np.arange(1.0, 9.0).reshape(-1, 1)
