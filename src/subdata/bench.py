@@ -322,6 +322,13 @@ def _simulate_rep(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
     return scorer.score_grid(rep, specs, (cfg.k,), cfg.seed)
 
 
+def _simulate_rep_pinned(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
+                         rep: int, threads: int) -> list[MetricsRecord]:
+    """:func:`_simulate_rep` with every OpenBLAS library pinned to ``threads``."""
+    with blas_threads(threads):
+        return _simulate_rep(config, specs, rep)
+
+
 def run_simulation(config: ScenarioConfig, selectors, reps: int) -> list[MetricsRecord]:
     """Generate, select, fit, and score ``reps`` independent repetitions.
 
@@ -335,17 +342,22 @@ def run_simulation(config: ScenarioConfig, selectors, reps: int) -> list[Metrics
     Parallel execution over repetitions (SUBDATA_THREADS workers, at
     most ``reps`` and the CPU count) produces byte-identical records to
     the serial run because each repetition is a pure function of its
-    own seed.
+    own seed. Each worker runs its repetitions with every OpenBLAS
+    library pinned to cpu_count // workers threads (at least one), so
+    workers x BLAS threads never exceeds the CPU count.
     """
     reps = positive_integer(reps, "reps")
     specs = _coerce_specs(selectors)
-    workers = min(resolve_workers(), reps, os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(resolve_workers(), reps, cpus)
     if workers == 1:
         per_rep = [_simulate_rep(config, specs, r) for r in range(reps)]
     else:
+        threads = max(1, cpus // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_simulate_rep, [config] * reps,
-                                    [specs] * reps, range(reps)))
+            per_rep = list(pool.map(_simulate_rep_pinned, [config] * reps,
+                                    [specs] * reps, range(reps),
+                                    [threads] * reps))
     records = [rec for chunk in per_rep for rec in chunk]
     _warn_failures(records, "repetition")
     return records

@@ -25,10 +25,11 @@ EPS_RANK = 1e-12
 # Absolute tolerance for the symmetry check in condition_number.
 SYMMETRY_TOL = 1e-8
 
-# The Gram-Cholesky path loses orthonormality of U at roughly
-# eps * cond(X)**2; beyond this cutoff (cond(X)**2 = 1e5) we pay for
-# LAPACK's divide-and-conquer SVD (gesdd) instead so that U stays
-# orthonormal to ~1e-11.
+# The Gram-Cholesky path loses orthonormality of U, and accuracy of a
+# least-squares fit, at roughly eps * cond**2; beyond this cutoff
+# (cond**2 = 1e5) we pay for an SVD of the matrix itself instead (gesdd
+# in thin_svd, gelsd in regression.fit_ols), so that U stays orthonormal
+# to ~1e-11.
 _FAST_PATH_MAX_COND = math.sqrt(1e5)
 
 # thread-count (setter, getter) of the numpy wheel's OpenBLAS, then scipy's
@@ -127,10 +128,15 @@ class DataMatrix:
         return self.values.shape[1]
 
     def take(self, indices) -> "DataMatrix":
-        """Row subset as a new DataMatrix (response rows come along)."""
+        """Row subset as a new DataMatrix (response rows come along).
+
+        ``np.take`` gathers the same rows as fancy indexing, negative
+        indices and the IndexError out of range included, without its
+        per-row overhead.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        resp = None if self.response is None else self.response[idx]
-        return DataMatrix(self.values[idx], resp)
+        resp = None if self.response is None else np.take(self.response, idx)
+        return DataMatrix(np.take(self.values, idx, axis=0), resp)
 
 
 def as_data_matrix(x) -> DataMatrix:
@@ -150,6 +156,27 @@ class SvdFactors(NamedTuple):
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
+
+
+def _gram_factor(gram: np.ndarray):
+    """``(R, s, Vt)`` of a Gram matrix A'A when the Gram path may serve A.
+
+    R is the upper Cholesky factor (A'A = R'R) and R = Ur diag(s) Vt its
+    SVD, so s are the singular values of A and Vt its right singular
+    vectors. The Gram matrix squares the condition number, so this is
+    None when the Cholesky fails (A'A is not numerically positive
+    definite) or s spreads wider than ``_FAST_PATH_MAX_COND``; the
+    caller then factors A itself. thin_svd and regression.fit_ols share
+    this one guard.
+    """
+    try:
+        R = sla.cholesky(gram, check_finite=False)
+        _Ur, s, Vt = sla.svd(R, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    if s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
+        return R, s, Vt
+    return None
 
 
 def thin_svd(X) -> SvdFactors:
@@ -186,14 +213,10 @@ def thin_svd(X) -> SvdFactors:
     if n < p:
         raise DimensionError(f"thin_svd requires n >= p, got n={n}, p={p}")
     if n >= 2 * p:
-        try:
-            R = sla.cholesky(A.T @ A, check_finite=False)
-            Ur, s, Vt = sla.svd(R, check_finite=False)
-        except np.linalg.LinAlgError:
-            s = None  # X'X is not numerically positive definite: use gesdd
-        if s is not None and s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
-            U = A @ (Vt.T / s)
-            return SvdFactors(U, s, Vt.T)
+        factor = _gram_factor(A.T @ A)
+        if factor is not None:
+            _R, s, Vt = factor
+            return SvdFactors(A @ (Vt.T / s), s, Vt.T)
     try:
         U, s, Vt = sla.svd(
             A, full_matrices=False, check_finite=False, lapack_driver="gesdd"

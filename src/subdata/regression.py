@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import DimensionError, SingularDesignError
-from .linalg import as_data_matrix
+from .linalg import _gram_factor, as_data_matrix
 
 
 @dataclass(frozen=True)
@@ -26,13 +27,37 @@ def with_intercept(design) -> np.ndarray:
     return np.column_stack([np.ones(M.shape[0]), M])
 
 
-def fit_ols(X, y) -> LinearFit:
-    """Least-squares fit of y on [1, X] via orthogonal factorization.
+def _gram_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """[intercept, slopes] from the normal equations, or None off the Gram path.
 
-    Uses a rank-revealing solver rather than normal equations, so the
-    conditioning of the subdata enters only once. A rank-deficient
-    design raises :class:`SingularDesignError` carrying the numerical
-    rank that was found.
+    The Gram matrix of [1, X] is assembled from n, the column sums and
+    X'X, and its right-hand side from sum(y) and X'y, so [1, X] itself
+    is never built. ``linalg._gram_factor`` guards the solve.
+    """
+    n, q = X.shape[0], X.shape[1] + 1
+    gram = np.empty((q, q))
+    gram[0, 0] = n
+    gram[0, 1:] = gram[1:, 0] = np.ones(n) @ X
+    gram[1:, 1:] = X.T @ X
+    factor = _gram_factor(gram)
+    if factor is None:
+        return None
+    rhs = np.concatenate(([y.sum()], X.T @ y))
+    return sla.cho_solve((factor[0], False), rhs, check_finite=False)
+
+
+def fit_ols(X, y) -> LinearFit:
+    """Least-squares fit of y on [1, X].
+
+    For n >= 2(p+1) the fit solves the normal equations with the
+    Cholesky factor R of the Gram matrix of [1, X], under the guard that
+    ``linalg.thin_svd`` uses: a Cholesky that fails, or a condition
+    number of [1, X] above sqrt(1e5), falls back to LAPACK's
+    rank-revealing gelsd on [1, X], as do shorter designs. The normal
+    equations square the condition number, so the bound keeps their
+    error at eps * 1e5 or less. A rank-deficient design fails the guard
+    and raises :class:`SingularDesignError` carrying the numerical rank
+    gelsd found.
     """
     dm = as_data_matrix(X)
     yv = np.asarray(y, dtype=np.float64).ravel()
@@ -40,9 +65,13 @@ def fit_ols(X, y) -> LinearFit:
         raise DimensionError(
             f"response length {yv.shape[0]} does not match {dm.n} rows"
         )
+    q = dm.p + 1
+    if dm.n >= 2 * q:
+        coef = _gram_fit(dm.values, yv)
+        if coef is not None:
+            return LinearFit(float(coef[0]), coef[1:])
     Z = with_intercept(dm.values)
     coef, _, rank, _ = np.linalg.lstsq(Z, yv, rcond=None)
-    q = Z.shape[1]
     if rank < q:
         raise SingularDesignError(
             f"design is rank deficient: numerical rank {rank} < {q} columns",

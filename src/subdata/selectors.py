@@ -40,6 +40,9 @@ from .linalg import (
 
 _EMPTY_TRACE = np.empty(0, dtype=np.float64)
 
+# rows per block of _column_extrema's long-row reduction
+_EXTREMA_ROWS = 64
+
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -443,10 +446,36 @@ def select_iboss(X, k: int) -> SelectionResult:
     return SelectionResult(out, k, _EMPTY_TRACE, elapsed)
 
 
+def _column_extrema(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's minimum and maximum, as ``vals.min(axis=0)`` and ``.max``.
+
+    Reducing a C-ordered n x p array over axis 0 walks p-long rows, which
+    costs per-row overhead when p is small. The first n - n mod
+    _EXTREMA_ROWS rows are viewed as rows of _EXTREMA_ROWS * p values
+    and reduced over those long rows, the _EXTREMA_ROWS partial results
+    are folded, and so are the remaining rows. A min or max is exact, so
+    the order changes nothing but, at most, the sign of a zero extreme.
+    """
+    n, p = vals.shape
+    head = n - n % _EXTREMA_ROWS
+    if not head or not vals.flags.c_contiguous:
+        return vals.min(axis=0), vals.max(axis=0)
+    blocks = vals[:head].reshape(-1, _EXTREMA_ROWS * p)
+    lo = blocks.min(axis=0).reshape(_EXTREMA_ROWS, p).min(axis=0)
+    hi = blocks.max(axis=0).reshape(_EXTREMA_ROWS, p).max(axis=0)
+    if head < n:
+        np.minimum(lo, vals[head:].min(axis=0), out=lo)
+        np.maximum(hi, vals[head:].max(axis=0), out=hi)
+    return lo, hi
+
+
 def _scale_to_unit_box(vals: np.ndarray) -> np.ndarray:
-    """Column-wise affine map onto [-1, 1] using each column's min/max."""
-    lo = vals.min(axis=0)
-    hi = vals.max(axis=0)
+    """Column-wise affine map onto [-1, 1] using each column's min/max.
+
+    The result is bit for bit ``2 * (vals - lo) / (hi - lo) - 1``: the
+    sign of a zero extreme cannot reach it.
+    """
+    lo, hi = _column_extrema(vals)
     span = hi - lo
     flat = np.flatnonzero(span == 0.0)
     if flat.size:
@@ -470,12 +499,15 @@ def _pack_signs(Z: np.ndarray) -> np.ndarray:
     shape (words per row, n), so each word's column is contiguous.
     """
     n, p = Z.shape
-    packed = np.packbits(np.concatenate([Z > 0, Z < 0], axis=1), axis=1, bitorder="little")
     width = next((w for w in (1, 2, 4) if 2 * p <= 8 * w), 8)
-    nwords = -(-packed.shape[1] // width)
-    padded = np.zeros((n, nwords * width), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    return np.ascontiguousarray(padded.view(f"u{width}").T)
+    nwords = -(-2 * p // (8 * width))
+    # each row padded with zero bits to whole words, so one flat packbits
+    # call packs every row without per-row overhead
+    bits = np.zeros((n, 8 * width * nwords), dtype=bool)
+    np.greater(Z, 0.0, out=bits[:, :p])
+    np.less(Z, 0.0, out=bits[:, p:2 * p])
+    words = np.packbits(bits, axis=None, bitorder="little").view(f"u{width}")
+    return np.ascontiguousarray(words.reshape(n, nwords).T)
 
 
 def select_oss(X, k: int) -> SelectionResult:

@@ -167,6 +167,42 @@ class TestResolveWorkers:
         assert [r.repetition for r in recs] == [0, 1, 2]
 
 
+    @needs_openblas
+    @pytest.mark.parametrize("cpus, start, threads", [(4, 1, 2), (2, 2, 1), (3, 2, 1)])
+    def test_pool_workers_share_the_cpus_among_blas_threads(
+            self, monkeypatch, cpus, start, threads):
+        # two workers on ``cpus`` CPUs: each runs on cpus // 2 BLAS threads
+        seen = []
+
+        def recording(*args):
+            seen.append(_blas_counts())
+            return real(*args)
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                assert max_workers * threads <= cpus
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        real = bench._simulate_rep
+        monkeypatch.setattr(bench, "_simulate_rep", recording)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        cfg = ScenarioConfig(case="uniform01", n=200, p=2, k=20, seed=1)
+        with linalg.blas_threads(start):
+            run_simulation(cfg, ("levss",), reps=3)
+            assert _blas_counts() == [start] * len(_blas_counts())
+        assert seen == [[threads] * len(_blas_counts())] * 3
+
+
 class TestRunSimulation:
     def test_record_grid_and_determinism(self):
         cfg = ScenarioConfig(case="mvnormal", n=400, p=3, k=40, seed=5)

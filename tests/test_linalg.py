@@ -52,6 +52,21 @@ class TestDataMatrix:
         assert np.array_equal(sub.values, [[4.0, 5.0], [0.0, 1.0]])
         assert np.array_equal(sub.response, [2.0, 0.0])
 
+    def test_take_equals_fancy_indexing(self):
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(50, 3)), rng.normal(size=50)
+        rows = np.concatenate([rng.integers(-50, 50, size=200), [-50, -1, 0, 49]])
+        sub = DataMatrix(x, response=y).take(rows)
+        assert np.array_equal(sub.values.view(np.int64), x[rows].view(np.int64))
+        assert np.array_equal(sub.response.view(np.int64), y[rows].view(np.int64))
+        assert DataMatrix(x).take(rows).response is None
+
+    @pytest.mark.parametrize("row", [50, -51])
+    def test_take_out_of_range_raises(self, row):
+        d = DataMatrix(np.ones((50, 2)), response=np.ones(50))
+        with pytest.raises(IndexError):
+            d.take([0, row])
+
 
 class TestThinSvd:
     @pytest.mark.parametrize("n,p", [(8, 3), (50, 7), (400, 5), (260, 40), (6, 6)])

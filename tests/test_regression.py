@@ -12,6 +12,7 @@ from subdata import (
     fit_ols,
     with_intercept,
 )
+from subdata import regression
 
 
 class TestFitOls:
@@ -62,12 +63,86 @@ class TestFitOls:
     def test_constant_column_collides_with_intercept(self):
         rng = np.random.default_rng(2)
         x = np.column_stack([rng.normal(size=20), np.full(20, 3.0)])
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError) as err:
             fit_ols(x, np.ones(20))
+        assert err.value.rank == 2  # intercept + 1 non-constant column
 
     def test_too_few_rows(self):
         with pytest.raises(SingularDesignError):
             fit_ols(np.ones((2, 3)) + np.random.default_rng(0).normal(size=(2, 3)), np.ones(2))
+
+
+def _lstsq(x, y):
+    return np.linalg.lstsq(with_intercept(x), y, rcond=None)[0]
+
+
+@pytest.fixture
+def gram_paths(monkeypatch):
+    """Whether each fit_ols call's Gram guard let the normal equations serve."""
+    taken = []
+
+    def recording(gram):
+        factor = real(gram)
+        taken.append(factor is not None)
+        return factor
+
+    real = regression._gram_factor
+    monkeypatch.setattr(regression, "_gram_factor", recording)
+    return taken
+
+
+class TestFitOlsKernel:
+    """Which path fit_ols takes, and how close each comes to gelsd."""
+
+    @pytest.mark.parametrize("n, p", [(8, 3), (22, 10), (5000, 10), (20000, 4)])
+    def test_gram_path_matches_lstsq(self, gram_paths, n, p):
+        # n = 2q at the first two shapes, n >> q at the others
+        rng = np.random.default_rng(n + p)
+        x = rng.normal(size=(n, p))
+        y = 1.5 + x @ np.linspace(-2.0, 2.0, p) + rng.normal(size=n)
+        fit = fit_ols(x, y)
+        assert gram_paths == [True]
+        got, want = np.r_[fit.intercept, fit.slopes], _lstsq(x, y)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_short_design_skips_the_gram_path(self, gram_paths):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(7, 3)), rng.normal(size=7)  # n = 2q - 1
+        fit = fit_ols(x, y)
+        assert gram_paths == []
+        assert np.array_equal(np.r_[fit.intercept, fit.slopes], _lstsq(x, y))
+
+    @pytest.mark.parametrize("case", ["offset 1e4", "near-duplicate column"])
+    def test_ill_conditioned_design_falls_back_to_lstsq(self, gram_paths, case):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(400, 4))
+        if case == "offset 1e4":
+            x += 1e4
+        else:
+            x[:, 3] = x[:, 0] + 1e-5 * rng.normal(size=400)
+        y = x @ np.ones(4) + rng.normal(size=400)
+        z = with_intercept(x)
+        assert np.linalg.cond(z) > np.sqrt(1e5)
+        np.linalg.cholesky(z.T @ z)  # the Cholesky succeeds; the guard refuses
+        fit = fit_ols(x, y)
+        assert gram_paths == [False]
+        want = _lstsq(x, y)
+        assert fit.intercept == want[0]
+        assert np.array_equal(fit.slopes, want[1:])
+
+    def test_rank_deficient_design_falls_back(self, gram_paths):
+        base = np.random.default_rng(1).normal(size=(30, 2))
+        x = np.column_stack([base, base[:, 0]])
+        with pytest.raises(SingularDesignError) as err:
+            fit_ols(x, np.ones(30))
+        assert gram_paths == [False] and err.value.rank == 3
+
+    def test_leaves_inputs_untouched(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(60, 3)), rng.normal(size=60)
+        x0, y0 = x.copy(), y.copy()
+        fit_ols(x, y)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
 
 class TestAdjustedIntercept:

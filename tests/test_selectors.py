@@ -19,7 +19,8 @@ from subdata import (
     select_uniform,
     thin_svd,
 )
-from subdata.selectors import _iboss_quotas
+from subdata.selectors import (_column_extrema, _iboss_quotas, _pack_signs,
+                               _scale_to_unit_box)
 
 from _oracles import (
     hat_diagonal,
@@ -379,12 +380,73 @@ class TestOss:
         assert idx.size == 14 == np.unique(idx).size
         assert idx.min() >= 0 and idx.max() < 70
 
+    @pytest.mark.parametrize("p", [1, 4, 5, 8, 16, 17, 32, 33, 70])
+    def test_packed_signs_match_python_integers(self, p):
+        z = np.random.default_rng(p).normal(size=(30, p))
+        z[::4, 0] = 0.0
+        words = _pack_signs(z)
+        bits_per_word = 8 * words.dtype.itemsize
+        for i, row in enumerate(z):
+            pattern = sum(1 << j for j in range(p) if row[j] > 0) \
+                + sum(1 << (p + j) for j in range(p) if row[j] < 0)
+            want = [(pattern >> (bits_per_word * w)) & ((1 << bits_per_word) - 1)
+                    for w in range(words.shape[0])]
+            assert [int(v) for v in words[:, i]] == want
+        assert words.shape[0] == -(-2 * p // bits_per_word)
+        assert words.dtype.itemsize == next((b for b in (1, 2, 4) if 2 * p <= 8 * b), 8)
+
     def test_validation(self):
         x = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(ConfigError):
             select_oss(x, 1)
         with pytest.raises(ConfigError):
             select_oss(x, 11)
+
+
+def _unit_box_case(n, p, seed):
+    """n x p normals holding +0.0 and -0.0 throughout, with zeros as the
+    minimum of column 0 and the maximum of the last column, and repeated
+    extremes in column 1 (mod p)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    x[:, 0] = np.abs(x[:, 0])
+    x[:, -1] = -np.abs(x[:, -1])
+    x[rng.integers(0, n, size=max(1, n // 8)), :] = 0.0
+    x[rng.integers(0, n, size=max(1, n // 8)), :] = -0.0
+    j = 1 % p
+    x[rng.integers(0, n, size=3), j] = x[:, j].min()
+    x[rng.integers(0, n, size=3), j] = x[:, j].max()
+    return x
+
+
+class TestScaleToUnitBox:
+    """The blocked column extrema leave the OSS scaling bit for bit as it was."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("p", [1, 3, 50])
+    def test_matches_reference_formula_bit_for_bit(self, n, p):
+        x = _unit_box_case(n, p, seed=n * 100 + p)
+        lo, hi = _column_extrema(x)
+        assert np.array_equal(lo, x.min(axis=0)) and np.array_equal(hi, x.max(axis=0))
+        if n == 1:  # every column is constant
+            with pytest.raises(ScalingError) as err:
+                _scale_to_unit_box(x)
+            assert err.value.column == 0
+            return
+        got = _scale_to_unit_box(x)
+        assert np.array_equal(got.view(np.int64), oss_scale(x).view(np.int64))
+
+    def test_fortran_order_input(self):
+        x = np.asfortranarray(_unit_box_case(130, 3, seed=5))
+        got = _scale_to_unit_box(x)
+        assert np.array_equal(got.view(np.int64), oss_scale(x).view(np.int64))
+
+    def test_constant_column_is_named(self):
+        x = np.random.default_rng(3).normal(size=(65, 3))
+        x[:, 2] = 1.5
+        with pytest.raises(ScalingError) as err:
+            _scale_to_unit_box(x)
+        assert err.value.column == 2
 
 
 class TestUniform:
