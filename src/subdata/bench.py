@@ -28,6 +28,7 @@ from .selectors import (
     SelectionResult,
     _iboss_size,
     _levss_size,
+    _oss_size,
     _stopping_threshold,
     iboss_tails,
     rank_by_leverage,
@@ -54,8 +55,9 @@ _DESIGN_SELECTOR = {"main": None, "expanded": "iboss", "intercept": "levss"}
 class SelectorSpec:
     """A selector plus the per-method options the harness understands.
 
-    ``threshold`` applies to the leverage selector only and must be at
-    least 1, as in :class:`~subdata.selectors.LevssConfig`. ``design``
+    Records name a spec by its :attr:`label`, which :meth:`parse` reads
+    back. ``threshold`` applies to the leverage selector only and must be
+    at least 1, as in :class:`~subdata.selectors.LevssConfig`. ``design``
     names the matrix the selector sees besides the raw covariates
     ("main"): "expanded" applies to the extreme-value selector only and
     hands it the interaction-expanded design; "intercept" applies to
@@ -92,19 +94,47 @@ class SelectorSpec:
         parts = [self.name]
         if self.threshold is not None:
             t = self.threshold
-            parts.append("T=inf" if math.isinf(t) else f"T={t:g}")
+            short = f"{t:g}"  # only where it reads back as t: labels stay distinct
+            parts.append(f"T={short if float(short) == t else repr(t)}")
         if self.design != "main":
             parts.append(f"design={self.design}")
         return ":".join(parts)
 
+    @classmethod
+    def parse(cls, label: str) -> "SelectorSpec":
+        """The spec whose :attr:`label` is ``label``.
+
+        Grammar ``name[:T=<float>][:design=<name>]``, each option at most
+        once and in any order; a bare name is the default spec. The
+        constructor checks the values, T's conversion to float included.
+        """
+        name, *parts = label.split(":")
+        attrs = {"T": "threshold", "design": "design"}
+        pairs = [part.partition("=") for part in parts]
+        keys = [key for key, _, _ in pairs]
+        if len(set(keys)) < len(keys) or any(
+                not sep or key not in attrs for key, sep, _ in pairs):
+            raise ConfigError(
+                f"malformed selector label {label!r}: expected "
+                f"name[:T=<float>][:design=<name>], each option at most once"
+            )
+        options = {attrs[key]: value for key, _, value in pairs}
+        try:
+            return cls(name, **options)
+        except ValueError as exc:  # ConfigError is a ValueError too
+            raise ConfigError(f"selector label {label!r}: {exc}") from None
+
 
 def _coerce_specs(selectors) -> tuple[SelectorSpec, ...]:
-    specs = []
-    for s in selectors:
-        specs.append(SelectorSpec(s) if isinstance(s, str) else s)
+    """Specs from specs or labels; ConfigError if none, or two share a label."""
+    specs = tuple(SelectorSpec.parse(s) if isinstance(s, str) else s
+                  for s in selectors)
     if not specs:
         raise ConfigError("need at least one selector")
-    return tuple(specs)
+    labels = [s.label for s in specs]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"each selector label may appear once, got {labels}")
+    return specs
 
 
 class _Preparation:
@@ -178,8 +208,7 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
         k = _iboss_size(data.n, width, k)
         return select_iboss(prep.shared(spec), k)
     if spec.name == "oss":
-        if not 2 <= k <= prep.oss_k:
-            return select_oss(data, k)  # a k the greedy does not cover
+        k = _oss_size(data.n, k)
         greedy = prep.shared(spec)
         return replace(greedy, indices=greedy.indices[:k].copy(), k_star=k)
     return select_uniform(data, k, seed)
@@ -279,10 +308,11 @@ class _CellScorer:
         try:
             sel = _run_selector(spec, self.data, k, seed, prep)
             t0 = time.perf_counter()
-            fit = fit_ols(self.design[sel.indices], self.y[sel.indices])
+            rows = np.take(self.design, sel.indices, axis=0)
+            fit = fit_ols(rows, self.y[sel.indices])
             fit = adjusted_intercept(fit, self.design_means, self.y_mean)
             t_fit = time.perf_counter() - t0
-            ld = logdet_info(with_intercept(self.design[sel.indices]), self.sigma2)
+            ld = logdet_info(with_intercept(rows), self.sigma2)
         except (SubdataError, np.linalg.LinAlgError) as exc:
             return _failure_record(rep, spec, k, exc)
         err = fit.slopes - self.truth.slopes
@@ -426,14 +456,8 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
 
 def default_bootstrap_selectors() -> tuple[SelectorSpec, ...]:
     """Threshold ladder for the leverage selector, plus the two rivals."""
-    return (
-        SelectorSpec("levss", threshold=25.0),
-        SelectorSpec("levss", threshold=20.0),
-        SelectorSpec("levss", threshold=15.0),
-        SelectorSpec("levss"),
-        SelectorSpec("iboss"),
-        SelectorSpec("oss"),
-    )
+    return _coerce_specs(("levss:T=25", "levss:T=20", "levss:T=15", "levss",
+                          "iboss", "oss"))
 
 
 @dataclass(frozen=True)

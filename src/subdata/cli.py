@@ -8,6 +8,9 @@ Every subcommand is a thin shell over documented library calls:
 - ``bootstrap`` -> io.read_csv, bench.run_bootstrap, io.write_results
 - ``gen-data``  -> datagen.gen_dataset, io.write_dataset
 
+``--method`` takes selector labels as records carry them,
+``name[:T=<float>][:design=<name>]`` (``bench.SelectorSpec.parse``).
+
 Options may come from a config file (``--config``): flat ``key = value``
 lines using the long flag names. Explicit flags always win over the
 file, which wins over built-in defaults. SUBDATA_THREADS caps the
@@ -50,6 +53,11 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return items
 
 
+def _parse_methods(text: str) -> tuple[str, ...]:
+    """Selector labels, each checked and written as its records label it."""
+    return tuple(s.label for s in bench._coerce_specs(_parse_str_list(text)))
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in _parse_str_list(text))
@@ -66,16 +74,15 @@ _FLAGS: dict[str, tuple[str, object, object, dict]] = {
     "output": ("--output", str, None,
                {"help": "output path (CSV; JSON lands beside it)"}),
     "config": ("--config", str, None, {"help": "flat key = value config file"}),
-    "method": ("--method", _parse_str_list,
-               {"simulate": bench.SELECTOR_NAMES, "timing": bench.SELECTOR_NAMES},
-               {"help": "selector name, or comma-separated list where the "
-                        "command compares several (levss,iboss,oss,uniform); "
-                        "bootstrap defaults to a levss threshold ladder "
-                        "plus iboss and oss"}),
+    "method": ("--method", _parse_methods,
+               {"simulate": bench.SELECTOR_NAMES, "timing": bench.SELECTOR_NAMES,
+                "bootstrap": tuple(s.label
+                                   for s in bench.default_bootstrap_selectors())},
+               {"help": "selector label name[:T=<float>][:design=<name>], "
+                        "e.g. levss:T=25 or iboss:design=expanded, or a "
+                        "comma-separated list where the command compares "
+                        "several"}),
     "k": ("--k", int, None, {"help": "subdata size"}),
-    "threshold": ("--threshold", float, None,
-                  {"help": "condition-number stopping bound for levss; "
-                           "omit for no stopping rule"}),
     "case": ("--case", str, "mvnormal",
              {"help": "scenario: uniform01 | mvnormal | truncated-mvnormal "
                       "(aliases 1, 2, 3)"}),
@@ -87,9 +94,6 @@ _FLAGS: dict[str, tuple[str, object, object, dict]] = {
     "boot": ("--boot", int, {"bootstrap": 100},
              {"help": "bootstrap replicate count"}),
     "seed": ("--seed", int, 0, {"help": "base RNG seed"}),
-    "iboss_design": ("--iboss-design", str, "main",
-                     {"choices": ["main", "expanded"],
-                      "help": "design the iboss selector sees"}),
     "log_response": ("--log-response", _parse_bool, False,
                      {"action": argparse.BooleanOptionalAction,
                       "help": "natural-log the response at ingestion"}),
@@ -105,15 +109,14 @@ _FLAGS: dict[str, tuple[str, object, object, dict]] = {
 }
 
 _COMMAND_FLAGS = {
-    "select": ("input", "output", "config", "method", "k", "threshold", "seed",
-               "covariates", "response", "log_response", "iboss_design"),
-    "simulate": ("output", "config", "method", "k", "threshold", "case", "n",
-                 "p", "reps", "seed", "iboss_design", "interaction"),
+    "select": ("input", "output", "config", "method", "k", "seed",
+               "covariates", "response", "log_response"),
+    "simulate": ("output", "config", "method", "k", "case", "n", "p", "reps",
+                 "seed", "interaction"),
     "timing": ("output", "config", "method", "k", "case", "n", "p", "reps",
                "seed"),
-    "bootstrap": ("input", "output", "config", "method", "threshold", "boot",
-                  "k_multiples", "seed", "covariates", "response",
-                  "log_response"),
+    "bootstrap": ("input", "output", "config", "method", "boot", "k_multiples",
+                  "seed", "covariates", "response", "log_response"),
     "gen-data": ("output", "config", "case", "n", "p", "seed", "interaction"),
 }
 
@@ -130,14 +133,12 @@ class RunConfig:
     input: str | None
     methods: tuple[str, ...]
     k: int | None
-    threshold: float | None
     case: str
     n_values: tuple[int, ...]
     p: int | None
     reps: int | None
     boot: int | None
     seed: int
-    iboss_design: str
     log_response: bool
     k_multiples: tuple[int, ...]
     covariates: tuple[str, ...] | None
@@ -250,12 +251,6 @@ def parse_cli(argv) -> RunConfig:
         parser.error(f"unknown case {m['case']!r}")
 
     methods = m["method"] or ()
-    for name in methods:
-        if name not in bench.SELECTOR_NAMES:
-            parser.error(
-                f"unknown method {name!r}, expected one of {bench.SELECTOR_NAMES}"
-            )
-
     n_values = m["n"] or ()
     if command in ("simulate", "gen-data") and len(n_values) > 1:
         parser.error(f"{command} takes a single --n value")
@@ -277,37 +272,15 @@ def parse_cli(argv) -> RunConfig:
     if command == "bootstrap":
         need("response")
 
-    threshold = m["threshold"]
-    if threshold is not None and not threshold >= 1.0:
-        parser.error(f"--threshold must be >= 1, got {threshold}")
-    # a selector's own flag is an error where that selector does not run;
-    # bootstrap without --method runs a fixed ladder, levss thresholds included
-    if threshold is not None and "levss" not in methods:
-        parser.error("--threshold applies only to levss; give --method with levss")
-    if m["iboss_design"] != "main" and "iboss" not in methods:
-        parser.error("--iboss-design applies only to iboss; give --method with iboss")
-
     m["case"] = case
     del m["method"], m["n"]  # carried as methods and n_values
     return RunConfig(command=command, methods=methods, n_values=n_values, **m)
 
 
-def _specs_from(rc: RunConfig) -> tuple[bench.SelectorSpec, ...]:
-    specs = []
-    for name in rc.methods:
-        if name == "levss":
-            specs.append(bench.SelectorSpec("levss", threshold=rc.threshold))
-        elif name == "iboss":
-            specs.append(bench.SelectorSpec("iboss", design=rc.iboss_design))
-        else:
-            specs.append(bench.SelectorSpec(name))
-    return tuple(specs)
-
-
 def _cmd_select(rc: RunConfig) -> int:
     data = data_io.read_csv(rc.input, covariates=rc.covariates,
                             response=rc.response, log_response=rc.log_response)
-    (spec,) = _specs_from(rc)
+    spec = bench.SelectorSpec.parse(rc.methods[0])
     result = bench._run_selector(spec, data, rc.k, rc.seed)
     summary = {"rng": bench.RNG_LABEL, "config": rc.echo()}
     data_io.write_selection(result, summary, rc.output)
@@ -317,7 +290,7 @@ def _cmd_select(rc: RunConfig) -> int:
 def _cmd_simulate(rc: RunConfig) -> int:
     cfg = datagen.ScenarioConfig(case=rc.case, n=rc.n_values[0], p=rc.p, k=rc.k,
                                  seed=rc.seed, interaction=rc.interaction)
-    records = bench.run_simulation(cfg, _specs_from(rc), rc.reps)
+    records = bench.run_simulation(cfg, rc.methods, rc.reps)
     summary = bench.summarize(records, rc.echo())
     data_io.write_results(records, summary, rc.output)
     return 1 if any(r.failed for r in records) else 0
@@ -325,7 +298,7 @@ def _cmd_simulate(rc: RunConfig) -> int:
 
 def _cmd_timing(rc: RunConfig) -> int:
     records = bench.run_timing(rc.n_values, p=rc.p, k=rc.k,
-                               selectors=_specs_from(rc), reps=rc.reps,
+                               selectors=rc.methods, reps=rc.reps,
                                case=rc.case, base_seed=rc.seed)
     summary = {"rng": bench.RNG_LABEL, "config": rc.echo()}
     data_io.write_timing(records, summary, rc.output)
@@ -335,13 +308,9 @@ def _cmd_timing(rc: RunConfig) -> int:
 def _cmd_bootstrap(rc: RunConfig) -> int:
     data = data_io.read_csv(rc.input, covariates=rc.covariates,
                             response=rc.response, log_response=rc.log_response)
-    if rc.methods:
-        selectors = _specs_from(rc)
-    else:
-        selectors = bench.default_bootstrap_selectors()
     plan = bench.BootstrapPlan.from_multiples(
         data.p, multiples=rc.k_multiples, n_boot=rc.boot,
-        selectors=selectors, seed=rc.seed,
+        selectors=rc.methods, seed=rc.seed,
     )
     records = bench.run_bootstrap(data, plan)
     summary = bench.summarize(records, rc.echo())

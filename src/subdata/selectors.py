@@ -510,6 +510,16 @@ def _pack_signs(Z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.reshape(n, nwords).T)
 
 
+def _oss_size(n: int, k) -> int:
+    """``k`` as an int, or ConfigError unless it is whole and 2 <= k < n."""
+    k = positive_integer(k, "k")
+    if k < 2:
+        raise ConfigError(f"discrepancy selection needs k >= 2, got k={k}")
+    if k >= n:
+        raise ConfigError(f"discrepancy selection needs n > k, got n={n}, k={k}")
+    return k
+
+
 def select_oss(X, k: int) -> SelectionResult:
     """Greedy discrepancy-minimizing selection on the scaled unit box.
 
@@ -557,11 +567,7 @@ def select_oss(X, k: int) -> SelectionResult:
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
     n, p = dm.n, dm.p
-    k = positive_integer(k, "k")
-    if k < 2:
-        raise ConfigError(f"discrepancy selection needs k >= 2, got k={k}")
-    if k >= n:
-        raise ConfigError(f"discrepancy selection needs n > k, got n={n}, k={k}")
+    k = _oss_size(n, k)
 
     Z = _scale_to_unit_box(dm.values)
     norms2 = np.einsum("ij,ij->i", Z, Z)

@@ -71,6 +71,74 @@ class TestSelectorSpec:
         with pytest.raises(ConfigError):
             SelectorSpec("levss", design="quadratic")
 
+    # every spec this suite and tests/test_cli.py build, plus exact-label edges
+    @pytest.mark.parametrize("spec", [
+        SelectorSpec(name) for name in ("levss", "iboss", "oss", "uniform")
+    ] + [
+        SelectorSpec("levss", threshold=t)
+        for t in (1.5, 3.0, 10.0, 15.0, 20.0, 25.0, np.inf,
+                  25.123456789, 25.12349, 1 + 1e-7, 1e7)
+    ] + [
+        SelectorSpec("levss", design="intercept"),
+        SelectorSpec("levss", threshold=3.0, design="intercept"),
+        SelectorSpec("levss", threshold=25.0, design="intercept"),
+        SelectorSpec("levss", threshold=np.inf, design="intercept"),
+        SelectorSpec("iboss", design="expanded"),
+    ], ids=lambda spec: spec.label)
+    def test_parse_inverts_label(self, spec):
+        assert SelectorSpec.parse(spec.label) == spec
+
+    def test_labels_tell_close_thresholds_apart(self):
+        a = SelectorSpec("levss", threshold=25.123456789)
+        b = SelectorSpec("levss", threshold=25.12349)
+        assert a.label == "levss:T=25.123456789"
+        assert b.label == "levss:T=25.12349"
+        cfg = ScenarioConfig(case="mvnormal", n=400, p=3, k=30, seed=2)
+        summary = summarize(run_simulation(cfg, (a, b), reps=2))
+        assert [(g["selector"], g["count"]) for g in summary["groups"]] == [
+            (a.label, 2), (b.label, 2)]
+
+    @pytest.mark.parametrize("label, spec", [
+        ("levss:design=intercept:T=10", SelectorSpec("levss", 10.0, "intercept")),
+        ("levss:T=10:design=intercept", SelectorSpec("levss", 10.0, "intercept")),
+        ("iboss:design=main", SelectorSpec("iboss")),
+        ("levss:T=1e+07", SelectorSpec("levss", 1e7)),
+    ])
+    def test_parse_accepts_any_option_order(self, label, spec):
+        assert SelectorSpec.parse(label) == spec
+
+    @pytest.mark.parametrize("label, match", [
+        ("levss:T=", "could not convert"),
+        ("levss:T=high", "could not convert"),
+        ("levss:T=-inf", "threshold must be >= 1"),
+        ("levss:T=1e-7", "threshold must be >= 1"),
+        ("levss:X=1", "malformed"),
+        ("levss:T=3:T=4", "malformed"),
+        ("levss::T=3", "malformed"),
+        ("levss:T", "malformed"),
+        ("levss:design=expanded", "only applies to the iboss selector"),
+        ("iboss:T=30", "threshold only applies to the levss selector"),
+        ("oss:design=expanded", "only applies to the iboss selector"),
+        ("lev", "unknown selector"),
+    ])
+    def test_parse_rejects_and_names_the_label(self, label, match):
+        with pytest.raises(ConfigError, match=match) as exc:
+            SelectorSpec.parse(label)
+        assert repr(label) in str(exc.value)
+
+    @pytest.mark.parametrize("selectors", [
+        ("levss", "levss"),
+        ("levss", SelectorSpec("levss")),
+        ("iboss", "iboss:design=main"),
+        (SelectorSpec("levss", 25.0), "levss:T=25.0"),
+    ])
+    def test_repeated_label_rejected(self, selectors):
+        cfg = ScenarioConfig(case="mvnormal", n=200, p=2, k=20, seed=1)
+        with pytest.raises(ConfigError, match="may appear once"):
+            run_simulation(cfg, selectors, reps=2)
+        with pytest.raises(ConfigError, match="may appear once"):
+            BootstrapPlan(k_values=(20,), selectors=selectors)
+
     @pytest.mark.parametrize("threshold", [0.5, 0.0, -1.0, float("nan"), -np.inf])
     def test_threshold_below_one_rejected(self, threshold):
         with pytest.raises(ConfigError, match="threshold must be >= 1"):
@@ -115,6 +183,8 @@ class TestRunSelectorChecksK:
         (SelectorSpec("iboss", design="expanded"), (30, 3), 10,
          "needs k >= 2p .* got k=10, p=6"),
         (SelectorSpec("iboss"), (30, 2), 31, "cannot select k=31 rows from n=30"),
+        (SelectorSpec("oss"), (30, 2), 1, "needs k >= 2, got k=1"),
+        (SelectorSpec("oss"), (30, 2), 30, "needs n > k, got n=30, k=30"),
     ])
     def test_infeasible_k_is_a_config_error(self, monkeypatch, spec, shape, k, match):
         def unreachable(*args):
@@ -122,6 +192,7 @@ class TestRunSelectorChecksK:
 
         monkeypatch.setattr(selectors, "thin_svd", unreachable)
         monkeypatch.setattr(bench, "iboss_tails", unreachable)
+        monkeypatch.setattr(bench, "select_oss", unreachable)
         data = DataMatrix(np.random.default_rng(0).normal(size=shape))
         with pytest.raises(ConfigError, match=match):
             _run_selector(spec, data, k, seed=0)

@@ -1,6 +1,10 @@
 """Command-line surface: parsing, precedence, exit codes, end-to-end runs."""
 
+import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,6 @@ class TestParse:
         assert rc.reps == 100
         assert rc.seed == 0
         assert rc.n_values == (10000,)
-        assert rc.threshold is None
 
     def test_case_aliases(self):
         for alias, want in [
@@ -79,14 +82,15 @@ class TestParse:
     def test_threshold_bound(self):
         with pytest.raises(SystemExit):
             parse_cli(
-                ["simulate", "--threshold", "0.5", "--n", "100", "--p", "2",
+                ["simulate", "--method", "levss:T=0.5", "--n", "100", "--p", "2",
                  "--k", "10", "--output", "o.csv"]
             )
         rc = parse_cli(
-            ["simulate", "--threshold", "inf", "--n", "100", "--p", "2",
+            ["simulate", "--method", "levss:T=inf", "--n", "100", "--p", "2",
              "--k", "10", "--output", "o.csv"]
         )
-        assert rc.threshold == np.inf
+        assert rc.methods == ("levss:T=inf",)
+        assert SelectorSpec.parse(rc.methods[0]).threshold == np.inf
 
     def test_simulate_rejects_multiple_n(self):
         with pytest.raises(SystemExit):
@@ -116,19 +120,64 @@ class TestParse:
         assert echo["log_response"] is True
 
     @pytest.mark.parametrize("argv", [
-        ["bootstrap", "--input", "d.csv", "--response", "y", "--threshold", "40",
-         "--output", "o.csv"],
-        ["select", "--method", "iboss", "--threshold", "30", "--k", "20",
+        ["bootstrap", "--input", "d.csv", "--response", "y",
+         "--method", "levss:T=40,iboss:T=40", "--output", "o.csv"],
+        ["select", "--method", "iboss:T=30", "--k", "20",
          "--input", "d.csv", "--output", "o.csv"],
-        ["simulate", "--method", "levss,oss", "--iboss-design", "expanded",
+        ["simulate", "--method", "levss,oss:design=expanded",
          "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"],
         ["gen-data", "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"],
+        ["simulate", "--method", "levss,iboss", "--threshold", "10",
+         "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"],
+        ["simulate", "--method", "levss,iboss", "--iboss-design", "expanded",
+         "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"],
     ], ids=["bootstrap-ladder-threshold", "select-iboss-threshold",
-            "expanded-without-iboss", "gen-data-k"])
+            "expanded-without-iboss", "gen-data-k", "threshold-flag-removed",
+            "iboss-design-flag-removed"])
     def test_flag_that_cannot_apply_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             parse_cli(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("label", [
+        "levss:T=", "levss:T=high", "levss:T=-inf", "levss:X=1",
+        "levss:T=3:T=4", "levss:design=expanded",
+    ])
+    def test_malformed_label_exits_2(self, label, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(
+                ["simulate", "--method", f"iboss,{label}", "--n", "100",
+                 "--p", "2", "--k", "10", "--output", "o.csv"]
+            )
+        assert exc.value.code == 2
+        assert repr(label) in capsys.readouterr().err
+
+    def test_labels_are_written_as_records_write_them(self):
+        rc = parse_cli(
+            ["simulate", "--method", "levss:design=intercept:T=10.0,levss:T=inf",
+             "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"]
+        )
+        assert rc.methods == ("levss:T=10:design=intercept", "levss:T=inf")
+
+    @pytest.mark.parametrize("methods", [
+        "levss,levss", "levss,levss:design=main", "levss:T=25,levss:T=25.0",
+    ])
+    def test_repeated_label_exits_2(self, methods):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(
+                ["simulate", "--method", methods, "--n", "100", "--p", "2",
+                 "--k", "10", "--output", "o.csv"]
+            )
+        assert exc.value.code == 2
+
+    def test_bootstrap_default_method_is_the_ladder(self):
+        rc = parse_cli(
+            ["bootstrap", "--input", "d.csv", "--response", "y",
+             "--output", "o.csv"]
+        )
+        assert rc.echo()["method"] == [
+            "levss:T=25", "levss:T=20", "levss:T=15", "levss", "iboss", "oss"
+        ]
 
     def test_interaction_flag(self):
         rc = parse_cli(
@@ -144,7 +193,7 @@ class TestMalformedFlagValues:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--k", "abc", "--n", "100", "--p", "2", "--output", "o.csv"],
         ["simulate", "--n", "1e3", "--p", "2", "--k", "10", "--output", "o.csv"],
-        ["simulate", "--threshold", "high", "--n", "100", "--p", "2",
+        ["simulate", "--method", "levss:T=high", "--n", "100", "--p", "2",
          "--k", "10", "--output", "o.csv"],
         ["bootstrap", "--input", "d.csv", "--response", "y", "--boot", "x",
          "--output", "o.csv"],
@@ -157,7 +206,7 @@ class TestMalformedFlagValues:
     def test_negative_infinite_threshold_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--threshold=-inf", "--n", "100", "--p", "2",
+            main(["simulate", "--method=levss:T=-inf", "--n", "100", "--p", "2",
                   "--k", "10", "--output", "o.csv"])
         assert exc.value.code == 2
 
@@ -220,6 +269,28 @@ class TestConfigFile:
         )
         assert rc.k_multiples == (5, 10)
         assert rc.log_response is True
+
+    def test_method_labels(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = levss:T=25, iboss:design=expanded\n")
+        rc = parse_cli(
+            ["simulate", "--config", str(cfg), "--n", "100", "--p", "2",
+             "--k", "10", "--output", "o.csv"]
+        )
+        assert rc.methods == ("levss:T=25", "iboss:design=expanded")
+
+    @pytest.mark.parametrize("line", [
+        "threshold = 10", "iboss_design = expanded", "iboss-design = expanded",
+    ])
+    def test_removed_selector_keys_exit_2(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(
+                ["simulate", "--config", str(cfg), "--n", "100", "--p", "2",
+                 "--k", "10", "--output", "o.csv"]
+            )
+        assert exc.value.code == 2
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -284,13 +355,16 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("flags, spec", [
         (["--method", "levss"], SelectorSpec("levss")),
-        (["--method", "levss", "--threshold", "10"],
-         SelectorSpec("levss", threshold=10.0)),
+        (["--method", "levss:T=10"], SelectorSpec("levss", threshold=10.0)),
         (["--method", "iboss"], SelectorSpec("iboss")),
-        (["--method", "iboss", "--iboss-design", "expanded"],
+        (["--method", "iboss:design=expanded"],
          SelectorSpec("iboss", design="expanded")),
         (["--method", "oss"], SelectorSpec("oss")),
         (["--method", "uniform"], SelectorSpec("uniform")),
+        (["--method", "levss:design=intercept"],
+         SelectorSpec("levss", design="intercept")),
+        (["--method", "levss:T=10:design=intercept"],
+         SelectorSpec("levss", threshold=10.0, design="intercept")),
     ])
     def test_select_matches_library_dispatch(self, tmp_path, flags, spec):
         data_path = tmp_path / "d.csv"
@@ -356,6 +430,29 @@ class TestEndToEnd:
         }
         ks = {g["k"] for g in doc["groups"]}
         assert ks == {10, 20, 40, 60}
+
+    def test_bootstrap_default_equals_ladder_labels(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        main(["gen-data", "--n", "200", "--p", "2", "--seed", "4",
+              "--output", str(data_path)])
+        runs = {}
+        for name, flags in [
+            ("default", []),
+            ("labels", ["--method",
+                        "levss:T=25,levss:T=20,levss:T=15,levss,iboss,oss"]),
+        ]:
+            out = tmp_path / f"{name}.csv"
+            assert main(
+                ["bootstrap", "--input", str(data_path), "--response", "y",
+                 "--boot", "2", "--k-multiples", "5,10", *flags,
+                 "--output", str(out)]
+            ) == 0
+            with out.open(newline="") as fh:
+                runs[name] = [{key: v for key, v in row.items()
+                               if not key.startswith("elapsed")}
+                              for row in csv.DictReader(fh)]
+        assert len(runs["default"]) == 2 * 2 * 6
+        assert runs["default"] == runs["labels"]
 
     def test_bootstrap_single_method(self, tmp_path):
         data_path = tmp_path / "d.csv"
@@ -432,3 +529,27 @@ class TestRuntimeConfigErrors:
         assert main(argv) == 2
         assert "leverage selection needs" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv of every ``subdata ...`` line in README.md's fenced blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("subdata ")]
+
+
+class TestReadmeCommands:
+    """Every command line the README shows parses as written."""
+
+    def test_readme_shows_labels(self):
+        methods = [argv[argv.index("--method") + 1]
+                   for argv in _readme_commands() if "--method" in argv]
+        assert "levss:design=intercept" in methods
+        assert any("levss:T=" in m and "," in m for m in methods)
+
+    @pytest.mark.parametrize("argv", _readme_commands(),
+                             ids=lambda argv: " ".join(argv[:1]))
+    def test_parses(self, argv):
+        rc = parse_cli(argv)
+        assert rc.command == argv[0]
