@@ -1,10 +1,10 @@
 """Simulation, timing, and bootstrap harnesses over the selectors.
 
-Per-repetition behavior is fully determined by ``base_seed +
-repetition_index``, so runs are reproducible record for record, whether
-repetitions execute serially or on a process pool. The pool size is
-set by the SUBDATA_THREADS environment variable (default 1) and never
-exceeds the repetition count or the machine's CPU count.
+A simulation repetition or a bootstrap replicate is fully determined by
+its seed, so both studies are reproducible record for record, whether
+their units run serially or on the one process pool (:func:`_run_units`).
+The pool size is set by the SUBDATA_THREADS environment variable
+(default 1) and never exceeds the unit count or the machine's CPU count.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -105,7 +106,8 @@ class SelectorSpec:
         """The spec whose :attr:`label` is ``label``.
 
         Grammar ``name[:T=<float>][:design=<name>]``, each option at most
-        once and in any order; a bare name is the default spec. The
+        once and in any order; a bare name is the default spec. T is a
+        plain numeral (``float`` would skip ``_`` and spaces). The
         constructor checks the values, T's conversion to float included.
         """
         name, *parts = label.split(":")
@@ -119,6 +121,8 @@ class SelectorSpec:
                 f"name[:T=<float>][:design=<name>], each option at most once"
             )
         options = {attrs[key]: value for key, _, value in pairs}
+        if any(c == "_" or c.isspace() for c in options.get("threshold", "")):
+            raise ConfigError(f"selector label {label!r}: T must be a plain numeral")
         try:
             return cls(name, **options)
         except ValueError as exc:  # ConfigError is a ValueError too
@@ -140,37 +144,37 @@ def _coerce_specs(selectors) -> tuple[SelectorSpec, ...]:
 class _Preparation:
     """Shared work for the cells of one selector and design on one dataset.
 
-    Every (k, threshold, seed) cell of the group takes one piece of work
-    from :meth:`shared`, made when a cell first needs it from the design
-    the spec names ([1, X] for design="intercept", the interaction
-    expansion for design="expanded"): levss the leverage ranking of its
-    design, iboss the tails of every column of its design to the largest
-    k of the grid (cut to n), and oss one greedy run to ``oss_k``, the
-    largest k of the grid it can serve (2 <= k < n; the greedy is
-    prefix-consistent, so every smaller k is its first k rows). Only the
-    ranking, the tails or the greedy's result is kept, not the design. A
-    preparation that raises is not kept, so every cell that needs it
-    raises the same error. Uniform draws follow the seed and share
-    nothing.
+    Every (k, threshold, seed) cell of the group ``spec`` names takes one
+    piece of work from :meth:`shared`, made when a cell first needs it
+    from the design the spec names ([1, X] for design="intercept", the
+    interaction expansion for design="expanded"): levss the leverage
+    ranking of its design and iboss the tails of every column of its
+    design, each to the largest k of the grid (cut to n), and oss one
+    greedy run to ``oss_k``, the largest k of the grid it can serve
+    (2 <= k < n; the greedy is prefix-consistent, so every smaller k is
+    its first k rows). Only the ranking, the tails or the greedy's
+    result is kept, not the design. A preparation that raises is not
+    kept, so every cell that needs it raises the same error. Uniform
+    draws follow the seed and share nothing.
     """
 
-    def __init__(self, data: DataMatrix, k_values):
-        self.data = data
+    def __init__(self, data: DataMatrix, spec: SelectorSpec, k_values):
+        self.data, self.spec = data, spec
         self.depth = max(k_values)
         self.oss_k = max((k for k in k_values if 2 <= k < data.n), default=0)
         self._shared = None
 
-    def shared(self, spec: SelectorSpec):
+    def shared(self):
         if self._shared is None:
-            if spec.design == "intercept":
+            if self.spec.design == "intercept":
                 matrix = with_intercept(self.data.values)
-            elif spec.design == "expanded":
+            elif self.spec.design == "expanded":
                 matrix = expand_interactions(self.data.values)
             else:
                 matrix = self.data
-            if spec.name == "levss":
-                self._shared = rank_by_leverage(matrix)
-            elif spec.name == "iboss":
+            if self.spec.name == "levss":
+                self._shared = rank_by_leverage(matrix, self.depth)
+            elif self.spec.name == "iboss":
                 self._shared = iboss_tails(matrix, self.depth)
             else:
                 self._shared = select_oss(matrix, self.oss_k)
@@ -191,25 +195,27 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
     """Run the selector ``spec`` names on ``data``.
 
     ``prep`` is a preparation of ``data`` for a k grid and for
-    ``spec``'s selector and design; without one, the call prepares for
-    its own k alone. k is checked against the design's shape before
-    any preparation is made, so a k the selector cannot serve raises
-    ConfigError without factoring or sorting. The records are the same
-    either way, timings aside. This is the only place a SelectorSpec
-    turns into a selector call.
+    ``spec``'s selector and design (else ValueError); without one, the
+    call prepares for its own k alone. k is checked against the
+    design's shape before any preparation is made, so a k the selector
+    cannot serve raises ConfigError without factoring or sorting. The
+    records are the same either way, timings aside. This is the only
+    place a SelectorSpec turns into a selector call.
     """
-    prep = prep or _Preparation(data, (k,))
+    prep = prep or _Preparation(data, spec, (k,))
+    if (prep.spec.name, prep.spec.design) != (spec.name, spec.design):
+        raise ValueError(f"a {prep.spec.label} preparation cannot serve {spec.label}")
     width = _design_width(spec, data.p)
     if spec.name == "levss":
         config = LevssConfig(k=k, threshold=spec.threshold, seed=seed)
         _levss_size(data.n, width, config.k)
-        return select_levss(prep.shared(spec), config)
+        return select_levss(prep.shared(), config)
     if spec.name == "iboss":
         k = _iboss_size(data.n, width, k)
-        return select_iboss(prep.shared(spec), k)
+        return select_iboss(prep.shared(), k)
     if spec.name == "oss":
         k = _oss_size(data.n, k)
-        greedy = prep.shared(spec)
+        greedy = prep.shared()
         return replace(greedy, indices=greedy.indices[:k].copy(), k_star=k)
     return select_uniform(data, k, seed)
 
@@ -296,7 +302,7 @@ class _CellScorer:
             groups.setdefault((spec.name, spec.design), []).append(i)
         scored = {}
         for members in groups.values():
-            prep = _Preparation(self.data, k_values)
+            prep = _Preparation(self.data, specs[members[0]], k_values)
             for i in members:
                 for j, k in enumerate(k_values):
                     scored[i, j] = self.score(rep, specs[i], k, seed, prep)
@@ -337,7 +343,7 @@ def _warn_failures(records: list[MetricsRecord], unit: str) -> None:
             warnings.warn(
                 f"{unit} {r.repetition}, selector {r.selector} failed and is "
                 f"excluded from aggregates: {r.error}",
-                stacklevel=3,
+                stacklevel=4,  # the caller of run_simulation or run_bootstrap
             )
 
 
@@ -352,11 +358,30 @@ def _simulate_rep(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
     return scorer.score_grid(rep, specs, (cfg.k,), cfg.seed)
 
 
-def _simulate_rep_pinned(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
-                         rep: int, threads: int) -> list[MetricsRecord]:
-    """:func:`_simulate_rep` with every OpenBLAS library pinned to ``threads``."""
+def _pinned(unit, threads: int, i: int) -> list[MetricsRecord]:
+    """``unit(i)`` with every OpenBLAS library pinned to ``threads``."""
     with blas_threads(threads):
-        return _simulate_rep(config, specs, rep)
+        return unit(i)
+
+
+def _run_units(unit, count: int, what: str) -> list[MetricsRecord]:
+    """The records of ``unit(0)``, ..., ``unit(count - 1)``, in order.
+
+    Units run serially or on min(SUBDATA_THREADS, count, CPUs) workers,
+    each with OpenBLAS pinned to cpu_count // workers threads; each
+    failed record warns once, naming its ``what``.
+    """
+    cpus = os.cpu_count() or 1
+    workers = min(resolve_workers(), count, cpus)
+    if workers == 1:
+        per_unit = [unit(i) for i in range(count)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_unit = list(pool.map(partial(_pinned, unit, cpus // workers),
+                                     range(count)))
+    records = [rec for chunk in per_unit for rec in chunk]
+    _warn_failures(records, what)
+    return records
 
 
 def run_simulation(config: ScenarioConfig, selectors, reps: int) -> list[MetricsRecord]:
@@ -369,28 +394,13 @@ def run_simulation(config: ScenarioConfig, selectors, reps: int) -> list[Metrics
     failure yields a flagged record (and a warning), never a silent
     drop, so record counts are always reps x selectors.
 
-    Parallel execution over repetitions (SUBDATA_THREADS workers, at
-    most ``reps`` and the CPU count) produces byte-identical records to
-    the serial run because each repetition is a pure function of its
-    own seed. Each worker runs its repetitions with every OpenBLAS
-    library pinned to cpu_count // workers threads (at least one), so
-    workers x BLAS threads never exceeds the CPU count.
+    Repetitions run on the SUBDATA_THREADS pool of :func:`_run_units`
+    and give the records of a serial run, timings aside, because each
+    repetition is a pure function of its own seed.
     """
     reps = positive_integer(reps, "reps")
     specs = _coerce_specs(selectors)
-    cpus = os.cpu_count() or 1
-    workers = min(resolve_workers(), reps, cpus)
-    if workers == 1:
-        per_rep = [_simulate_rep(config, specs, r) for r in range(reps)]
-    else:
-        threads = max(1, cpus // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_simulate_rep_pinned, [config] * reps,
-                                    [specs] * reps, range(reps),
-                                    [threads] * reps))
-    records = [rec for chunk in per_rep for rec in chunk]
-    _warn_failures(records, "repetition")
-    return records
+    return _run_units(partial(_simulate_rep, config, specs), reps, "repetition")
 
 
 @dataclass(frozen=True)
@@ -462,13 +472,7 @@ def default_bootstrap_selectors() -> tuple[SelectorSpec, ...]:
 
 @dataclass(frozen=True)
 class BootstrapPlan:
-    """Bootstrap study layout: replicate count, k grid, selector set.
-
-    ``resample=False`` replaces every replicate with the original data
-    in original order, which is the degenerate mode used to validate
-    the pipeline (a full-size uniform selection then reproduces the
-    full-data fit exactly).
-    """
+    """Bootstrap study layout: replicate count, k grid, selector set, seed."""
 
     k_values: tuple[int, ...]
     n_boot: int = 100
@@ -476,7 +480,6 @@ class BootstrapPlan:
         default_factory=default_bootstrap_selectors
     )
     seed: int = 0
-    resample: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "n_boot", positive_integer(self.n_boot, "n_boot"))
@@ -507,30 +510,24 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
     of sorted column tails, and every oss cell the first rows of one
     greedy run to the largest k; the records equal those of cells run
     one by one, and each cell's ``elapsed_select`` counts the shared
-    work in full.
+    work in full. Replicates run on the simulation pool (:func:`_run_units`).
     """
     if data.response is None:
         raise ConfigError("bootstrap needs a dataset with a response column")
-    n, p = data.n, data.p
     for k in plan.k_values:
-        if not (p < k <= n):
+        if not (data.p < k <= data.n):
             raise ConfigError(f"bootstrap k values must satisfy p < k <= n, got k={k}")
     reference = fit_ols(data.values, data.response)
+    return _run_units(partial(_bootstrap_rep, data, plan, reference), plan.n_boot,
+                      "bootstrap replicate")
 
-    records = []
-    for b in range(plan.n_boot):
-        if plan.resample:
-            rng = np.random.default_rng(plan.seed + b)
-            rows = rng.integers(0, n, size=n)
-            rep_data = data.take(rows)
-        else:
-            rep_data = data
-        scorer = _CellScorer(rep_data, rep_data.values, rep_data.response,
-                             reference, 1.0)
-        records.extend(scorer.score_grid(b, plan.selectors, plan.k_values,
-                                         plan.seed + b))
-    _warn_failures(records, "bootstrap replicate")
-    return records
+
+def _bootstrap_rep(data: DataMatrix, plan: BootstrapPlan, reference: LinearFit,
+                   b: int) -> list[MetricsRecord]:
+    rows = np.random.default_rng(plan.seed + b).integers(0, data.n, size=data.n)
+    rep_data = data.take(rows)
+    scorer = _CellScorer(rep_data, rep_data.values, rep_data.response, reference, 1.0)
+    return scorer.score_grid(b, plan.selectors, plan.k_values, plan.seed + b)
 
 
 def _dist_stats(values: np.ndarray) -> dict:

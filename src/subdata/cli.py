@@ -13,8 +13,8 @@ Every subcommand is a thin shell over documented library calls:
 
 Options may come from a config file (``--config``): flat ``key = value``
 lines using the long flag names. Explicit flags always win over the
-file, which wins over built-in defaults. SUBDATA_THREADS caps the
-simulation worker pool.
+file, which wins over built-in defaults. SUBDATA_THREADS caps the one
+worker pool of simulate and bootstrap.
 
 Exit status: 0 on success with zero flagged records, 1 when any record
 was flagged or a run failed, 2 on usage or configuration errors.

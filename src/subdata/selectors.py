@@ -119,11 +119,12 @@ class LevssConfig:
             object.__setattr__(self, "threshold", _stopping_threshold(self.threshold))
 
 
+@dataclass(frozen=True)
 class LeverageRanking:
     """The part of leverage selection that depends on the matrix alone.
 
-    One ranking serves every (k, threshold, seed) cell on its matrix:
-    pass it to :func:`select_levss` in place of the matrix.
+    One ranking serves every (k, threshold, seed) cell on its matrix
+    up to its head's length: pass it to :func:`select_levss` instead.
 
     Attributes
     ----------
@@ -132,40 +133,34 @@ class LeverageRanking:
     U : numpy.ndarray
         The thin-SVD factor's columns for the nonzero singular values,
         n x rank; the stopping rule reads its rows.
+    head : numpy.ndarray
+        The first rows by descending leverage, equal scores by ascending row.
     p : int
         Column count of the ranked matrix.
     elapsed : float
-        Wall-clock seconds the factorization and the scores took.
+        Wall-clock seconds the factorization, the scores and the head took.
     """
 
-    def __init__(self, scores: np.ndarray, U: np.ndarray, p: int, elapsed: float):
-        self.scores, self.U, self.p, self.elapsed = scores, U, p, elapsed
-        self._top = np.empty(0, dtype=np.intp)
+    scores: np.ndarray
+    U: np.ndarray
+    head: np.ndarray
+    p: int
+    elapsed: float
 
     @property
     def n(self) -> int:
         return self.scores.size
 
-    def top(self, m: int) -> np.ndarray:
-        """The first m rows by descending leverage, equal scores by ascending row.
 
-        Rows come from a cached head of the ranking. A request beyond it
-        sorts a new head at least twice as long; only ``m >= n`` sorts
-        every score. The result is a view of the cache: copy it to keep.
-        """
-        if m > self._top.size:
-            size = min(self.n, max(m, 2 * self._top.size))
-            self._top = _argsort_head(-self.scores, size)
-        return self._top[:m]
-
-
-def rank_by_leverage(X) -> LeverageRanking:
-    """Factor X once and score its rows by leverage; rows are ranked on demand.
+def rank_by_leverage(X, depth: int) -> LeverageRanking:
+    """Factor X once, score its rows by leverage and sort the first ``depth``.
 
     Parameters
     ----------
     X : DataMatrix or array_like
         Matrix to rank, n x p with n >= p.
+    depth : int
+        Rows in the head, cut to n: the largest k the ranking will serve.
 
     Returns
     -------
@@ -173,10 +168,12 @@ def rank_by_leverage(X) -> LeverageRanking:
     """
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
+    depth = min(positive_integer(depth, "depth"), dm.n)
     factors = thin_svd(dm)
     scores = leverage_scores(factors)
     r = matrix_rank_from_singular_values(factors.singular_values)
-    return LeverageRanking(scores, factors.U[:, :r], dm.p, time.perf_counter() - t0)
+    head = _argsort_head(-scores, depth)  # only the head's block is sorted
+    return LeverageRanking(scores, factors.U[:, :r], head, dm.p, time.perf_counter() - t0)
 
 
 def _levss_size(n: int, p: int, k: int) -> None:
@@ -212,10 +209,11 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
     same design.
 
     Several selections on one matrix can share its factorization: pass
-    ``rank_by_leverage(X)`` as X to each. A matrix given as such is
-    ranked within the call, so ``select_levss(X, config)`` equals
-    ``select_levss(rank_by_leverage(X), config)`` in every field but
-    ``elapsed``.
+    ``rank_by_leverage(X, K)`` as X to each selection of size k <= K.
+    A matrix given as such is ranked to depth k within the call, so
+    ``select_levss(X, config)`` equals
+    ``select_levss(rank_by_leverage(X, K), config)`` in every field but
+    ``elapsed``. A stopping-rule walk past the head sorts every score.
 
     Parameters
     ----------
@@ -234,7 +232,7 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
     Raises
     ------
     ConfigError
-        If k <= p or n <= k.
+        If k <= p, n <= k, or k exceeds the head of the ranking given.
     """
     t0 = time.perf_counter()
     shared = isinstance(X, LeverageRanking)
@@ -243,11 +241,13 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
         t0 -= X.elapsed  # every cell served from a ranking counts it in full
     n, k = source.n, config.k
     _levss_size(n, source.p, k)
-    ranking = source if shared else rank_by_leverage(source)
-    order = ranking.top(k)
+    ranking = source if shared else rank_by_leverage(source, k)
+    if k > ranking.head.size:
+        raise ConfigError(f"ranking of depth {ranking.head.size} cannot serve k={k}")
+    order = ranking.head
 
     if config.threshold is None:
-        indices = order.copy()
+        indices = order[:k].copy()
         elapsed = time.perf_counter() - t0
         return SelectionResult(indices, k, _EMPTY_TRACE, elapsed)
 
@@ -262,7 +262,7 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
     trace.append(kappa)
     while kappa >= T and size < n:
         if size == order.size:
-            order = ranking.top(n)  # the walk passed the cached head
+            order = _argsort_head(-ranking.scores, n)  # the walk passed the head
         u = U[order[size]]
         gram += np.outer(u, u)
         size += 1

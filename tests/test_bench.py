@@ -48,6 +48,30 @@ def _strip_elapsed(rec: MetricsRecord) -> tuple:
     return tuple(d.items())
 
 
+# the function each study runs once per unit, as bench names it
+_STUDY_UNIT = {"simulate": "_simulate_rep", "bootstrap": "_bootstrap_rep"}
+
+
+def _per_study(cases: dict) -> list:
+    """Each case once per study, simulate first.
+
+    The simulate rows keep the ids they had before the bootstrap rows
+    joined them.
+    """
+    return [pytest.param(study, *case, id=prefix + case_id)
+            for study, prefix in (("simulate", ""), ("bootstrap", "bootstrap-"))
+            for case_id, case in cases.items()]
+
+
+def _run_three_units(study: str, selector: str, k: int = 20) -> list[MetricsRecord]:
+    """Three repetitions or replicates of ``study`` on 200 x 2 uniform data."""
+    cfg = ScenarioConfig(case="uniform01", n=200, p=2, k=k, seed=1)
+    if study == "simulate":
+        return run_simulation(cfg, (selector,), reps=3)
+    plan = BootstrapPlan(k_values=(k,), n_boot=3, selectors=(selector,))
+    return run_bootstrap(gen_dataset(cfg), plan)
+
+
 class TestSelectorSpec:
     def test_labels(self):
         assert SelectorSpec("levss").label == "levss"
@@ -112,6 +136,8 @@ class TestSelectorSpec:
         ("levss:T=high", "could not convert"),
         ("levss:T=-inf", "threshold must be >= 1"),
         ("levss:T=1e-7", "threshold must be >= 1"),
+        ("levss:T=1_0", "plain numeral"),
+        ("levss:T= 25 ", "plain numeral"),
         ("levss:X=1", "malformed"),
         ("levss:T=3:T=4", "malformed"),
         ("levss::T=3", "malformed"),
@@ -212,8 +238,9 @@ class TestResolveWorkers:
         with pytest.raises(ConfigError):
             resolve_workers()
 
-    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, pools):
+    @pytest.mark.parametrize("study, cpus, pools", _per_study(
+        {"2-pools0": (2, [2]), "None-pools1": (None, [])}))
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, study, cpus, pools):
         started = []
 
         class InProcessPool:
@@ -232,16 +259,15 @@ class TestResolveWorkers:
         monkeypatch.setenv(THREADS_ENV_VAR, "100000")
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
-        cfg = ScenarioConfig(case="uniform01", n=200, p=2, k=20, seed=1)
-        recs = run_simulation(cfg, ("uniform",), reps=3)
+        recs = _run_three_units(study, "uniform")
         assert started == pools
         assert [r.repetition for r in recs] == [0, 1, 2]
 
-
     @needs_openblas
-    @pytest.mark.parametrize("cpus, start, threads", [(4, 1, 2), (2, 2, 1), (3, 2, 1)])
+    @pytest.mark.parametrize("study, cpus, start, threads", _per_study(
+        {"4-1-2": (4, 1, 2), "2-2-1": (2, 2, 1), "3-2-1": (3, 2, 1)}))
     def test_pool_workers_share_the_cpus_among_blas_threads(
-            self, monkeypatch, cpus, start, threads):
+            self, monkeypatch, study, cpus, start, threads):
         # two workers on ``cpus`` CPUs: each runs on cpus // 2 BLAS threads
         seen = []
 
@@ -262,16 +288,39 @@ class TestResolveWorkers:
             def map(self, fn, *iterables):
                 return list(map(fn, *iterables))
 
-        real = bench._simulate_rep
-        monkeypatch.setattr(bench, "_simulate_rep", recording)
+        real = getattr(bench, _STUDY_UNIT[study])
+        monkeypatch.setattr(bench, _STUDY_UNIT[study], recording)
         monkeypatch.setenv(THREADS_ENV_VAR, "2")
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
-        cfg = ScenarioConfig(case="uniform01", n=200, p=2, k=20, seed=1)
         with linalg.blas_threads(start):
-            run_simulation(cfg, ("levss",), reps=3)
+            _run_three_units(study, "levss")
             assert _blas_counts() == [start] * len(_blas_counts())
         assert seen == [[threads] * len(_blas_counts())] * 3
+
+
+class TestFailureWarnings:
+    @pytest.mark.parametrize("study", list(_STUDY_UNIT))
+    def test_point_at_the_caller(self, study):
+        # k = n fails the leverage selector's n > k check in every unit
+        with pytest.warns(UserWarning, match="levss failed") as caught:
+            recs = _run_three_units(study, "levss", k=200)
+        assert [r.failed for r in recs] == [True] * 3
+        assert [w.filename for w in caught] == [__file__] * 3
+
+
+class TestPreparation:
+    def test_serves_only_the_group_it_was_made_for(self):
+        data = DataMatrix(np.random.default_rng(3).uniform(size=(300, 3)))
+        spec = SelectorSpec("levss", threshold=3.0, design="intercept")
+        prep = bench._Preparation(data, SelectorSpec("levss", design="intercept"),
+                                  (20, 40))
+        got = _run_selector(spec, data, 40, 0, prep)
+        want = _run_selector(spec, data, 40, 0)
+        assert np.array_equal(got.indices, want.indices)
+        assert prep.shared().head.size == 40
+        with pytest.raises(ValueError, match="cannot serve levss$"):
+            _run_selector(SelectorSpec("levss"), data, 20, 0, prep)
 
 
 class TestRunSimulation:
@@ -429,18 +478,6 @@ class TestRunTiming:
 
 
 class TestRunBootstrap:
-    def test_identity_replicates_have_zero_error(self):
-        cfg = ScenarioConfig(case="mvnormal", n=90, p=3, k=90, seed=1)
-        data = gen_dataset(cfg)
-        plan = BootstrapPlan(
-            k_values=(90,), n_boot=2, selectors=("uniform",), resample=False
-        )
-        recs = run_bootstrap(data, plan)
-        assert len(recs) == 2
-        for r in recs:
-            assert r.mse_slopes == 0.0
-            assert r.mse_intercept <= 1e-20
-
     def test_resampling_perturbs_estimates(self):
         cfg = ScenarioConfig(case="mvnormal", n=150, p=3, k=45, seed=2)
         data = gen_dataset(cfg)
@@ -455,6 +492,18 @@ class TestRunBootstrap:
         a = run_bootstrap(data, plan)
         b = run_bootstrap(data, plan)
         assert [_strip_elapsed(r) for r in a] == [_strip_elapsed(r) for r in b]
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        data = gen_dataset(ScenarioConfig(case="uniform01", n=300, p=2, k=30, seed=1))
+        plan = BootstrapPlan(k_values=(30, 60), n_boot=4, selectors=("levss", "oss"))
+        monkeypatch.setenv(THREADS_ENV_VAR, "1")
+        serial = run_bootstrap(data, plan)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        parallel = run_bootstrap(data, plan)
+        assert len(serial) == 4 * 2 * 2
+        assert [_strip_elapsed(r) for r in serial] == [
+            _strip_elapsed(r) for r in parallel
+        ]
 
     def test_default_grid_covers_selectors_and_k(self):
         cfg = ScenarioConfig(case="mvnormal", n=400, p=3, k=90, seed=4)
@@ -475,14 +524,11 @@ class TestRunBootstrap:
         assert len(recs) == 4 * 6
 
     def test_infeasible_cell_is_flagged(self):
-        # k = 5 sits below the extreme selector's 2p floor of 6; identity
-        # replicates keep the uniform cell's 5-row fit full rank
+        # k = 5 sits below the extreme selector's 2p floor of 6; the
+        # uniform cell's 5-row fit on the replicate stays full rank
         cfg = ScenarioConfig(case="mvnormal", n=200, p=3, k=30, seed=5)
         data = gen_dataset(cfg)
-        plan = BootstrapPlan(
-            k_values=(5,), n_boot=1, selectors=("iboss", "uniform"),
-            resample=False,
-        )
+        plan = BootstrapPlan(k_values=(5,), n_boot=1, selectors=("iboss", "uniform"))
         with pytest.warns(UserWarning, match="iboss"):
             recs = run_bootstrap(data, plan)
         by_sel = {r.selector: r for r in recs}
@@ -602,7 +648,9 @@ class TestRunBootstrap:
         assert len(recs) == 2 * 4 * 7 and not any(r.failed for r in recs)
         assert all(r.k_star == r.k for r in recs)  # no stopping-rule walk
         assert tails == {4: 2, 10: 2}
-        assert heads and all(m < size for size, m in heads)
+        # per replicate: two tails per column of each iboss design, one levss head
+        assert len(heads) == 2 * (2 * 4 + 2 * 10 + 1)
+        assert all(m < size for size, m in heads)
 
     def test_requires_response(self):
         cfg = ScenarioConfig(case="mvnormal", n=100, p=2, k=20, seed=6)

@@ -141,7 +141,7 @@ class TestParse:
 
     @pytest.mark.parametrize("label", [
         "levss:T=", "levss:T=high", "levss:T=-inf", "levss:X=1",
-        "levss:T=3:T=4", "levss:design=expanded",
+        "levss:T=3:T=4", "levss:design=expanded", "levss:T=1_0", "levss:T= 25",
     ])
     def test_malformed_label_exits_2(self, label, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -317,6 +317,13 @@ class TestConfigFile:
         ) == 2
 
 
+def _rows_without_elapsed(csv_path) -> list[dict]:
+    """A records CSV's rows, the elapsed columns dropped."""
+    with open(csv_path, newline="") as fh:
+        return [{key: v for key, v in row.items() if not key.startswith("elapsed")}
+                for row in csv.DictReader(fh)]
+
+
 class TestEndToEnd:
     def test_gen_data_then_select(self, tmp_path):
         data_path = tmp_path / "d.csv"
@@ -447,12 +454,25 @@ class TestEndToEnd:
                  "--boot", "2", "--k-multiples", "5,10", *flags,
                  "--output", str(out)]
             ) == 0
-            with out.open(newline="") as fh:
-                runs[name] = [{key: v for key, v in row.items()
-                               if not key.startswith("elapsed")}
-                              for row in csv.DictReader(fh)]
+            runs[name] = _rows_without_elapsed(out)
         assert len(runs["default"]) == 2 * 2 * 6
         assert runs["default"] == runs["labels"]
+
+    def test_bootstrap_pool_writes_the_serial_csv(self, tmp_path, monkeypatch):
+        data_path = tmp_path / "d.csv"
+        main(["gen-data", "--n", "300", "--p", "2", "--seed", "5",
+              "--output", str(data_path)])
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SUBDATA_THREADS", threads)
+            out = tmp_path / f"threads{threads}.csv"
+            assert main(
+                ["bootstrap", "--input", str(data_path), "--response", "y",
+                 "--boot", "3", "--k-multiples", "5,10", "--output", str(out)]
+            ) == 0
+            runs[threads] = _rows_without_elapsed(out)
+        assert len(runs["1"]) == 3 * 2 * 6
+        assert runs["1"] == runs["2"]
 
     def test_bootstrap_single_method(self, tmp_path):
         data_path = tmp_path / "d.csv"

@@ -157,7 +157,8 @@ class TestLevss:
 
     def test_one_ranking_serves_every_cell(self):
         x = np.random.default_rng(5).uniform(size=(600, 3))
-        ranking = rank_by_leverage(x)
+        ranking = rank_by_leverage(x, 40)
+        assert np.array_equal(ranking.head, np.argsort(-ranking.scores, kind="stable")[:40])
         for k, t in [(10, None), (10, 1.5), (40, 3.0), (40, np.inf)]:
             cfg = LevssConfig(k=k, threshold=t, seed=2)
             shared, alone = select_levss(ranking, cfg), select_levss(x, cfg)
@@ -169,6 +170,9 @@ class TestLevss:
             select_levss(ranking, LevssConfig(k=3))
         with pytest.raises(ConfigError, match="n > k"):
             select_levss(ranking, LevssConfig(k=600))
+        with pytest.raises(ConfigError, match="depth 40 cannot serve k=41"):
+            select_levss(ranking, LevssConfig(k=41))
+        assert rank_by_leverage(x, 10**6).head.size == 600
 
 
 class TestIboss:
