@@ -5,6 +5,13 @@ its seed, so both studies are reproducible record for record, whether
 their units run serially or on the one process pool (:func:`_run_units`).
 The pool size is set by the SUBDATA_THREADS environment variable
 (default 1) and never exceeds the unit count or the machine's CPU count.
+
+Work the harness repeats runs on STUDY_BLAS_THREADS OpenBLAS threads: the
+timing grid, each simulation repetition and bootstrap replicate, serial
+or pooled, and everything the studies compute in the calling process.
+Threaded OpenBLAS workers keep spinning for a while after each threaded
+call, beside the single-threaded numpy kernels that make up most of a
+unit, and pool workers would otherwise oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ THREADS_ENV_VAR = "SUBDATA_THREADS"
 
 RNG_LABEL = "numpy default_rng (PCG64)"
 
-# BLAS threads run_timing times the selectors on
-TIMING_BLAS_THREADS = 1
+# OpenBLAS threads of the timing grid and of every study unit
+STUDY_BLAS_THREADS = 1
 
 # design name -> the one selector it applies to (None: every selector)
 _DESIGN_SELECTOR = {"main": None, "expanded": "iboss", "intercept": "levss"}
@@ -358,9 +365,9 @@ def _simulate_rep(config: ScenarioConfig, specs: tuple[SelectorSpec, ...],
     return scorer.score_grid(rep, specs, (cfg.k,), cfg.seed)
 
 
-def _pinned(unit, threads: int, i: int) -> list[MetricsRecord]:
-    """``unit(i)`` with every OpenBLAS library pinned to ``threads``."""
-    with blas_threads(threads):
+def _pinned(unit, i: int) -> list[MetricsRecord]:
+    """``unit(i)`` with every OpenBLAS library pinned to STUDY_BLAS_THREADS."""
+    with blas_threads(STUDY_BLAS_THREADS):
         return unit(i)
 
 
@@ -368,17 +375,19 @@ def _run_units(unit, count: int, what: str) -> list[MetricsRecord]:
     """The records of ``unit(0)``, ..., ``unit(count - 1)``, in order.
 
     Units run serially or on min(SUBDATA_THREADS, count, CPUs) workers,
-    each with OpenBLAS pinned to cpu_count // workers threads; each
-    failed record warns once, naming its ``what``.
+    each worker taking one contiguous chunk of units, so ``unit`` (and
+    the dataset it carries) is pickled once per worker. Each worker runs
+    its units with OpenBLAS pinned to STUDY_BLAS_THREADS; the serial loop
+    relies on its caller's pin, which the two studies hold around this
+    call. Each failed record warns once, naming its ``what``.
     """
-    cpus = os.cpu_count() or 1
-    workers = min(resolve_workers(), count, cpus)
+    workers = min(resolve_workers(), count, os.cpu_count() or 1)
     if workers == 1:
         per_unit = [unit(i) for i in range(count)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_unit = list(pool.map(partial(_pinned, unit, cpus // workers),
-                                     range(count)))
+            per_unit = list(pool.map(partial(_pinned, unit), range(count),
+                                     chunksize=-(-count // workers)))
     records = [rec for chunk in per_unit for rec in chunk]
     _warn_failures(records, what)
     return records
@@ -396,11 +405,15 @@ def run_simulation(config: ScenarioConfig, selectors, reps: int) -> list[Metrics
 
     Repetitions run on the SUBDATA_THREADS pool of :func:`_run_units`
     and give the records of a serial run, timings aside, because each
-    repetition is a pure function of its own seed.
+    repetition is a pure function of its own seed. Every repetition,
+    serial or pooled, runs with each loaded OpenBLAS library pinned to
+    STUDY_BLAS_THREADS; the caller's counts come back on return, also
+    after an error.
     """
     reps = positive_integer(reps, "reps")
     specs = _coerce_specs(selectors)
-    return _run_units(partial(_simulate_rep, config, specs), reps, "repetition")
+    with blas_threads(STUDY_BLAS_THREADS):
+        return _run_units(partial(_simulate_rep, config, specs), reps, "repetition")
 
 
 @dataclass(frozen=True)
@@ -429,7 +442,7 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     repetitions.
 
     The grid runs with every loaded OpenBLAS library pinned to
-    TIMING_BLAS_THREADS threads (``linalg.blas_threads``), so the times
+    STUDY_BLAS_THREADS threads (``linalg.blas_threads``), so the times
     measure the selectors' work rather than a BLAS thread pool's
     scheduling, which dominates small-n calls on a busy host. Where no
     OpenBLAS library is found, a warning says so.
@@ -440,7 +453,7 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
         raise ConfigError("n_values must not be empty")
     specs = _coerce_specs(selectors)
     out = []
-    with blas_threads(TIMING_BLAS_THREADS) as pinned:
+    with blas_threads(STUDY_BLAS_THREADS) as pinned:
         if not pinned:
             warnings.warn("no OpenBLAS library found to pin; selection times "
                           "include the BLAS thread pool", stacklevel=2)
@@ -511,15 +524,19 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
     greedy run to the largest k; the records equal those of cells run
     one by one, and each cell's ``elapsed_select`` counts the shared
     work in full. Replicates run on the simulation pool (:func:`_run_units`).
+    The reference fit and every replicate, serial or pooled, run with
+    each loaded OpenBLAS library pinned to STUDY_BLAS_THREADS; the
+    caller's counts come back on return, also after an error.
     """
     if data.response is None:
         raise ConfigError("bootstrap needs a dataset with a response column")
     for k in plan.k_values:
         if not (data.p < k <= data.n):
             raise ConfigError(f"bootstrap k values must satisfy p < k <= n, got k={k}")
-    reference = fit_ols(data.values, data.response)
-    return _run_units(partial(_bootstrap_rep, data, plan, reference), plan.n_boot,
-                      "bootstrap replicate")
+    with blas_threads(STUDY_BLAS_THREADS):
+        reference = fit_ols(data.values, data.response)
+        return _run_units(partial(_bootstrap_rep, data, plan, reference),
+                          plan.n_boot, "bootstrap replicate")
 
 
 def _bootstrap_rep(data: DataMatrix, plan: BootstrapPlan, reference: LinearFit,

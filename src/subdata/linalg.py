@@ -158,24 +158,24 @@ class SvdFactors(NamedTuple):
     V: np.ndarray
 
 
-def _gram_factor(gram: np.ndarray):
-    """``(R, s, Vt)`` of a Gram matrix A'A when the Gram path may serve A.
+def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor R of a Gram matrix A'A, or None off the Gram path.
 
-    R is the upper Cholesky factor (A'A = R'R) and R = Ur diag(s) Vt its
-    SVD, so s are the singular values of A and Vt its right singular
-    vectors. The Gram matrix squares the condition number, so this is
-    None when the Cholesky fails (A'A is not numerically positive
-    definite) or s spreads wider than ``_FAST_PATH_MAX_COND``; the
-    caller then factors A itself. thin_svd and regression.fit_ols share
-    this one guard.
+    A'A = R'R, so the singular values of R are those of A. The Gram
+    matrix squares the condition number, so this is None when the
+    Cholesky fails (A'A is not numerically positive definite) or those
+    singular values spread wider than ``_FAST_PATH_MAX_COND``; the
+    caller then factors A itself. The guard computes singular values
+    only: a fit never reads singular vectors, and thin_svd takes its
+    own SVD of R. thin_svd and regression.fit_ols share this one guard.
     """
     try:
         R = sla.cholesky(gram, check_finite=False)
-        _Ur, s, Vt = sla.svd(R, check_finite=False)
+        s = sla.svdvals(R, check_finite=False)
     except np.linalg.LinAlgError:
         return None
     if s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
-        return R, s, Vt
+        return R
     return None
 
 
@@ -212,12 +212,11 @@ def thin_svd(X) -> SvdFactors:
     n, p = A.shape
     if n < p:
         raise DimensionError(f"thin_svd requires n >= p, got n={n}, p={p}")
-    if n >= 2 * p:
-        factor = _gram_factor(A.T @ A)
-        if factor is not None:
-            _R, s, Vt = factor
-            return SvdFactors(A @ (Vt.T / s), s, Vt.T)
+    R = _gram_factor(A.T @ A) if n >= 2 * p else None
     try:
+        if R is not None:
+            _Ur, s, Vt = sla.svd(R, check_finite=False)
+            return SvdFactors(A @ (Vt.T / s), s, Vt.T)
         U, s, Vt = sla.svd(
             A, full_matrices=False, check_finite=False, lapack_driver="gesdd"
         )

@@ -39,11 +39,11 @@ def _gram_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     gram[0, 0] = n
     gram[0, 1:] = gram[1:, 0] = np.ones(n) @ X
     gram[1:, 1:] = X.T @ X
-    factor = _gram_factor(gram)
-    if factor is None:
+    R = _gram_factor(gram)
+    if R is None:
         return None
     rhs = np.concatenate(([y.sum()], X.T @ y))
-    return sla.cho_solve((factor[0], False), rhs, check_finite=False)
+    return sla.cho_solve((R, False), rhs, check_finite=False)
 
 
 def fit_ols(X, y) -> LinearFit:

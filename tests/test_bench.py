@@ -72,6 +72,37 @@ def _run_three_units(study: str, selector: str, k: int = 20) -> list[MetricsReco
     return run_bootstrap(gen_dataset(cfg), plan)
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the process pool by one that runs its calls in process.
+
+    Returns a log of each pool's worker count ("workers") and each
+    ``map`` call's chunk size ("chunksizes"). Every mapped call runs
+    with each OpenBLAS library at two threads, as in a worker that
+    starts at its library's default, so a unit sees a pin only if its
+    worker takes one itself.
+    """
+    log = {"workers": [], "chunksizes": []}
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            log["workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            log["chunksizes"].append(chunksize)
+            with linalg.blas_threads(2):
+                return [fn(*args) for args in zip(*iterables)]
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+    return log
+
+
 class TestSelectorSpec:
     def test_labels(self):
         assert SelectorSpec("levss").label == "levss"
@@ -240,63 +271,92 @@ class TestResolveWorkers:
 
     @pytest.mark.parametrize("study, cpus, pools", _per_study(
         {"2-pools0": (2, [2]), "None-pools1": (None, [])}))
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch, study, cpus, pools):
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, in_process_pool,
+                                          study, cpus, pools):
         monkeypatch.setenv(THREADS_ENV_VAR, "100000")
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
         recs = _run_three_units(study, "uniform")
-        assert started == pools
+        assert in_process_pool["workers"] == pools
         assert [r.repetition for r in recs] == [0, 1, 2]
 
+    @pytest.mark.parametrize("workers, count, chunksize", [
+        (2, 3, 2), (2, 4, 2), (3, 7, 3), (4, 4, 1)])
+    def test_each_worker_takes_one_chunk(self, monkeypatch, in_process_pool,
+                                         workers, count, chunksize):
+        # one chunk per worker pickles the unit, and the dataset it
+        # carries, once per worker
+        monkeypatch.setenv(THREADS_ENV_VAR, str(workers))
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+        cfg = ScenarioConfig(case="uniform01", n=200, p=2, k=20, seed=1)
+        recs = run_simulation(cfg, ("uniform",), reps=count)
+        assert in_process_pool == {"workers": [workers], "chunksizes": [chunksize]}
+        assert [r.repetition for r in recs] == list(range(count))
+
     @needs_openblas
-    @pytest.mark.parametrize("study, cpus, start, threads", _per_study(
+    @pytest.mark.parametrize("study, cpus, workers, start", _per_study(
         {"4-1-2": (4, 1, 2), "2-2-1": (2, 2, 1), "3-2-1": (3, 2, 1)}))
     def test_pool_workers_share_the_cpus_among_blas_threads(
-            self, monkeypatch, study, cpus, start, threads):
-        # two workers on ``cpus`` CPUs: each runs on cpus // 2 BLAS threads
+            self, monkeypatch, in_process_pool, study, cpus, workers, start):
+        # every unit runs on STUDY_BLAS_THREADS, serially (workers = 1,
+        # the caller at ``start`` threads) or pooled (each fake worker
+        # starts at two threads)
         seen = []
 
         def recording(*args):
             seen.append(_blas_counts())
             return real(*args)
 
-        class InProcessPool:
-            def __init__(self, max_workers):
-                assert max_workers * threads <= cpus
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return list(map(fn, *iterables))
-
         real = getattr(bench, _STUDY_UNIT[study])
         monkeypatch.setattr(bench, _STUDY_UNIT[study], recording)
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        monkeypatch.setenv(THREADS_ENV_VAR, str(workers))
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
         with linalg.blas_threads(start):
             _run_three_units(study, "levss")
             assert _blas_counts() == [start] * len(_blas_counts())
-        assert seen == [[threads] * len(_blas_counts())] * 3
+        assert in_process_pool["workers"] == ([workers] if workers > 1 else [])
+        assert all(w * bench.STUDY_BLAS_THREADS <= cpus
+                   for w in in_process_pool["workers"])
+        assert seen == [[bench.STUDY_BLAS_THREADS] * len(_blas_counts())] * 3
+
+
+class TestStudyBlasPin:
+    """The pin both studies hold in the calling process."""
+
+    # the tests below start from two threads per library, so a pin to
+    # STUDY_BLAS_THREADS = 1 and its undoing are both visible
+
+    @needs_openblas
+    def test_reference_fit_runs_pinned(self, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            seen.append(_blas_counts())
+            return fit_ols(*args)
+
+        monkeypatch.setattr(bench, "fit_ols", recording)
+        with linalg.blas_threads(2):
+            _run_three_units("bootstrap", "uniform")
+        assert len(seen) == 1 + 3  # the reference, then one cell per replicate
+        assert seen == [[bench.STUDY_BLAS_THREADS] * len(_blas_counts())] * 4
+
+    @needs_openblas
+    @pytest.mark.parametrize("study", list(_STUDY_UNIT))
+    def test_counts_restored_after_return(self, study):
+        with linalg.blas_threads(2):
+            _run_three_units(study, "uniform")
+            assert _blas_counts() == [2] * len(_blas_counts())
+
+    @needs_openblas
+    @pytest.mark.parametrize("study", list(_STUDY_UNIT))
+    def test_counts_restored_after_error(self, monkeypatch, study):
+        def failing(*args):
+            raise RuntimeError("unit failed")
+
+        monkeypatch.setattr(bench, _STUDY_UNIT[study], failing)
+        with linalg.blas_threads(2):
+            with pytest.raises(RuntimeError, match="unit failed"):
+                _run_three_units(study, "uniform")
+            assert _blas_counts() == [2] * len(_blas_counts())
 
 
 class TestFailureWarnings:
@@ -433,7 +493,7 @@ class TestRunTiming:
             run_timing([10], p=3, k=20, selectors=("levss",), reps=1)
 
     # the tests below start from two threads per library, so a pin to
-    # TIMING_BLAS_THREADS = 1 and its undoing are both visible
+    # STUDY_BLAS_THREADS = 1 and its undoing are both visible
 
     @needs_openblas
     def test_every_timed_call_runs_pinned(self, monkeypatch):
@@ -446,7 +506,7 @@ class TestRunTiming:
         monkeypatch.setattr(bench, "_run_selector", recording)
         with linalg.blas_threads(2):
             run_timing([200, 400], p=3, k=20, selectors=("levss", "iboss"), reps=2)
-        pinned = [bench.TIMING_BLAS_THREADS] * len(_blas_counts())
+        pinned = [bench.STUDY_BLAS_THREADS] * len(_blas_counts())
         assert len(seen) == 2 * 3 * 2  # n values x (warm-up + reps) x selectors
         assert all(counts == pinned for counts in seen)
 

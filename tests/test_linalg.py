@@ -130,6 +130,9 @@ class _LapackSpy:
         self.svd_rows.append(a.shape[0])
         return sla.svd(a, *args, **kwargs)
 
+    def svdvals(self, a, *args, **kwargs):
+        return sla.svdvals(a, *args, **kwargs)
+
     def cholesky(self, a, *args, **kwargs):
         try:
             r = sla.cholesky(a, *args, **kwargs)
