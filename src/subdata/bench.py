@@ -28,7 +28,8 @@ import numpy as np
 
 from .datagen import ScenarioConfig, gen_covariates, gen_response
 from .errors import ConfigError, SubdataError
-from .linalg import DataMatrix, blas_threads, logdet_info, positive_integer
+from .linalg import (DataMatrix, blas_threads, logdet_info, positive_integer,
+                     seed_integer)
 from .regression import (LinearFit, adjusted_intercept, expand_interactions,
                          expanded_column_count, fit_ols, with_intercept)
 from .selectors import (
@@ -207,8 +208,10 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
     design's shape before any preparation is made, so a k the selector
     cannot serve raises ConfigError without factoring or sorting. The
     records are the same either way, timings aside. This is the only
-    place a SelectorSpec turns into a selector call.
+    place a SelectorSpec turns into a selector call; a negative seed is
+    a ConfigError here, whether or not the selector draws from it.
     """
+    seed = seed_integer(seed)
     prep = prep or _Preparation(data, spec, (k,))
     if (prep.spec.name, prep.spec.design) != (spec.name, spec.design):
         raise ValueError(f"a {prep.spec.label} preparation cannot serve {spec.label}")
@@ -431,15 +434,15 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
                case: str = "uniform01", base_seed: int = 0) -> list[TimingRecord]:
     """Wall-clock selection time per selector across data sizes.
 
-    For each n, one warm-up repetition is run and discarded, then
-    ``reps`` timed repetitions follow, each on a freshly seeded dataset
-    shared by all selectors. Only the selection call is timed (the
-    selector measures itself), and every call takes the one selection
-    path with a preparation for its one k, so each time is one
-    selector's whole cost; generation and fitting stay outside.
-    Runs are strictly serial so timings are not polluted by sibling
-    workers. Reported statistics are the mean and the median over
-    repetitions.
+    Each n may appear once. For each n, one warm-up repetition is run
+    and discarded, then ``reps`` timed repetitions follow, each on a
+    freshly seeded dataset shared by all selectors. Only the selection
+    call is timed (the selector measures itself), and every call takes
+    the one selection path with a preparation for its one k, so each
+    time is one selector's whole cost; generation and fitting stay
+    outside. Runs are strictly serial so timings are not polluted by
+    sibling workers. Reported statistics are the mean and the median
+    over repetitions.
 
     The grid runs with every loaded OpenBLAS library pinned to
     STUDY_BLAS_THREADS threads (``linalg.blas_threads``), so the times
@@ -451,6 +454,8 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     n_values = [positive_integer(n, "n") for n in n_values]
     if not n_values:
         raise ConfigError("n_values must not be empty")
+    if len(set(n_values)) < len(n_values):
+        raise ConfigError(f"each n may appear once, got {n_values}")
     specs = _coerce_specs(selectors)
     out = []
     with blas_threads(STUDY_BLAS_THREADS) as pinned:
@@ -485,7 +490,11 @@ def default_bootstrap_selectors() -> tuple[SelectorSpec, ...]:
 
 @dataclass(frozen=True)
 class BootstrapPlan:
-    """Bootstrap study layout: replicate count, k grid, selector set, seed."""
+    """Bootstrap study layout: replicate count, k grid, selector set, seed.
+
+    Each k may appear once, so every (k, selector) cell has one record
+    per replicate; the seed is a whole number >= 0.
+    """
 
     k_values: tuple[int, ...]
     n_boot: int = 100
@@ -499,7 +508,10 @@ class BootstrapPlan:
         ks = tuple(positive_integer(k, "k") for k in self.k_values)
         if not ks:
             raise ConfigError("k_values must not be empty")
+        if len(set(ks)) < len(ks):
+            raise ConfigError(f"each k may appear once, got {list(ks)}")
         object.__setattr__(self, "k_values", ks)
+        object.__setattr__(self, "seed", seed_integer(self.seed))
         object.__setattr__(self, "selectors", _coerce_specs(self.selectors))
 
     @classmethod

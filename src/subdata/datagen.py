@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .linalg import DataMatrix, positive_integer
+from .linalg import DataMatrix, positive_integer, seed_integer
 from .regression import expand_interactions, expanded_column_count
 
 CASES = ("uniform01", "mvnormal", "truncated-mvnormal")
@@ -47,6 +47,7 @@ class ScenarioConfig:
     ``sigma2`` to 9, the reference settings used throughout the
     simulation studies. k is carried here because the harness selects k
     rows from every generated dataset; generators themselves ignore it.
+    ``seed`` is a whole number >= 0.
     """
 
     case: str
@@ -66,6 +67,7 @@ class ScenarioConfig:
             )
         for name in ("n", "p", "k"):
             object.__setattr__(self, name, positive_integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", seed_integer(self.seed))
         if not self.k > self.p:
             raise ConfigError(f"need k > p, got k={self.k}, p={self.p}")
         if not self.n >= self.k:

@@ -74,18 +74,31 @@ def blas_threads(n: int):
             set_count(count)
 
 
+def _whole_number(value, name: str, least: int, what: str) -> int:
+    """``value`` as an int, or ConfigError unless it is whole and >= ``least``."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = least - 1
+    if whole != value or whole < least:
+        raise ConfigError(f"{name} must be a {what} integer, got {value!r}")
+    return whole
+
+
 def positive_integer(value, name: str) -> int:
     """``value`` as an int, or ConfigError unless it is a whole number >= 1.
 
     Whole floats such as 20.0 pass; fractions, NaN and infinities fail.
     """
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = 0
-    if whole != value or whole < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    return whole
+    return _whole_number(value, name, 1, "positive")
+
+
+def seed_integer(value) -> int:
+    """``value`` as an int, or ConfigError unless it is a whole number >= 0.
+
+    numpy's generators refuse negative seeds with a bare ValueError.
+    """
+    return _whole_number(value, "seed", 0, "non-negative")
 
 
 @dataclass(frozen=True)

@@ -510,6 +510,44 @@ def _pack_signs(Z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.reshape(n, nwords).T)
 
 
+def _interchangeable_classes(norms2: np.ndarray,
+                             words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows laid out class by class, and where each class starts.
+
+    Rows are interchangeable in the OSS greedy when they share |z|^2 bit
+    for bit and every sign word: every loss term against them or from
+    them is then the same float. Classes come in the order of their
+    lowest row and each class lists its rows in ascending order, so
+    ``members[first[c]:first[c + 1]]`` are the rows of class c and
+    ``first`` ends with n. Rows with pairwise distinct |z|^2, as
+    continuous data without repeated rows has, are found by one sort
+    and form n one-row classes.
+    """
+    n = norms2.size
+    ordered = np.sort(norms2)
+    start = np.ones(n, dtype=bool)      # a class starts at this sorted position
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    if start.all():
+        return np.arange(n), np.arange(n + 1)
+    order = np.argsort(norms2)          # rows in the order of ``ordered``
+    for word in words:
+        sw = word[order]
+        split = sw[1:] != sw[:-1]
+        if (split & ~start[1:]).any():  # a class mixes words: sort it by this one
+            resort = np.lexsort((sw, np.cumsum(start)))
+            order, sw = order[resort], sw[resort]
+            split = sw[1:] != sw[:-1]
+        start[1:] |= split
+    starts = np.flatnonzero(start)
+    lowest = np.minimum.reduceat(order, starts)
+    # lowest row of the row's class, then the row: one key, since both are < n
+    key = np.repeat(lowest, np.diff(starts, append=n)) * n + order
+    key.sort()
+    cls, members = np.divmod(key, n)
+    first = np.append(np.flatnonzero(members == cls), n)
+    return members, first
+
+
 def _oss_size(n: int, k) -> int:
     """``k`` as an int, or ConfigError unless it is whole and 2 <= k < n."""
     k = positive_integer(k, "k")
@@ -540,10 +578,25 @@ def select_oss(X, k: int) -> SelectionResult:
     [z > 0 | z < 0], held in the narrowest unsigned word that fits
     (uint8, uint16, uint32, else as many uint64 words as needed), so
     delta(z, x) is the popcount of the two patterns' AND: an exact
-    integer, zero on coordinates whose scaled entry is exactly 0. Each
-    step then adds the new row's loss term to every candidate's running
-    score, summed in selection order as the naive greedy sums it, and a
-    picked row's score is pinned at +inf so it is never picked again.
+    integer, zero on coordinates whose scaled entry is exactly 0.
+
+    Rows that share |z|^2 bit for bit and every sign word are
+    interchangeable: each loss term against them or from them is the
+    same float. The greedy therefore scores classes of such rows,
+    grouped by sorting on that key, in the order of their lowest row.
+    Each step adds the new row's loss term to every class's running
+    score, summed in selection order as the naive greedy sums it, and
+    takes the lowest untaken row of the class with the smallest score.
+    A class's score is pinned at +inf once its last row is taken; until
+    then its rows keep the score each of them has in a row-by-row run.
+    Ties go to the lowest row. The first class with the smallest score
+    holds it unless that class has lost a row; only then is its lowest
+    untaken row compared with those of every exactly tied class.
+
+    With G classes the greedy costs O(G k w) for w sign words per row,
+    after an O(n log n) grouping. G is n for continuous data without
+    repeated rows, found by one sort of |z|^2, and about 1 - 1/e, or
+    63 %, of n for a bootstrap resample of such data.
 
     Parameters
     ----------
@@ -571,20 +624,35 @@ def select_oss(X, k: int) -> SelectionResult:
 
     Z = _scale_to_unit_box(dm.values)
     norms2 = np.einsum("ij,ij->i", Z, Z)
+    words = _pack_signs(Z)        # (words per row) x n
+    del Z                         # grouping below needs no n x p buffer
+
+    members, first = _interchangeable_classes(norms2, words)
+    head = members[first[:-1]]    # each class's lowest row
+    norms2 = norms2[head]
+    words = words[:, head]        # (words per row) x classes
     u = p - 0.5 * norms2          # candidate-side constant of the loss
     b = 0.5 * norms2              # selected-side constant
-    words = _pack_signs(Z)        # (words per row) x n
+    g = head.size
 
-    both = np.empty(n, dtype=words.dtype)
-    count = np.empty(n, dtype=np.uint8)
-    delta = np.empty(n, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
-    term = np.empty(n)
-    scores = np.zeros(n)
+    both = np.empty(g, dtype=words.dtype)
+    count = np.empty(g, dtype=np.uint8)
+    delta = np.empty(g, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
+    term = np.empty(g)
+    scores = np.zeros(g)
     chosen = np.empty(k, dtype=np.intp)
+    nxt = first[:-1].copy()       # each class's lowest untaken row, in members
 
-    current = int(np.argmax(norms2))
-    chosen[0] = current
-    scores[current] = np.inf
+    def take(c: int) -> int:
+        """Class c's lowest untaken row; its score is pinned when none is left."""
+        row = members[nxt[c]]
+        nxt[c] += 1
+        if nxt[c] == first[c + 1]:
+            scores[c] = np.inf
+        return row
+
+    current = int(np.argmax(norms2))  # no class has lost a row: lowest row wins
+    chosen[0] = take(current)
     for step in range(1, k):
         mine = words[:, current]
         np.bitwise_count(np.bitwise_and(words[0], mine[0], out=both), out=delta)
@@ -596,8 +664,12 @@ def select_oss(X, k: int) -> SelectionResult:
         np.square(term, out=term)
         scores += term
         current = int(np.argmin(scores))
-        chosen[step] = current
-        scores[current] = np.inf
+        if nxt[current] > first[current]:
+            # a class that lost a row may now hold a later lowest row than
+            # a class after it with exactly the same score
+            tied = np.flatnonzero(scores == scores[current])
+            current = int(tied[np.argmin(members[nxt[tied]])])
+        chosen[step] = take(current)
 
     elapsed = time.perf_counter() - t0
     return SelectionResult(chosen, k, _EMPTY_TRACE, elapsed)

@@ -88,6 +88,36 @@ def oss_naive_greedy(X: np.ndarray, k: int) -> list[int]:
     return selected
 
 
+def oss_rowwise_greedy(X: np.ndarray, k: int) -> list[int]:
+    """Reference greedy that scores every row at every step, duplicates too.
+
+    The vectorized row-by-row kernel ``select_oss`` ran before it scored
+    classes of interchangeable rows, with strict signs counted on boolean
+    matrices instead of packed words. Every float operation is the same
+    and in the same order, so its picks are ``select_oss``'s bit for bit,
+    at sizes the double loops of :func:`oss_naive_greedy` cannot reach.
+    """
+    Z = oss_scale(np.asarray(X, dtype=np.float64))
+    n, p = Z.shape
+    norms2 = np.einsum("ij,ij->i", Z, Z)
+    u = p - 0.5 * norms2
+    b = 0.5 * norms2
+    pos, neg = Z > 0, Z < 0
+    scores = np.zeros(n)
+    current = int(np.argmax(norms2))
+    selected = [current]
+    scores[current] = np.inf
+    for _ in range(k - 1):
+        delta = (np.count_nonzero(pos & pos[current], axis=1)
+                 + np.count_nonzero(neg & neg[current], axis=1))
+        term = (u - b[current]) + delta
+        scores += term * term
+        current = int(np.argmin(scores))
+        selected.append(current)
+        scores[current] = np.inf
+    return selected
+
+
 def det_cofactor(M: np.ndarray) -> float:
     """Determinant by recursive cofactor expansion along the first row."""
     M = np.asarray(M, dtype=np.float64)

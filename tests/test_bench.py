@@ -787,6 +787,33 @@ def test_non_integer_count_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ScenarioConfig(**{**_SCENARIO, "seed": -1}),
+    lambda: BootstrapPlan(k_values=(20,), seed=-1),
+    lambda: run_timing([300], p=2, k=20, selectors=("uniform",), reps=1, base_seed=-3),
+    lambda: _run_selector(SelectorSpec("uniform"),
+                          DataMatrix(np.random.default_rng(0).normal(size=(30, 2))),
+                          5, seed=-1),
+    lambda: ScenarioConfig(**{**_SCENARIO, "seed": 1.5}),
+], ids=["scenario", "plan", "timing", "select", "scenario-fraction"])
+def test_negative_or_fractional_seed_rejected(make):
+    # numpy's generators would raise a bare ValueError mid-run
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        make()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: BootstrapPlan(k_values=(20, 40, 20)), "each k may appear once"),
+    (lambda: BootstrapPlan.from_multiples(3, multiples=(5, 5)), "each k may appear once"),
+    (lambda: run_timing([300, 300], p=2, k=20, selectors=("uniform",), reps=1),
+     "each n may appear once"),
+], ids=["plan-k", "plan-multiple", "timing-n"])
+def test_repeated_grid_value_rejected(make, match):
+    # a repeated value would write its records twice
+    with pytest.raises(ConfigError, match=match):
+        make()
+
+
 def test_whole_float_counts_accepted():
     plan = BootstrapPlan(k_values=(20.0, 40), n_boot=2.0)
     assert plan.k_values == (20, 40) and plan.n_boot == 2

@@ -530,7 +530,21 @@ class TestRuntimeConfigErrors:
           "--method", "uniform", "--output", "o.csv"], {"SUBDATA_THREADS": "abc"}),
         (["timing", "--n", "10", "--p", "2", "--k", "20", "--reps", "1",
           "--method", "levss", "--output", "o.csv"], {}),
-    ], ids=["k-equals-n", "oss-k-1", "threads-env", "timing-n-below-k"])
+        (["simulate", "--n", "100", "--p", "2", "--k", "10", "--reps", "1",
+          "--method", "uniform", "--seed", "-1", "--output", "o.csv"], {}),
+        (["gen-data", "--n", "100", "--p", "2", "--seed", "-1", "--output", "o.csv"], {}),
+        (["bootstrap", "--input", "d.csv", "--response", "y", "--boot", "1",
+          "--seed", "-1", "--output", "o.csv"], {}),
+        (["select", "--method", "uniform", "--k", "20", "--seed", "-1",
+          "--input", "d.csv", "--response", "y", "--output", "o.csv"], {}),
+        (["bootstrap", "--input", "d.csv", "--response", "y", "--boot", "2",
+          "--k-multiples", "5,5", "--output", "o.csv"], {}),
+        (["timing", "--n", "300,300", "--p", "2", "--k", "20", "--reps", "1",
+          "--method", "uniform", "--output", "o.csv"], {}),
+    ], ids=["k-equals-n", "oss-k-1", "threads-env", "timing-n-below-k",
+            "simulate-negative-seed", "gen-data-negative-seed",
+            "bootstrap-negative-seed", "select-negative-seed",
+            "bootstrap-repeated-k", "timing-repeated-n"])
     def test_exits_2(self, argv, env, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["gen-data", "--n", "300", "--p", "2", "--output", "d.csv"]) == 0

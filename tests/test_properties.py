@@ -20,7 +20,7 @@ from subdata import (
 )
 from subdata.selectors import _argsort_head
 
-from _oracles import hat_diagonal
+from _oracles import hat_diagonal, oss_naive_greedy
 
 # instances are derived from a drawn seed so shrinking stays meaningful
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -126,6 +126,18 @@ def test_oss_is_prefix_consistent(seed, n, p, resample):
     for k in range(2, n - 1):
         want = select_oss(x, k).indices
         assert np.array_equal(longest.indices[:k], want)
+
+
+@given(seeds, st.integers(6, 30), st.integers(1, 4), st.integers(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_oss_matches_naive_greedy_on_rounded_resamples(seed, n, p, decimals):
+    # rounding makes rows that share |z|^2 and signs without being copies
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.normal(size=(n // 2 + 1, p)), decimals)
+    x = base[rng.integers(0, base.shape[0], size=n)]
+    assume(np.all(np.ptp(x, axis=0) > 0))
+    k = int(rng.integers(2, n))
+    assert select_oss(x, k).indices.tolist() == oss_naive_greedy(x, k)
 
 
 @given(seeds)

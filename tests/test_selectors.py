@@ -1,6 +1,7 @@
 """Selector behavior: leverage-ordered, extreme-per-covariate, orthogonal
 greedy, and uniform baselines."""
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,8 @@ from subdata import (
     ConfigError,
     LevssConfig,
     ScalingError,
+    ScenarioConfig,
+    gen_covariates,
     iboss_tails,
     leverage_scores,
     rank_by_leverage,
@@ -19,13 +22,15 @@ from subdata import (
     select_uniform,
     thin_svd,
 )
-from subdata.selectors import (_column_extrema, _iboss_quotas, _pack_signs,
+from subdata.selectors import (_column_extrema, _iboss_quotas,
+                               _interchangeable_classes, _pack_signs,
                                _scale_to_unit_box)
 
 from _oracles import (
     hat_diagonal,
     iboss_sequential_trace,
     oss_naive_greedy,
+    oss_rowwise_greedy,
     oss_scale,
     oss_total_loss,
 )
@@ -363,6 +368,87 @@ class TestOss:
             x = data[rng.integers(0, 25, size=70)]
             got = select_oss(x, 10).indices.tolist()
             assert got == oss_naive_greedy(x, 10)
+
+    def test_tie_with_a_class_that_lost_a_row_goes_to_the_lowest_row(self):
+        # rows scale to -1, 1, 1, -1: classes {0, 3} and {1, 2}. Rows 0 and
+        # 1 come first; then rows 3 and 2 tie at exactly 1, and row 2 must
+        # win although the class of row 0 comes first
+        x = np.array([[0.0], [1.0], [1.0], [0.0]])
+        assert select_oss(x, 3).indices.tolist() == [0, 1, 2] == oss_naive_greedy(x, 3)
+
+    def test_exhausted_classes_match_naive_greedy_up_to_n_minus_1(self):
+        # four distinct rows resampled to 14: every class runs out of rows
+        # before k = 13, one row short of all of them
+        rng = np.random.default_rng(23)
+        for base in (rng.normal(size=(4, 2)), np.round(rng.normal(size=(4, 3)))):
+            x = base[np.r_[0:4, rng.integers(0, 4, size=10)]]
+            for k in range(2, x.shape[0]):
+                assert select_oss(x, k).indices.tolist() == oss_naive_greedy(x, k), k
+
+    def test_rows_sharing_norm_and_signs_are_one_class(self):
+        # (0.5, 0.25) and (0.25, 0.5) differ, but share |z|^2 and the sign
+        # pattern; the corners keep the scaling the identity
+        x = np.array([[-1.0, -1.0], [0.5, 0.25], [1.0, 1.0], [0.25, 0.5],
+                      [-0.5, 0.25], [0.5, 0.25], [0.25, -0.5], [-0.25, -0.5]])
+        z = _scale_to_unit_box(x)
+        assert np.array_equal(z, x)
+        members, first = _interchangeable_classes(np.einsum("ij,ij->i", z, z),
+                                                  _pack_signs(z))
+        classes = [members[a:b].tolist() for a, b in zip(first[:-1], first[1:])]
+        assert classes == [[0], [1, 3, 5], [2], [4], [6], [7]]
+        for k in range(2, 8):
+            assert select_oss(x, k).indices.tolist() == oss_naive_greedy(x, k), k
+
+    @pytest.mark.parametrize("p", [1, 3, 10, 33, 70])
+    def test_classes_are_rows_sharing_norm_and_sign_words(self, p):
+        # entries in {-1, 0, 1}: many rows share |z|^2 but not their signs
+        rng = np.random.default_rng(p)
+        base = rng.integers(-1, 2, size=(15, p)).astype(float)
+        z = np.vstack([base[rng.integers(0, 15, size=50)], rng.normal(size=(10, p))])
+        norms2, words = np.einsum("ij,ij->i", z, z), _pack_signs(z)
+        members, first = _interchangeable_classes(norms2, words)
+        want: dict = {}
+        for i in range(z.shape[0]):
+            want.setdefault((norms2[i], tuple(words[:, i].tolist())), []).append(i)
+        got = [members[a:b].tolist() for a, b in zip(first[:-1], first[1:])]
+        assert got == sorted(want.values())  # by lowest row, rows ascending
+
+    def test_duplicates_with_two_words_per_row_match_naive_greedy(self):
+        # p = 33: 66 sign bits, two uint64 words per row. Rows 2-5 and 6-9
+        # differ only in which of columns 31 and 32 is -1, so they share
+        # |z|^2 and the first word, whose last bit is column 30's z < 0
+        rng = np.random.default_rng(33)
+        base = rng.integers(-1, 2, size=(10, 33)).astype(float)
+        base[0], base[1] = -1.0, 1.0
+        base[6:] = base[2:6]
+        base[2:6, 31:] = [-1.0, 0.0]
+        base[6:, 31:] = [0.0, -1.0]
+        x = base[np.r_[0:10, rng.integers(0, 10, size=20)]]
+        words = _pack_signs(x)
+        assert np.array_equal(words[0, 2:6], words[0, 6:10])
+        for k in (5, 15, 29):
+            assert select_oss(x, k).indices.tolist() == oss_naive_greedy(x, k), k
+
+    @pytest.mark.parametrize("p", [3, 10, 33])
+    def test_resample_matches_rowwise_greedy_at_scale(self, p):
+        rng = np.random.default_rng(100 + p)
+        x = rng.normal(size=(20_000, p))
+        x = x[rng.integers(0, 20_000, size=20_000)]
+        assert select_oss(x, 200).indices.tolist() == oss_rowwise_greedy(x, 200)
+
+    def test_benchmark_shape_indices_are_pinned(self):
+        # sha256 of the int64 indices the row-by-row greedy picks at the
+        # benchmark's shape, 1e5 x 10 mvnormal (seed 41) and k = 300: on
+        # the distinct rows, then on one bootstrap resample of them
+        x = gen_covariates(ScenarioConfig(case="mvnormal", n=100_000, p=10,
+                                          k=11, seed=41)).values
+        rows = np.random.default_rng(41).integers(0, x.shape[0], size=x.shape[0])
+        for data, want in (
+            (x, "0fbd96a0d9fd7ea8d3d86d22dff1624f8372d7f76e3d48fc3a90178038203aa2"),
+            (x[rows], "a359fd37e52d0785fc0777a3463c9e40c8d225164842b0e887b77ab6ccb7819f"),
+        ):
+            idx = select_oss(data, 300).indices.astype(np.int64)
+            assert hashlib.sha256(idx.tobytes()).hexdigest() == want
 
     def test_deterministic(self):
         x = np.random.default_rng(17).normal(size=(90, 4))
