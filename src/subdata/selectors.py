@@ -35,6 +35,7 @@ from .linalg import (
     leverage_scores,
     matrix_rank_from_singular_values,
     positive_integer,
+    seed_integer,
     thin_svd,
 )
 
@@ -42,6 +43,9 @@ _EMPTY_TRACE = np.empty(0, dtype=np.float64)
 
 # rows per block of _column_extrema's long-row reduction
 _EXTREMA_ROWS = 64
+
+# rows per block of the OSS preparation pass (_oss_rows)
+_OSS_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,9 @@ class LevssConfig:
     ``threshold`` is the condition-number bound T. ``None`` disables the
     stopping rule entirely: selection stops at exactly k rows and no
     randomness is consumed. ``seed`` feeds the down-selection draw that
-    only happens when the rule admits more than k rows.
+    only happens when the rule admits more than k rows; it must be a
+    whole number >= 0 or ``None`` either way, so a config that works on
+    one matrix works on every other.
     """
 
     k: int
@@ -115,6 +121,8 @@ class LevssConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k", positive_integer(self.k, "k"))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", seed_integer(self.seed))
         if self.threshold is not None:
             object.__setattr__(self, "threshold", _stopping_threshold(self.threshold))
 
@@ -469,11 +477,29 @@ def _column_extrema(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _scale_to_unit_box(vals: np.ndarray) -> np.ndarray:
-    """Column-wise affine map onto [-1, 1] using each column's min/max.
+def _oss_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's |z|^2 and sign bytes, z being the row scaled to [-1, 1].
 
-    The result is bit for bit ``2 * (vals - lo) / (hi - lo) - 1``: the
-    sign of a zero extreme cannot reach it.
+    One pass over blocks of _OSS_BLOCK_ROWS rows scales each block
+    column-wise by ``2 * (vals - lo) / (hi - lo) - 1`` with the columns'
+    minima lo and maxima hi, takes |z|^2 by the same einsum as over the
+    whole scaled matrix, and packs the bits [z > 0 | z < 0] of each row
+    into bytes, bit j of the pattern being bit j mod 8 of byte j // 8.
+    Every value is bit for bit what the whole-matrix formula gives; no
+    n x p scaled copy is made.
+
+    Returns
+    -------
+    norms2 : numpy.ndarray
+        |z|^2 of every row.
+    signs : numpy.ndarray
+        n x 8 ceil(2p / 64) uint8: each row's pattern in its first
+        ceil(2p / 8) bytes, zero-padded to whole uint64 words.
+
+    Raises
+    ------
+    ScalingError
+        If some column is constant, naming the first such column.
     """
     lo, hi = _column_extrema(vals)
     span = hi - lo
@@ -483,45 +509,46 @@ def _scale_to_unit_box(vals: np.ndarray) -> np.ndarray:
         raise ScalingError(
             f"column {j} is constant and cannot be scaled to [-1, 1]", column=j
         )
-    # 2 (vals - lo) / span - 1, in place on one n x p buffer
-    Z = vals - lo
-    Z *= 2.0
-    Z /= span
-    Z -= 1.0
-    return Z
-
-
-def _pack_signs(Z: np.ndarray) -> np.ndarray:
-    """Each row's bits [Z > 0 | Z < 0] as unsigned words, one row per word column.
-
-    The word is the narrowest of uint8, uint16 and uint32 that holds 2p
-    bits; wider patterns take ceil(2p / 64) uint64 words. The result has
-    shape (words per row, n), so each word's column is contiguous.
-    """
-    n, p = Z.shape
-    width = next((w for w in (1, 2, 4) if 2 * p <= 8 * w), 8)
-    nwords = -(-2 * p // (8 * width))
-    # each row padded with zero bits to whole words, so one flat packbits
-    # call packs every row without per-row overhead
-    bits = np.zeros((n, 8 * width * nwords), dtype=bool)
-    np.greater(Z, 0.0, out=bits[:, :p])
-    np.less(Z, 0.0, out=bits[:, p:2 * p])
-    words = np.packbits(bits, axis=None, bitorder="little").view(f"u{width}")
-    return np.ascontiguousarray(words.reshape(n, nwords).T)
+    n, p = vals.shape
+    width = 8 * -(-2 * p // 64)         # bytes per row, whole uint64 words
+    rows = min(n, _OSS_BLOCK_ROWS)
+    # the block is laid out as ``vals - lo`` would lay out the whole
+    # matrix, column-major for column-major input, so einsum sums each
+    # row in the same order; a partial block is a slice, never a fresh
+    # contiguous array, for the same reason
+    column_major = abs(vals.strides[0]) < abs(vals.strides[1])
+    block = np.empty((rows, p), order="F" if column_major else "C")
+    bits = np.zeros((rows, 8 * width), dtype=bool)
+    norms2 = np.empty(n)
+    signs = np.empty((n, width), dtype=np.uint8)
+    for a in range(0, n, _OSS_BLOCK_ROWS):
+        b = min(a + _OSS_BLOCK_ROWS, n)
+        # 2 (vals - lo) / span - 1, in place on the block
+        z = np.subtract(vals[a:b], lo, out=block[:b - a])
+        z *= 2.0
+        z /= span
+        z -= 1.0
+        np.einsum("ij,ij->i", z, z, out=norms2[a:b])
+        m = bits[:b - a]
+        np.greater(z, 0.0, out=m[:, :p])
+        np.less(z, 0.0, out=m[:, p:2 * p])
+        signs[a:b] = np.packbits(m, axis=None, bitorder="little").reshape(b - a, width)
+    return norms2, signs
 
 
 def _interchangeable_classes(norms2: np.ndarray,
-                             words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                             signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows laid out class by class, and where each class starts.
 
     Rows are interchangeable in the OSS greedy when they share |z|^2 bit
-    for bit and every sign word: every loss term against them or from
-    them is then the same float. Classes come in the order of their
-    lowest row and each class lists its rows in ascending order, so
-    ``members[first[c]:first[c + 1]]`` are the rows of class c and
-    ``first`` ends with n. Rows with pairwise distinct |z|^2, as
-    continuous data without repeated rows has, are found by one sort
-    and form n one-row classes.
+    for bit and every sign byte, compared as the uint64 words that the
+    rows of ``signs`` (from :func:`_oss_rows`) view as: every loss term
+    against them or from them is then the same float. Classes come in
+    the order of their lowest row and each class lists its rows in
+    ascending order, so ``members[first[c]:first[c + 1]]`` are the rows
+    of class c and ``first`` ends with n. Rows with pairwise distinct
+    |z|^2, as continuous data without repeated rows has, are found by
+    one sort and form n one-row classes.
     """
     n = norms2.size
     ordered = np.sort(norms2)
@@ -530,7 +557,7 @@ def _interchangeable_classes(norms2: np.ndarray,
     if start.all():
         return np.arange(n), np.arange(n + 1)
     order = np.argsort(norms2)          # rows in the order of ``ordered``
-    for word in words:
+    for word in signs.view(np.uint64).T:
         sw = word[order]
         split = sw[1:] != sw[:-1]
         if (split & ~start[1:]).any():  # a class mixes words: sort it by this one
@@ -574,13 +601,16 @@ def select_oss(X, k: int) -> SelectionResult:
     the selection of size k is the first k rows of any longer run on
     the same matrix.
 
-    Each row's strict signs are packed into one 2p-bit pattern
-    [z > 0 | z < 0], held in the narrowest unsigned word that fits
-    (uint8, uint16, uint32, else as many uint64 words as needed), so
-    delta(z, x) is the popcount of the two patterns' AND: an exact
-    integer, zero on coordinates whose scaled entry is exactly 0.
+    One pass over blocks of rows prepares the greedy: it scales each
+    block, takes each row's |z|^2 and packs the row's strict signs into
+    the 2p-bit pattern [z > 0 | z < 0], held in ceil(2p / 8) bytes. No
+    n x p scaled copy of X is made. delta(z, x) is the popcount of the
+    two patterns' AND, an exact integer, zero on coordinates whose
+    scaled entry is exactly 0. The greedy reads the patterns as
+    ceil(2p / 8) contiguous byte planes, one per byte of the pattern,
+    and counts the set bits of each plane's AND separately.
 
-    Rows that share |z|^2 bit for bit and every sign word are
+    Rows that share |z|^2 bit for bit and every sign byte are
     interchangeable: each loss term against them or from them is the
     same float. The greedy therefore scores classes of such rows,
     grouped by sorting on that key, in the order of their lowest row.
@@ -593,10 +623,11 @@ def select_oss(X, k: int) -> SelectionResult:
     holds it unless that class has lost a row; only then is its lowest
     untaken row compared with those of every exactly tied class.
 
-    With G classes the greedy costs O(G k w) for w sign words per row,
-    after an O(n log n) grouping. G is n for continuous data without
-    repeated rows, found by one sort of |z|^2, and about 1 - 1/e, or
-    63 %, of n for a bootstrap resample of such data.
+    With G classes the greedy costs O(G k ceil(2p / 8)), after an
+    O(n p) preparation and an O(n log n) grouping. G is n for
+    continuous data without repeated rows, found by one sort of |z|^2,
+    and about 1 - 1/e, or 63 %, of n for a bootstrap resample of such
+    data.
 
     Parameters
     ----------
@@ -622,21 +653,21 @@ def select_oss(X, k: int) -> SelectionResult:
     n, p = dm.n, dm.p
     k = _oss_size(n, k)
 
-    Z = _scale_to_unit_box(dm.values)
-    norms2 = np.einsum("ij,ij->i", Z, Z)
-    words = _pack_signs(Z)        # (words per row) x n
-    del Z                         # grouping below needs no n x p buffer
-
-    members, first = _interchangeable_classes(norms2, words)
-    head = members[first[:-1]]    # each class's lowest row
-    norms2 = norms2[head]
-    words = words[:, head]        # (words per row) x classes
+    norms2, signs = _oss_rows(dm.values)
+    members, first = _interchangeable_classes(norms2, signs)
+    g = first.size - 1
+    nbytes = -(-2 * p // 8)       # sign bytes per row
+    if g == n:                    # every row is its own class
+        planes = np.ascontiguousarray(signs[:, :nbytes].T)
+    else:
+        head = members[first[:-1]]  # each class's lowest row
+        norms2 = norms2[head]
+        planes = np.ascontiguousarray(signs[head, :nbytes].T)
+    del signs
     u = p - 0.5 * norms2          # candidate-side constant of the loss
     b = 0.5 * norms2              # selected-side constant
-    g = head.size
 
-    both = np.empty(g, dtype=words.dtype)
-    count = np.empty(g, dtype=np.uint8)
+    both = np.empty(g, dtype=np.uint8)
     delta = np.empty(g, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
     term = np.empty(g)
     scores = np.zeros(g)
@@ -654,11 +685,11 @@ def select_oss(X, k: int) -> SelectionResult:
     current = int(np.argmax(norms2))  # no class has lost a row: lowest row wins
     chosen[0] = take(current)
     for step in range(1, k):
-        mine = words[:, current]
-        np.bitwise_count(np.bitwise_and(words[0], mine[0], out=both), out=delta)
-        for w in range(1, words.shape[0]):
-            np.bitwise_count(np.bitwise_and(words[w], mine[w], out=both), out=count)
-            delta += count
+        mine = planes[:, current]
+        np.bitwise_count(np.bitwise_and(planes[0], mine[0], out=both), out=delta)
+        for w in range(1, nbytes):
+            np.bitwise_count(np.bitwise_and(planes[w], mine[w], out=both), out=both)
+            delta += both
         np.subtract(u, b[current], out=term)
         term += delta
         np.square(term, out=term)
@@ -680,11 +711,15 @@ def select_uniform(X, k: int, seed: int | None = 0) -> SelectionResult:
 
     ``k == n`` returns every index in natural order, which makes the
     exhaustive draw bit-for-bit reproducible in downstream fits.
+    ``seed`` is a whole number >= 0, or ``None`` for fresh entropy; any
+    other seed is a ConfigError, whether or not the draw happens.
     """
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
     n = dm.n
     k = positive_integer(k, "k")
+    if seed is not None:
+        seed = seed_integer(seed)
     if k > n:
         raise ConfigError(f"uniform selection needs 1 <= k <= n, got k={k}, n={n}")
     if k == n:

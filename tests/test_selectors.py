@@ -22,9 +22,8 @@ from subdata import (
     select_uniform,
     thin_svd,
 )
-from subdata.selectors import (_column_extrema, _iboss_quotas,
-                               _interchangeable_classes, _pack_signs,
-                               _scale_to_unit_box)
+from subdata.selectors import (_OSS_BLOCK_ROWS, _column_extrema, _iboss_quotas,
+                               _interchangeable_classes, _oss_rows)
 
 from _oracles import (
     hat_diagonal,
@@ -154,6 +153,19 @@ class TestLevss:
             select_levss(x, LevssConfig(k=3))  # k <= p
         with pytest.raises(ConfigError):
             select_levss(x, LevssConfig(k=10))  # k >= n
+
+    @pytest.mark.parametrize("threshold", [None, 1.0, 1e9])
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_bad_seed_is_a_config_error_at_construction(self, threshold, seed):
+        # the draw that reads the seed happens only when the stopping rule
+        # admits more than k rows; the seed is checked before any matrix
+        with pytest.raises(ConfigError, match="seed"):
+            LevssConfig(k=10, threshold=threshold, seed=seed)
+
+    def test_seed_is_kept_as_an_int_or_none(self):
+        assert LevssConfig(k=10, seed=np.int64(3)).seed == 3
+        assert type(LevssConfig(k=10, seed=3.0).seed) is int
+        assert LevssConfig(k=10, seed=None).seed is None
 
     def test_elapsed_recorded(self):
         x = _case2_like(100, 3, 1)
@@ -337,14 +349,14 @@ class TestOss:
             assert got == want, f"n={n} p={p} k={k} seed={seed}"
 
     def test_every_word_width_matches_naive_greedy(self):
-        # 2p sign bits fill uint8, uint16, uint32, one and two uint64 words
+        # 2p sign bits fill one to nine byte planes, one and two uint64 words
         for p in (1, 4, 5, 8, 16, 17, 32, 33):
             x = np.random.default_rng(40 + p).normal(size=(60, p))
             got = select_oss(x, 8).indices.tolist()
             assert got == oss_naive_greedy(x, 8), f"p={p}"
 
     def test_wide_pattern_matches_naive_greedy(self):
-        # 140 sign bits: three uint64 words per row
+        # 140 sign bits: 18 byte planes, three uint64 words per row
         x = np.random.default_rng(70).normal(size=(40, 70))
         assert select_oss(x, 6).indices.tolist() == oss_naive_greedy(x, 6)
 
@@ -390,10 +402,9 @@ class TestOss:
         # pattern; the corners keep the scaling the identity
         x = np.array([[-1.0, -1.0], [0.5, 0.25], [1.0, 1.0], [0.25, 0.5],
                       [-0.5, 0.25], [0.5, 0.25], [0.25, -0.5], [-0.25, -0.5]])
-        z = _scale_to_unit_box(x)
-        assert np.array_equal(z, x)
-        members, first = _interchangeable_classes(np.einsum("ij,ij->i", z, z),
-                                                  _pack_signs(z))
+        norms2, signs = _oss_rows(x)
+        assert np.array_equal(norms2, np.einsum("ij,ij->i", x, x))
+        members, first = _interchangeable_classes(norms2, signs)
         classes = [members[a:b].tolist() for a, b in zip(first[:-1], first[1:])]
         assert classes == [[0], [1, 3, 5], [2], [4], [6], [7]]
         for k in range(2, 8):
@@ -401,17 +412,21 @@ class TestOss:
 
     @pytest.mark.parametrize("p", [1, 3, 10, 33, 70])
     def test_classes_are_rows_sharing_norm_and_sign_words(self, p):
-        # entries in {-1, 0, 1}: many rows share |z|^2 but not their signs
+        # entries in {-1, 0, 1}, which the unit box leaves as they are:
+        # many rows share |z|^2 but not their signs
         rng = np.random.default_rng(p)
         base = rng.integers(-1, 2, size=(15, p)).astype(float)
-        z = np.vstack([base[rng.integers(0, 15, size=50)], rng.normal(size=(10, p))])
-        norms2, words = np.einsum("ij,ij->i", z, z), _pack_signs(z)
-        members, first = _interchangeable_classes(norms2, words)
+        z = np.vstack([-np.ones(p), np.ones(p), base[rng.integers(0, 15, size=50)],
+                       rng.uniform(-1.0, 1.0, size=(10, p))])
+        norms2, signs = _oss_rows(z)
+        members, first = _interchangeable_classes(norms2, signs)
         want: dict = {}
         for i in range(z.shape[0]):
-            want.setdefault((norms2[i], tuple(words[:, i].tolist())), []).append(i)
+            want.setdefault((norms2[i], signs[i].tobytes()), []).append(i)
         got = [members[a:b].tolist() for a, b in zip(first[:-1], first[1:])]
         assert got == sorted(want.values())  # by lowest row, rows ascending
+        if p > 1:  # some |z|^2 is shared by rows with different signs
+            assert len({key[0] for key in want}) < len(want)
 
     def test_duplicates_with_two_words_per_row_match_naive_greedy(self):
         # p = 33: 66 sign bits, two uint64 words per row. Rows 2-5 and 6-9
@@ -424,12 +439,12 @@ class TestOss:
         base[2:6, 31:] = [-1.0, 0.0]
         base[6:, 31:] = [0.0, -1.0]
         x = base[np.r_[0:10, rng.integers(0, 10, size=20)]]
-        words = _pack_signs(x)
-        assert np.array_equal(words[0, 2:6], words[0, 6:10])
+        words = _oss_rows(x)[1].view(np.uint64)
+        assert np.array_equal(words[2:6, 0], words[6:10, 0])
         for k in (5, 15, 29):
             assert select_oss(x, k).indices.tolist() == oss_naive_greedy(x, k), k
 
-    @pytest.mark.parametrize("p", [3, 10, 33])
+    @pytest.mark.parametrize("p", [3, 4, 10, 33, 64])
     def test_resample_matches_rowwise_greedy_at_scale(self, p):
         rng = np.random.default_rng(100 + p)
         x = rng.normal(size=(20_000, p))
@@ -446,6 +461,20 @@ class TestOss:
         for data, want in (
             (x, "0fbd96a0d9fd7ea8d3d86d22dff1624f8372d7f76e3d48fc3a90178038203aa2"),
             (x[rows], "a359fd37e52d0785fc0777a3463c9e40c8d225164842b0e887b77ab6ccb7819f"),
+        ):
+            idx = select_oss(data, 300).indices.astype(np.int64)
+            assert hashlib.sha256(idx.tobytes()).hexdigest() == want
+
+    def test_wide_shape_indices_are_pinned(self):
+        # sha256 of the int64 indices the row-by-row greedy picks with 80
+        # sign bits per row, 2e4 x 40 mvnormal (seed 41) and k = 300: on
+        # the distinct rows, then on one bootstrap resample of them
+        x = gen_covariates(ScenarioConfig(case="mvnormal", n=20_000, p=40,
+                                          k=41, seed=41)).values
+        rows = np.random.default_rng(41).integers(0, x.shape[0], size=x.shape[0])
+        for data, want in (
+            (x, "1f85ac0af84bf45de6f3e0de54338488f84d18fc9669ea6440d9ab7d6c506c90"),
+            (x[rows], "01963b04aa750f679a021e8e5c94e5d44a3e381baaaff0212c2ebc4c53fa01e0"),
         ):
             idx = select_oss(data, 300).indices.astype(np.int64)
             assert hashlib.sha256(idx.tobytes()).hexdigest() == want
@@ -472,18 +501,17 @@ class TestOss:
 
     @pytest.mark.parametrize("p", [1, 4, 5, 8, 16, 17, 32, 33, 70])
     def test_packed_signs_match_python_integers(self, p):
-        z = np.random.default_rng(p).normal(size=(30, p))
-        z[::4, 0] = 0.0
-        words = _pack_signs(z)
-        bits_per_word = 8 * words.dtype.itemsize
+        # column 0 spans [-10, 10], so its zeros scale to exact zeros,
+        # which carry no sign bit
+        x = np.random.default_rng(p).normal(size=(30, p))
+        x[::4, 0] = 0.0
+        x[1, 0], x[2, 0] = -10.0, 10.0
+        z = oss_scale(x)
+        assert not z[::4, 0].any()
+        _, signs = _oss_rows(x)
+        assert signs.dtype == np.uint8 and signs.shape == (30, 8 * -(-2 * p // 64))
         for i, row in enumerate(z):
-            pattern = sum(1 << j for j in range(p) if row[j] > 0) \
-                + sum(1 << (p + j) for j in range(p) if row[j] < 0)
-            want = [(pattern >> (bits_per_word * w)) & ((1 << bits_per_word) - 1)
-                    for w in range(words.shape[0])]
-            assert [int(v) for v in words[:, i]] == want
-        assert words.shape[0] == -(-2 * p // bits_per_word)
-        assert words.dtype.itemsize == next((b for b in (1, 2, 4) if 2 * p <= 8 * b), 8)
+            assert signs[i].tobytes() == _sign_pattern(row).to_bytes(signs.shape[1], "little")
 
     def test_validation(self):
         x = np.random.default_rng(0).normal(size=(10, 2))
@@ -491,6 +519,13 @@ class TestOss:
             select_oss(x, 1)
         with pytest.raises(ConfigError):
             select_oss(x, 11)
+
+
+def _sign_pattern(z):
+    """The row's strict signs [z > 0 | z < 0] as one Python integer."""
+    p = z.size
+    return sum(1 << j for j in range(p) if z[j] > 0) \
+        + sum(1 << (p + j) for j in range(p) if z[j] < 0)
 
 
 def _unit_box_case(n, p, seed):
@@ -510,32 +545,44 @@ def _unit_box_case(n, p, seed):
 
 
 class TestScaleToUnitBox:
-    """The blocked column extrema leave the OSS scaling bit for bit as it was."""
+    """The blocked preparation pass gives the OSS scaling's |z|^2 and signs
+    bit for bit: the same values as the whole-matrix formula."""
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
-    @pytest.mark.parametrize("p", [1, 3, 50])
+    @staticmethod
+    def _assert_matches_reference(x):
+        norms2, signs = _oss_rows(x)
+        z = oss_scale(x)
+        want = np.einsum("ij,ij->i", z, z)
+        assert np.array_equal(norms2.view(np.int64), want.view(np.int64))
+        assert signs.shape == (x.shape[0], 8 * -(-2 * x.shape[1] // 64))
+        for i in range(x.shape[0]):
+            pattern = _sign_pattern(z[i]).to_bytes(signs.shape[1], "little")
+            assert signs[i].tobytes() == pattern, i
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, _OSS_BLOCK_ROWS - 1,
+                                   _OSS_BLOCK_ROWS, _OSS_BLOCK_ROWS + 1,
+                                   2 * _OSS_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("p", [1, 3, 4, 5, 8, 16, 17, 32, 33, 50, 70])
     def test_matches_reference_formula_bit_for_bit(self, n, p):
         x = _unit_box_case(n, p, seed=n * 100 + p)
         lo, hi = _column_extrema(x)
         assert np.array_equal(lo, x.min(axis=0)) and np.array_equal(hi, x.max(axis=0))
         if n == 1:  # every column is constant
             with pytest.raises(ScalingError) as err:
-                _scale_to_unit_box(x)
+                _oss_rows(x)
             assert err.value.column == 0
             return
-        got = _scale_to_unit_box(x)
-        assert np.array_equal(got.view(np.int64), oss_scale(x).view(np.int64))
+        self._assert_matches_reference(x)
 
     def test_fortran_order_input(self):
-        x = np.asfortranarray(_unit_box_case(130, 3, seed=5))
-        got = _scale_to_unit_box(x)
-        assert np.array_equal(got.view(np.int64), oss_scale(x).view(np.int64))
+        for n, p in ((130, 3), (_OSS_BLOCK_ROWS + 1, 10), (2 * _OSS_BLOCK_ROWS + 1, 33)):
+            self._assert_matches_reference(np.asfortranarray(_unit_box_case(n, p, seed=5)))
 
     def test_constant_column_is_named(self):
-        x = np.random.default_rng(3).normal(size=(65, 3))
+        x = np.random.default_rng(3).normal(size=(_OSS_BLOCK_ROWS + 1, 3))
         x[:, 2] = 1.5
         with pytest.raises(ScalingError) as err:
-            _scale_to_unit_box(x)
+            _oss_rows(x)
         assert err.value.column == 2
 
 
@@ -570,6 +617,18 @@ class TestUniform:
             select_uniform(x, 6)
         with pytest.raises(ConfigError):
             select_uniform(x, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, np.nan])
+    def test_bad_seed_is_a_config_error(self, seed):
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        with pytest.raises(ConfigError, match="seed"):
+            select_uniform(x, 5, seed=seed)
+        with pytest.raises(ConfigError, match="seed"):
+            select_uniform(x, 20, seed=seed)  # the full take draws nothing
+
+    def test_none_seed_draws_fresh_entropy(self):
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        assert np.unique(select_uniform(x, 5, seed=None).indices).size == 5
 
 
 @pytest.mark.parametrize("select", [
