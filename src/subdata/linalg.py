@@ -1,7 +1,7 @@
 """Dense linear algebra kernels shared by the selectors and the harness.
 
 Everything here is a thin, contract-checked layer over LAPACK via
-numpy/scipy. The two quantities the selection algorithms actually consume
+numpy.linalg. The two quantities the selection algorithms actually consume
 are row leverage scores (squared row norms of the thin-SVD factor U) and
 condition numbers of small symmetric Gram matrices.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 
@@ -32,7 +31,8 @@ SYMMETRY_TOL = 1e-8
 # to ~1e-11.
 _FAST_PATH_MAX_COND = math.sqrt(1e5)
 
-# thread-count (setter, getter) of the numpy wheel's OpenBLAS, then scipy's
+# thread-count (setter, getter) of the numpy wheel's OpenBLAS, then that of
+# a scipy wheel, whose OpenBLAS a caller may load beside it
 _OPENBLAS_THREAD_FUNCS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
@@ -183,8 +183,8 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
     own SVD of R. thin_svd and regression.fit_ols share this one guard.
     """
     try:
-        R = sla.cholesky(gram, check_finite=False)
-        s = sla.svdvals(R, check_finite=False)
+        R = np.linalg.cholesky(gram, upper=True)
+        s = np.linalg.svdvals(R)
     except np.linalg.LinAlgError:
         return None
     if s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
@@ -228,11 +228,9 @@ def thin_svd(X) -> SvdFactors:
     R = _gram_factor(A.T @ A) if n >= 2 * p else None
     try:
         if R is not None:
-            _Ur, s, Vt = sla.svd(R, check_finite=False)
+            _Ur, s, Vt = np.linalg.svd(R)
             return SvdFactors(A @ (Vt.T / s), s, Vt.T)
-        U, s, Vt = sla.svd(
-            A, full_matrices=False, check_finite=False, lapack_driver="gesdd"
-        )
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NumericError(f"SVD failed to converge: {exc}") from exc
     return SvdFactors(U, s, Vt.T)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionError, SingularDesignError
 from .linalg import _gram_factor, as_data_matrix
@@ -32,25 +31,25 @@ def _gram_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
 
     The Gram matrix of [1, X] is assembled from n, the column sums and
     X'X, and its right-hand side from sum(y) and X'y, so [1, X] itself
-    is never built. ``linalg._gram_factor`` guards the solve.
+    is never built. ``linalg._gram_factor`` guards the solve, which is
+    one LU solve (LAPACK gesv) of the Gram matrix.
     """
     n, q = X.shape[0], X.shape[1] + 1
     gram = np.empty((q, q))
     gram[0, 0] = n
     gram[0, 1:] = gram[1:, 0] = np.ones(n) @ X
     gram[1:, 1:] = X.T @ X
-    R = _gram_factor(gram)
-    if R is None:
+    if _gram_factor(gram) is None:
         return None
     rhs = np.concatenate(([y.sum()], X.T @ y))
-    return sla.cho_solve((R, False), rhs, check_finite=False)
+    return np.linalg.solve(gram, rhs)
 
 
 def fit_ols(X, y) -> LinearFit:
     """Least-squares fit of y on [1, X].
 
-    For n >= 2(p+1) the fit solves the normal equations with the
-    Cholesky factor R of the Gram matrix of [1, X], under the guard that
+    For n >= 2(p+1) the fit solves the normal equations of [1, X] by
+    one LU solve of their Gram matrix, under the Cholesky guard that
     ``linalg.thin_svd`` uses: a Cholesky that fails, or a condition
     number of [1, X] above sqrt(1e5), falls back to LAPACK's
     rank-revealing gelsd on [1, X], as do shorter designs. The normal

@@ -518,15 +518,21 @@ def _oss_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # contiguous array, for the same reason
     column_major = abs(vals.strides[0]) < abs(vals.strides[1])
     block = np.empty((rows, p), order="F" if column_major else "C")
+    # lo and span as (rows, p) operands: tiled for a row-major block, where
+    # broadcasting a p-vector runs an inner loop of p elements per row, and
+    # broadcast for a column-major one, whose loops already run down columns
+    reps = (1, 1) if column_major else (rows, 1)
+    lo_rows = np.broadcast_to(np.tile(lo, reps), (rows, p))
+    span_rows = np.broadcast_to(np.tile(span, reps), (rows, p))
     bits = np.zeros((rows, 8 * width), dtype=bool)
     norms2 = np.empty(n)
     signs = np.empty((n, width), dtype=np.uint8)
     for a in range(0, n, _OSS_BLOCK_ROWS):
         b = min(a + _OSS_BLOCK_ROWS, n)
         # 2 (vals - lo) / span - 1, in place on the block
-        z = np.subtract(vals[a:b], lo, out=block[:b - a])
+        z = np.subtract(vals[a:b], lo_rows[:b - a], out=block[:b - a])
         z *= 2.0
-        z /= span
+        z /= span_rows[:b - a]
         z -= 1.0
         np.einsum("ij,ij->i", z, z, out=norms2[a:b])
         m = bits[:b - a]

@@ -1,8 +1,12 @@
 """Factorization, leverage, conditioning, and log-determinant checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from subdata import (
     ConfigError,
@@ -15,7 +19,6 @@ from subdata import (
     logdet_info,
     thin_svd,
 )
-from subdata import linalg
 from subdata.linalg import matrix_rank_from_singular_values
 
 from _oracles import det_cofactor, hat_diagonal
@@ -120,22 +123,22 @@ class TestThinSvd:
 
 
 class _LapackSpy:
-    """scipy.linalg as thin_svd sees it, noting the row count of each SVD
+    """numpy.linalg as thin_svd sees it, noting the row count of each SVD
     and whether each Cholesky factorization succeeded."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.svd_rows, self.cholesky_ok = [], []
+        self._svd, self._cholesky = np.linalg.svd, np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "svd", self.svd)
+        monkeypatch.setattr(np.linalg, "cholesky", self.cholesky)
 
     def svd(self, a, *args, **kwargs):
         self.svd_rows.append(a.shape[0])
-        return sla.svd(a, *args, **kwargs)
-
-    def svdvals(self, a, *args, **kwargs):
-        return sla.svdvals(a, *args, **kwargs)
+        return self._svd(a, *args, **kwargs)
 
     def cholesky(self, a, *args, **kwargs):
         try:
-            r = sla.cholesky(a, *args, **kwargs)
+            r = self._cholesky(a, *args, **kwargs)
         except np.linalg.LinAlgError:
             self.cholesky_ok.append(False)
             raise
@@ -182,8 +185,7 @@ class TestThinSvdGuard:
     ])
     def test_path_and_leverage_error(self, monkeypatch, name, path, cholesky_ok, bound):
         x, well_scaled = _guard_case(name)
-        spy = _LapackSpy()
-        monkeypatch.setattr(linalg, "sla", spy)
+        spy = _LapackSpy(monkeypatch)
         h = leverage_scores(thin_svd(x))
         assert spy.cholesky_ok == [cholesky_ok]
         assert ("gesdd" if x.shape[0] in spy.svd_rows else "gram") == path
@@ -294,3 +296,16 @@ class TestLogdetInfo:
             logdet_info(np.eye(3), 0.0)
         with pytest.raises(ConfigError):
             logdet_info(np.eye(3), -1.0)
+
+
+def test_import_loads_no_scipy():
+    # numpy.linalg is the one LAPACK binding; a scipy import would add
+    # about 300 modules and a second OpenBLAS to every process
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, subdata, subdata.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "[]"
