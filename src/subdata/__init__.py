@@ -68,6 +68,7 @@ from .selectors import (
     IbossTails,
     LeverageRanking,
     LevssConfig,
+    Resample,
     SelectionResult,
     iboss_tails,
     rank_by_leverage,
@@ -93,6 +94,7 @@ __all__ = [
     "LinearFit",
     "MetricsRecord",
     "NumericError",
+    "Resample",
     "ScalingError",
     "ScenarioConfig",
     "SelectionResult",

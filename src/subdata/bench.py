@@ -34,6 +34,7 @@ from .regression import (LinearFit, adjusted_intercept, expand_interactions,
                          expanded_column_count, fit_ols, with_intercept)
 from .selectors import (
     LevssConfig,
+    Resample,
     SelectionResult,
     _iboss_size,
     _levss_size,
@@ -164,10 +165,15 @@ class _Preparation:
     result is kept, not the design. A preparation that raises is not
     kept, so every cell that needs it raises the same error. Uniform
     draws follow the seed and share nothing.
+
+    ``resample``, when given, is the :class:`~subdata.selectors.Resample`
+    that ``data`` copies; the OSS greedy runs on it and prepares only
+    its distinct rows, with the same result bit for bit.
     """
 
-    def __init__(self, data: DataMatrix, spec: SelectorSpec, k_values):
-        self.data, self.spec = data, spec
+    def __init__(self, data: DataMatrix, spec: SelectorSpec, k_values,
+                 resample: Resample | None = None):
+        self.data, self.spec, self.resample = data, spec, resample
         self.depth = max(k_values)
         self.oss_k = max((k for k in k_values if 2 <= k < data.n), default=0)
         self._shared = None
@@ -185,7 +191,8 @@ class _Preparation:
             elif self.spec.name == "iboss":
                 self._shared = iboss_tails(matrix, self.depth)
             else:
-                self._shared = select_oss(matrix, self.oss_k)
+                source = matrix if self.resample is None else self.resample
+                self._shared = select_oss(source, self.oss_k)
         return self._shared
 
 
@@ -288,13 +295,17 @@ class _CellScorer:
     Selectors see ``data``; fits see ``design`` against ``y`` and take
     the intercept adjusted to the full-data means. With ``split`` set,
     the first ``split`` slope errors are first-order terms and the rest
-    interaction terms. Simulation and bootstrap share this one path.
+    interaction terms. ``resample`` is the resample that ``data``
+    copies, if it is one (see :class:`_Preparation`). Simulation and
+    bootstrap share this one path.
     """
 
     def __init__(self, data: DataMatrix, design: np.ndarray, y: np.ndarray,
-                 truth: LinearFit, sigma2: float, split: int | None = None):
+                 truth: LinearFit, sigma2: float, split: int | None = None,
+                 resample: Resample | None = None):
         self.data, self.design, self.y = data, design, y
         self.truth, self.sigma2, self.split = truth, sigma2, split
+        self.resample = resample
         # column sums by one BLAS matvec: 3-4x faster than design.mean(axis=0)
         self.design_means = (np.ones(design.shape[0]) @ design) / design.shape[0]
         self.y_mean = float(y.mean())
@@ -313,7 +324,7 @@ class _CellScorer:
             groups.setdefault((spec.name, spec.design), []).append(i)
         scored = {}
         for members in groups.values():
-            prep = _Preparation(self.data, specs[members[0]], k_values)
+            prep = _Preparation(self.data, specs[members[0]], k_values, self.resample)
             for i in members:
                 for j, k in enumerate(k_values):
                     scored[i, j] = self.score(rep, specs[i], k, seed, prep)
@@ -534,8 +545,10 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
     Within a replicate every levss cell of one design shares one
     factorization and ranking, every iboss cell of one design one set
     of sorted column tails, and every oss cell the first rows of one
-    greedy run to the largest k; the records equal those of cells run
-    one by one, and each cell's ``elapsed_select`` counts the shared
+    greedy run to the largest k, which scales and groups only the
+    replicate's distinct rows (:class:`~subdata.selectors.Resample`);
+    the records equal those of cells run one by one on the copied
+    replicate, and each cell's ``elapsed_select`` counts the shared
     work in full. Replicates run on the simulation pool (:func:`_run_units`).
     The reference fit and every replicate, serial or pooled, run with
     each loaded OpenBLAS library pinned to STUDY_BLAS_THREADS; the
@@ -555,8 +568,10 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
 def _bootstrap_rep(data: DataMatrix, plan: BootstrapPlan, reference: LinearFit,
                    b: int) -> list[MetricsRecord]:
     rows = np.random.default_rng(plan.seed + b).integers(0, data.n, size=data.n)
-    rep_data = data.take(rows)
-    scorer = _CellScorer(rep_data, rep_data.values, rep_data.response, reference, 1.0)
+    resample = Resample(data, rows)
+    rep_data = resample.matrix()
+    scorer = _CellScorer(rep_data, rep_data.values, rep_data.response, reference, 1.0,
+                         resample=resample)
     return scorer.score_grid(b, plan.selectors, plan.k_values, plan.seed + b)
 
 

@@ -144,9 +144,10 @@ def read_csv(path, covariates: list[str] | None = None,
     """Load a headered CSV into a DataMatrix.
 
     ``covariates`` names the covariate columns (default: every column
-    except the response). ``response`` names the response column, if
-    any. ``log_response`` applies a natural log to the response at
-    ingestion time.
+    except the response), each at most once and never the response;
+    either is a :class:`ConfigError` naming the column. ``response``
+    names the response column, if any. ``log_response`` applies a
+    natural log to the response at ingestion time.
 
     Cells are plain decimal or exponent numerals, surrounding spaces
     allowed. Malformed cells (underscores included), non-finite cells,
@@ -181,6 +182,13 @@ def read_csv(path, covariates: list[str] | None = None,
         if missing:
             raise ConfigError(
                 f"covariate column(s) {missing} not in header {header}"
+            )
+        twice = sorted({c for c in covariates if covariates.count(c) > 1})
+        if twice:
+            raise ConfigError(f"covariate column(s) {twice} named more than once")
+        if response in covariates:
+            raise ConfigError(
+                f"column {response!r} cannot be both the response and a covariate"
             )
         cov_names = list(covariates)
     if not cov_names:

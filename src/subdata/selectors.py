@@ -18,7 +18,9 @@ Many subdata sizes on one matrix can share the work that depends on the
 matrix alone: :func:`rank_by_leverage` factors once for every
 :func:`select_levss` call, :func:`iboss_tails` sorts each column's tails
 once for every :func:`select_iboss` call, and the :func:`select_oss`
-selection of size k is the first k rows of any longer run.
+selection of size k is the first k rows of any longer run. Given a
+:class:`Resample`, rows drawn with replacement, :func:`select_oss`
+prepares each distinct row once.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ScalingError
+from .errors import ConfigError, ContractError, DimensionError, ScalingError
 from .linalg import (
+    DataMatrix,
     as_data_matrix,
     condition_number,
     leverage_scores,
@@ -46,6 +49,12 @@ _EXTREMA_ROWS = 64
 
 # rows per block of the OSS preparation pass (_oss_rows)
 _OSS_BLOCK_ROWS = 4096
+
+# _argsort_head takes its bound from every _HEAD_STRIDE-th value
+_HEAD_STRIDE = 32
+
+# columns iboss_tails copies per pass over the rows
+_TAIL_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -79,17 +88,34 @@ class SelectionResult:
 def _argsort_head(v: np.ndarray, m: int) -> np.ndarray:
     """The first m positions of ``v`` in (value, position) order.
 
-    Equal to ``np.argsort(v, kind="stable")[:m]``, but only the block of
-    positions at or below the m-th smallest value is sorted, so the cost
-    is linear in ``v.size`` plus a sort of that block.
+    Equal to ``np.argsort(v, kind="stable")[:m]`` (empty for m <= 0),
+    but only a block of positions at or below a bound is sorted. The
+    bound is a quantile of every _HEAD_STRIDE-th value, the sample's
+    j-th smallest with j about m / 32 + 3 sqrt(m / 32) + 2, in the
+    manner of Floyd & Rivest, "Expected time bounds for selection"
+    (CACM 1975): the block almost always holds the m smallest values
+    with some to spare, and no selection over all of ``v`` runs. Any
+    bound whose block holds at least m positions gives the exact head,
+    since the block then holds every value up to the m-th smallest,
+    ties included. Should the block fall short, the bound widens to
+    later quantiles of the sample and finally to every position, which
+    also covers NaN. The cost is linear in ``v.size`` plus a sort of
+    the block.
     """
     if m >= v.size:
         return np.argsort(v, kind="stable")
     if m <= 0:
         return np.empty(0, dtype=np.intp)
-    edge = np.partition(v, m - 1)[m - 1]
-    block = np.flatnonzero(v <= edge)  # ascending positions, ties included
-    return block[np.argsort(v[block], kind="stable")[:m]]
+    sample = v[::_HEAD_STRIDE]
+    expected = m / _HEAD_STRIDE          # sampled values among the m smallest
+    j = int(expected + 3.0 * expected ** 0.5) + 2
+    while j < sample.size:
+        bound = np.partition(sample, j)[j]
+        block = np.flatnonzero(v <= bound)  # ascending positions, ties included
+        if block.size >= m:
+            return block[np.argsort(v[block], kind="stable")[:m]]
+        j = 2 * j + 1
+    return np.argsort(v, kind="stable")[:m]
 
 
 def _stopping_threshold(threshold) -> float:
@@ -347,8 +373,11 @@ class IbossTails:
 def iboss_tails(X, depth: int) -> IbossTails:
     """Sort the two tails of every column of X once, ``depth`` rows each.
 
-    Columns are taken one at a time, so no copy of the whole matrix is
-    made. ``depth`` above n is cut to n.
+    Columns are copied _TAIL_COLUMNS at a time into contiguous rows, one
+    block of _OSS_BLOCK_ROWS rows after another, so each block is read
+    once per group of columns rather than once per column; no copy of
+    the whole matrix is made when p exceeds _TAIL_COLUMNS. ``depth``
+    above n is cut to n.
 
     Parameters
     ----------
@@ -363,14 +392,20 @@ def iboss_tails(X, depth: int) -> IbossTails:
     """
     t0 = time.perf_counter()
     dm = as_data_matrix(X)
-    depth = min(positive_integer(depth, "depth"), dm.n)
-    lo = np.empty((dm.p, depth), dtype=np.intp)
-    hi = np.empty((dm.p, depth), dtype=np.intp)
-    for j in range(dm.p):
-        col = dm.values[:, j].copy()  # negated in place below
-        lo[j] = _argsort_head(col, depth)
-        np.negative(col, out=col)
-        hi[j] = _argsort_head(col, depth)
+    n, p = dm.n, dm.p
+    depth = min(positive_integer(depth, "depth"), n)
+    lo = np.empty((p, depth), dtype=np.intp)
+    hi = np.empty((p, depth), dtype=np.intp)
+    chunk = np.empty((min(p, _TAIL_COLUMNS), n))
+    for j0 in range(0, p, _TAIL_COLUMNS):
+        cols = chunk[:min(_TAIL_COLUMNS, p - j0)]
+        for a in range(0, n, _OSS_BLOCK_ROWS):
+            b = a + _OSS_BLOCK_ROWS
+            cols[:, a:b] = dm.values[a:b, j0:j0 + cols.shape[0]].T
+        for j, col in enumerate(cols, start=j0):  # each column negated in place below
+            lo[j] = _argsort_head(col, depth)
+            np.negative(col, out=col)
+            hi[j] = _argsort_head(col, depth)
     return IbossTails(lo, hi, dm.n, time.perf_counter() - t0)
 
 
@@ -581,6 +616,112 @@ def _interchangeable_classes(norms2: np.ndarray,
     return members, first
 
 
+@dataclass(frozen=True)
+class Resample:
+    """A matrix of rows drawn by number from a base matrix, not yet copied.
+
+    ``Resample(data, rows)`` stands for ``data.take(rows)``: row i is row
+    ``rows[i]`` of ``data``, and a row may be drawn any number of times,
+    as a bootstrap replicate draws it. :func:`select_oss` accepts one in
+    place of that matrix and prepares only the distinct rows it names,
+    with a result equal bit for bit; every other consumer takes the
+    copied matrix from :meth:`matrix`.
+
+    Attributes
+    ----------
+    data : DataMatrix or array_like
+        The base matrix, N x p.
+    rows : array_like of int
+        Base row of every resampled row, each in [0, N); at least one.
+    """
+
+    data: DataMatrix
+    rows: np.ndarray
+
+    def __post_init__(self):
+        data = as_data_matrix(self.data)
+        rows = np.asarray(self.rows)
+        if rows.ndim != 1 or rows.size < 1:
+            raise DimensionError(
+                f"rows must be a non-empty 1-d array, got shape {rows.shape}")
+        if not np.issubdtype(rows.dtype, np.integer):
+            raise ContractError(f"rows must be integers, got dtype {rows.dtype}")
+        if rows.min() < 0 or rows.max() >= data.n:
+            raise ContractError(f"rows must lie in [0, {data.n}), "
+                                f"got [{rows.min()}, {rows.max()}]")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
+
+    @property
+    def n(self) -> int:
+        return self.rows.size
+
+    @property
+    def p(self) -> int:
+        return self.data.p
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(n, p) of the matrix the resample stands for."""
+        return self.n, self.p
+
+    def matrix(self) -> DataMatrix:
+        """The resampled rows as a DataMatrix, response rows included."""
+        return self.data.take(self.rows)
+
+
+def _oss_classes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray, np.ndarray]:
+    """The OSS greedy's classes of interchangeable rows of ``vals``.
+
+    Returns each class's |z|^2 and sign bytes, as :func:`_oss_rows`
+    gives them for any of its rows, and, as
+    :func:`_interchangeable_classes` gives them, the rows class by class
+    and where each class starts.
+    """
+    norms2, signs = _oss_rows(vals)
+    members, first = _interchangeable_classes(norms2, signs)
+    if first.size - 1 < norms2.size:    # some class holds several rows
+        head = members[first[:-1]]
+        norms2, signs = norms2[head], signs[head]
+    return norms2, signs, members, first
+
+
+def _resample_classes(res: Resample) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray, np.ndarray]:
+    """:func:`_oss_classes` of ``res.matrix()``, preparing its distinct rows only.
+
+    ``np.minimum.at`` finds each base row's first position. Only those
+    rows are scaled, gathered in order of appearance by the same
+    ``np.take`` that copies the resample, so each block of
+    :func:`_oss_rows` has the resample's memory order and every |z|^2 is
+    summed as it is there; the column extrema are those of the rows
+    present, as in the resample. :func:`_interchangeable_classes` merges
+    distinct base rows that are interchangeable, and orders the classes
+    by their first appearance, which is their lowest position. One
+    int64 sort of (class, position) keys then lists each class's
+    positions in ascending order, as the resample's own grouping lists
+    them.
+    """
+    n, rows = res.n, res.rows
+    lowest = np.full(res.data.n, n)     # each base row's first position; n if absent
+    np.minimum.at(lowest, rows, np.arange(n))
+    seen = np.zeros(n, dtype=bool)
+    seen[lowest[lowest < n]] = True
+    firsts = rows[np.flatnonzero(seen)]  # the base rows present, as they appear
+    norms2, signs, members, first = _oss_classes(np.take(res.data.values, firsts, axis=0))
+    cls = np.empty(res.data.n, dtype=np.int64)  # class of each base row present
+    cls[firsts[members]] = np.repeat(np.arange(first.size - 1), np.diff(first))
+    bits = n.bit_length()               # a position fits in the low bits
+    key = (cls[rows] << bits) | np.arange(n)
+    key.sort()                          # class, then position
+    members = key & ((1 << bits) - 1)
+    key >>= bits
+    start = np.ones(n, dtype=bool)      # a class's lowest position
+    np.not_equal(key[1:], key[:-1], out=start[1:])
+    return norms2, signs, members, np.append(np.flatnonzero(start), n)
+
+
 def _oss_size(n: int, k) -> int:
     """``k`` as an int, or ConfigError unless it is whole and 2 <= k < n."""
     k = positive_integer(k, "k")
@@ -635,10 +776,16 @@ def select_oss(X, k: int) -> SelectionResult:
     and about 1 - 1/e, or 63 %, of n for a bootstrap resample of such
     data.
 
+    A :class:`Resample` names its repeated rows, so given one in place
+    of ``X.matrix()`` the call scales and groups only the distinct base
+    rows it draws, at their first appearance, and lists each class's
+    copies from the row numbers by one integer sort. The result equals
+    ``select_oss(X.matrix(), k)`` bit for bit.
+
     Parameters
     ----------
-    X : DataMatrix or array_like
-        Covariate matrix, n x p.
+    X : DataMatrix, array_like or Resample
+        Covariate matrix, n x p; or rows drawn from one.
     k : int
         Subdata size, a whole number with 2 <= k < n.
 
@@ -655,20 +802,18 @@ def select_oss(X, k: int) -> SelectionResult:
         If some column is constant, naming that column.
     """
     t0 = time.perf_counter()
-    dm = as_data_matrix(X)
-    n, p = dm.n, dm.p
+    resampled = isinstance(X, Resample)
+    source = X if resampled else as_data_matrix(X)
+    n, p = source.n, source.p
     k = _oss_size(n, k)
 
-    norms2, signs = _oss_rows(dm.values)
-    members, first = _interchangeable_classes(norms2, signs)
+    if resampled:
+        norms2, signs, members, first = _resample_classes(source)
+    else:
+        norms2, signs, members, first = _oss_classes(source.values)
     g = first.size - 1
     nbytes = -(-2 * p // 8)       # sign bytes per row
-    if g == n:                    # every row is its own class
-        planes = np.ascontiguousarray(signs[:, :nbytes].T)
-    else:
-        head = members[first[:-1]]  # each class's lowest row
-        norms2 = norms2[head]
-        planes = np.ascontiguousarray(signs[head, :nbytes].T)
+    planes = np.ascontiguousarray(signs[:, :nbytes].T)
     del signs
     u = p - 0.5 * norms2          # candidate-side constant of the loss
     b = 0.5 * norms2              # selected-side constant

@@ -1,6 +1,7 @@
 """Benchmark harness: simulation loop, timing loop, bootstrap loop."""
 
 import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -544,6 +545,21 @@ class TestRunBootstrap:
         plan = BootstrapPlan(k_values=(45,), n_boot=3, selectors=("uniform",))
         recs = run_bootstrap(data, plan)
         assert all(r.mse_slopes > 0.0 for r in recs)
+
+    def test_default_plan_replicate_is_pinned(self):
+        # sha256 over every field but the timings of the 24 records of one
+        # default-plan replicate of 2e4 x 10 mvnormal data (seed 41), each
+        # float by its exact hex form
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=20_000, p=10, k=50, seed=41))
+        recs = run_bootstrap(data, BootstrapPlan.from_multiples(10, n_boot=1, seed=41))
+        assert len(recs) == 24 and not any(r.failed for r in recs)
+        digest = hashlib.sha256()
+        for rec in recs:
+            for name, value in _strip_elapsed(rec):
+                text = value.hex() if isinstance(value, float) else repr(value)
+                digest.update(f"{name}={text};".encode())
+        assert digest.hexdigest() == (
+            "ef0b9c12c8b2011f796e11580df3d3e8a269be15e21f4c45321fa408458cc8ef")
 
     def test_determinism(self):
         cfg = ScenarioConfig(case="uniform01", n=120, p=2, k=24, seed=3)

@@ -553,6 +553,22 @@ class TestRuntimeConfigErrors:
         assert main(argv) == 2
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv, column", [
+        (["select", "--method", "levss", "--k", "20", "--covariates", "x1,x1"], "'x1'"),
+        (["bootstrap", "--response", "y", "--boot", "1",
+          "--covariates", "x1,x1,x2"], "'x1'"),
+        (["bootstrap", "--response", "y", "--boot", "1",
+          "--covariates", "x1,x2,y"], "'y'"),
+    ], ids=["select-twice", "bootstrap-twice", "bootstrap-response-as-covariate"])
+    def test_column_named_twice_exits_2(self, argv, column, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data", "--n", "300", "--p", "2", "--output", "d.csv"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--input", "d.csv", "--output", "o.csv"]) == 2
+        assert column in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("k", ["2", "8"])
     def test_levss_on_fewer_rows_than_columns_exits_2(self, k, tmp_path, capsys):
         data = tmp_path / "wide.csv"

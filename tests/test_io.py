@@ -56,6 +56,16 @@ class TestReadCsv:
         with pytest.raises(ConfigError, match="y"):
             read_csv(f, response="y")
 
+    @pytest.mark.parametrize("covariates, response, column", [
+        (["a", "a"], None, "'a'"),
+        (["a", "b", "a"], "y", "'a'"),
+        (["a", "y"], "y", "'y'"),
+    ], ids=["twice", "twice-with-response", "response-as-covariate"])
+    def test_column_named_twice_rejected(self, tmp_path, covariates, response, column):
+        f = _write(tmp_path, "a,b,y\n1,2,3\n4,5,7\n2,8,1\n")
+        with pytest.raises(ConfigError, match=column):
+            read_csv(f, covariates=covariates, response=response)
+
     def test_malformed_cell_coordinates(self, tmp_path):
         rows = ["a,b,c"] + ["1,2,3"] * 6
         rows[5] = "1,abc,3"  # data row 5, column 2

@@ -5,7 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subdata import (
+    ConfigError,
     LevssConfig,
+    Resample,
+    ScalingError,
     adjusted_intercept,
     condition_number,
     expand_interactions,
@@ -92,6 +95,63 @@ def test_argsort_head_is_a_stable_argsort_prefix(values):
     full = np.argsort(v, kind="stable")
     for m in range(v.size + 2):
         assert np.array_equal(_argsort_head(v, m), full[:m]), m
+
+
+def _head_input(rng, n: int, shape: str) -> np.ndarray:
+    """n values of one of the shapes _argsort_head must order exactly."""
+    v = rng.normal(size=n)
+    if shape == "tied":
+        v = rng.integers(-3, 4, size=n).astype(np.float64)
+    elif shape == "signed-zeros":
+        v = np.array([-0.0, 0.0, -1.5, 2.0])[rng.integers(0, 4, size=n)]
+    elif shape == "all-equal":
+        v = np.full(n, 2.5)
+    elif shape == "ascending":
+        v.sort()
+    elif shape == "descending":
+        v = -np.sort(v)
+    elif shape == "max-every-32":  # the sample is the maximum: one block of all
+        v[::32] = v.max()
+    elif shape == "min-every-32":  # the sample is the minimum: the bound widens
+        v[::32] = v.min() - 1.0
+    return v
+
+
+@given(seeds, st.integers(1, 3000),
+       st.sampled_from(["normal", "tied", "signed-zeros", "all-equal", "ascending",
+                        "descending", "max-every-32", "min-every-32"]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_argsort_head_equals_stable_argsort_prefix(seed, n, shape, data):
+    # long enough for the sampled bound (every 32nd value) to be in play
+    v = _head_input(np.random.default_rng(seed), n, shape)
+    m = data.draw(st.sampled_from([1, n - 1, n, n + 7, 0, -2])
+                  | st.integers(1, max(1, n - 1)), label="m")
+    want = np.argsort(v, kind="stable")[:max(m, 0)]  # m <= 0: no positions
+    assert np.array_equal(_argsort_head(v, m), want)
+
+
+@given(seeds, st.integers(8, 300), st.integers(1, 5), st.integers(0, 2), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_oss_on_a_resample_equals_oss_on_its_copy(seed, n, p, decimals, more_rows):
+    # few distinct base rows, rounded so that distinct rows can still be
+    # interchangeable; the resample may draw more rows than the base has
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.normal(size=(n // 3 + 1, p)), decimals)
+    rows = rng.integers(0, base.shape[0], size=2 * n if more_rows else n)
+    res = Resample(base, rows)
+    k = int(rng.integers(2, rows.size + 2))
+    try:
+        want = select_oss(res.matrix(), k).indices
+    except (ConfigError, ScalingError) as exc:
+        try:
+            select_oss(res, k)
+        except type(exc) as got:
+            assert str(got) == str(exc)
+        else:
+            raise AssertionError(f"no {type(exc).__name__}")
+        return
+    assert np.array_equal(select_oss(res, k).indices, want)
 
 
 @given(seeds, st.integers(1, 4), st.integers(0, 3))

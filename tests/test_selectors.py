@@ -9,7 +9,11 @@ import pytest
 
 from subdata import (
     ConfigError,
+    ContractError,
+    DataMatrix,
+    DimensionError,
     LevssConfig,
+    Resample,
     ScalingError,
     ScenarioConfig,
     gen_covariates,
@@ -22,8 +26,8 @@ from subdata import (
     select_uniform,
     thin_svd,
 )
-from subdata.selectors import (_OSS_BLOCK_ROWS, _column_extrema, _iboss_quotas,
-                               _interchangeable_classes, _oss_rows)
+from subdata.selectors import (_OSS_BLOCK_ROWS, _argsort_head, _column_extrema,
+                               _iboss_quotas, _interchangeable_classes, _oss_rows)
 
 from _oracles import (
     hat_diagonal,
@@ -192,6 +196,53 @@ class TestLevss:
         assert rank_by_leverage(x, 10**6).head.size == 600
 
 
+class TestArgsortHead:
+    """The sampled bound of _argsort_head, on inputs that defeat it."""
+
+    @staticmethod
+    def _bounds_tried(monkeypatch, v, m):
+        kth = []
+        partition = np.partition
+
+        def spy(a, k, *args, **kwargs):
+            kth.append(int(k))
+            return partition(a, k, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", spy)
+        got = _argsort_head(v, m)
+        monkeypatch.undo()
+        assert np.array_equal(got, np.argsort(v, kind="stable")[:m])
+        return kth
+
+    def test_one_bound_suffices_on_random_values(self, monkeypatch):
+        v = np.random.default_rng(1).normal(size=100_000)
+        assert self._bounds_tried(monkeypatch, v, 300) == [20]
+
+    def test_bound_widens_past_a_sample_of_low_values(self, monkeypatch):
+        # the first 30 sampled values are the 30 smallest, the rest large:
+        # the sample's 21st smallest bounds a block of 21 rows, its 42nd
+        # smallest a block of all but the 170 largest
+        v = np.random.default_rng(2).normal(size=32 * 200)
+        v[:32 * 30:32] = -100.0 - np.arange(30)
+        v[32 * 30::32] = 100.0 + np.arange(170)
+        assert self._bounds_tried(monkeypatch, v, 300) == [20, 41]
+
+    def test_bound_widens_to_every_row_when_the_sample_is_the_minimum(
+            self, monkeypatch):
+        # every 32nd value is the minimum, as in the largest-value tail of
+        # a column whose every 32nd value is its maximum: no quantile of
+        # the sample bounds more than the 200 sampled rows
+        col = np.random.default_rng(3).normal(size=32 * 200)
+        col[::32] = col.max()
+        assert self._bounds_tried(monkeypatch, -col, 300) == [20, 41, 83, 167]
+
+    def test_nan_sorts_last(self):
+        v = np.random.default_rng(4).normal(size=5000)
+        v[::7] = np.nan
+        for m in (1, 300, 4000, 4999):
+            assert np.array_equal(_argsort_head(v, m), np.argsort(v, kind="stable")[:m])
+
+
 class TestIboss:
     def test_single_covariate_tails(self):
         x = np.arange(1.0, 9.0).reshape(-1, 1)
@@ -269,6 +320,19 @@ class TestIboss:
                     pos += want
         with pytest.raises(ConfigError, match="depth 120"):
             select_iboss(tails, 121)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_tails_are_stable_argsort_heads_of_every_column(self, order):
+        # 19 columns: two full groups of columns copied together and a
+        # partial one; 9000 rows: two full blocks of rows and a partial
+        # one; rounded values, so the heads break many ties by row
+        rng = np.random.default_rng(19)
+        x = np.round(rng.normal(size=(9000, 19)), 1)
+        x[:, 3] = -x[:, 3] * 0.0  # +0.0 and -0.0 throughout
+        tails = iboss_tails(np.asarray(x, order=order), 400)
+        for j in range(19):
+            assert np.array_equal(tails.lo[j], np.argsort(x[:, j], kind="stable")[:400]), j
+            assert np.array_equal(tails.hi[j], np.argsort(-x[:, j], kind="stable")[:400]), j
 
     def test_tails_deeper_than_n_cover_every_row(self):
         x = np.random.default_rng(4).normal(size=(9, 2))
@@ -542,6 +606,90 @@ def _unit_box_case(n, p, seed):
     x[rng.integers(0, n, size=3), j] = x[:, j].min()
     x[rng.integers(0, n, size=3), j] = x[:, j].max()
     return x
+
+
+def _oss_outcome(X, k):
+    """select_oss's indices, or the type, message and column of its error."""
+    try:
+        return select_oss(X, k).indices.tolist()
+    except (ConfigError, ScalingError) as exc:
+        return type(exc), str(exc), getattr(exc, "column", None)
+
+
+class TestOssOnResample:
+    """select_oss(Resample(data, rows), k) is select_oss(data.take(rows), k)
+    bit for bit: the same picks, or the same error."""
+
+    @staticmethod
+    def _assert_same(base, rows, ks):
+        res = Resample(base, rows)
+        copy = DataMatrix(base).take(rows)
+        for k in ks:
+            assert _oss_outcome(res, k) == _oss_outcome(copy, k), k
+
+    def test_continuous_base(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(3000, 5))
+        self._assert_same(base, rng.integers(0, 3000, size=3000), (2, 50, 400, 2999))
+        # a column-major base: the resample's copy and the prepared rows
+        # are gathered by the same np.take
+        self._assert_same(np.asfortranarray(base), rng.integers(0, 3000, size=3000),
+                          (300,))
+
+    def test_repeated_integer_valued_rows(self):
+        # repeated base rows and integer values: distinct base rows share
+        # |z|^2 and signs and must merge into one class
+        rng = np.random.default_rng(6)
+        base = np.round(rng.normal(size=(60, 3)) * 2)
+        base = base[rng.integers(0, 60, size=400)]
+        self._assert_same(base, rng.integers(0, 400, size=400), (2, 30, 150, 399))
+        self._assert_same(base, rng.integers(0, 400, size=1000), (500,))
+
+    @pytest.mark.parametrize("p", [33, 40])
+    def test_two_sign_words(self, p):
+        rng = np.random.default_rng(p)
+        base = np.vstack([rng.normal(size=(1500, p)),
+                          rng.integers(-1, 2, size=(500, p)).astype(float)])
+        self._assert_same(base, rng.integers(0, 2000, size=2000), (2, 300))
+
+    def test_column_constant_on_the_rows_present(self):
+        base = np.random.default_rng(7).normal(size=(50, 3))
+        base[:, 1] = 4.0
+        base[0, 1] = 5.0
+        rows = np.arange(1, 50).repeat(2)
+        got = _oss_outcome(Resample(base, rows), 10)
+        assert got == _oss_outcome(DataMatrix(base).take(rows), 10)
+        assert got[0] is ScalingError and got[2] == 1
+
+    @pytest.mark.parametrize("k", [40, 41])
+    def test_k_not_below_n(self, k):
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=(10, 2))
+        rows = rng.integers(0, 10, size=40)
+        got = _oss_outcome(Resample(base, rows), k)
+        assert got == _oss_outcome(DataMatrix(base).take(rows), k)
+        assert got[0] is ConfigError
+
+    def test_matrix_is_the_copied_resample(self):
+        rng = np.random.default_rng(9)
+        data = DataMatrix(rng.normal(size=(20, 3)), rng.normal(size=20))
+        rows = rng.integers(0, 20, size=35)
+        res = Resample(data, rows)
+        assert res.shape == (35, 3) and res.n == 35 and res.p == 3
+        copy = res.matrix()
+        assert np.array_equal(copy.values, data.values[rows])
+        assert np.array_equal(copy.response, data.response[rows])
+
+    @pytest.mark.parametrize("rows, error", [
+        (np.zeros((2, 2), dtype=int), DimensionError),
+        (np.zeros(0, dtype=int), DimensionError),
+        (np.zeros(3), ContractError),
+        (np.array([0, -1]), ContractError),
+        (np.array([0, 20]), ContractError),
+    ], ids=["2-d", "empty", "float", "negative", "past-the-end"])
+    def test_rows_checked(self, rows, error):
+        with pytest.raises(error):
+            Resample(np.ones((20, 2)), rows)
 
 
 class TestScaleToUnitBox:
