@@ -7,9 +7,11 @@ pairs: a records CSV plus a JSON summary next to it.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
+import os
 import typing
 import warnings
 from contextlib import contextmanager
@@ -24,6 +26,12 @@ from .linalg import DataMatrix
 
 RECORD_COLUMNS = tuple(f.name for f in dataclass_fields(MetricsRecord))
 TIMING_COLUMNS = tuple(f.name for f in dataclass_fields(TimingRecord))
+
+
+# bytes read at a time by _count_lines
+_COUNT_BLOCK = 1 << 20
+# suffixes numpy's path opener decompresses by
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @contextmanager
@@ -52,8 +60,35 @@ def _count_lines(path) -> int:
 
     ``\n``, ``\r\n`` and a lone ``\r`` each end a line, a last line
     without an ending counts too, and blank lines count like any other.
-    The file is streamed, never held whole, and decoded in full.
+    The endings are counted on the raw bytes, ``_COUNT_BLOCK`` at a
+    time, which takes the encoding ``open`` picks to write ``\n`` and
+    ``\r`` as those single bytes and to use the bytes for nothing else,
+    as UTF-8 and the single-byte encodings do. The file is never held
+    whole but is still decoded in full: a block of ASCII bytes only is
+    skipped while the decoder holds no partial character, every other
+    block is fed to it, and an undecodable file is read again as text
+    so that it fails as ``open`` words it.
     """
+    with open(path, newline="") as fh:
+        decoder = codecs.getincrementaldecoder(fh.encoding)()
+        clean = decoder.getstate()
+        endings = 0
+        cr_before = False  # the previous block ended in "\r"
+        last = b""
+        try:
+            while block := fh.buffer.read(_COUNT_BLOCK):
+                if not block.isascii() or decoder.getstate() != clean:
+                    decoder.decode(block)
+                b = np.frombuffer(block, dtype=np.uint8)
+                lf, cr = b == 10, b == 13
+                pairs = np.count_nonzero(cr[:-1] & lf[1:]) + (cr_before and lf[0])
+                endings += np.count_nonzero(lf) + np.count_nonzero(cr) - int(pairs)
+                cr_before, last = bool(cr[-1]), block[-1:]
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            pass
+        else:
+            return endings + (last not in (b"", b"\n", b"\r"))
     with open(path, newline="") as fh:
         return sum(1 for _line in fh)
 
@@ -114,6 +149,26 @@ def _read_header(path) -> tuple[list[str], int, int]:
     return header, reader.line_num, n_lines - reader.line_num
 
 
+@contextmanager
+def _loadtxt_source(path):
+    """``path`` in the form ``np.loadtxt`` reads fastest to the same array.
+
+    Given a ``str`` path, numpy opens the file itself and its C reader
+    pulls large blocks of text; a handle it iterates one line at a time.
+    Its opener (``np.lib._datasource``) decompresses by file suffix and
+    takes a relative path that parses as a URL for one, so the path goes
+    to numpy only made absolute and without such a suffix. Any other
+    ``path`` is opened here, with the encoding and line endings
+    ``open`` gives either way.
+    """
+    name = os.fspath(path)
+    if isinstance(name, str) and not name.lower().endswith(_COMPRESSED_SUFFIXES):
+        yield os.path.join(os.getcwd(), name)
+    else:
+        with open(path, newline="") as fh:
+            yield fh
+
+
 def _load_body(path, skip: int, width: int, n_rows: int,
                cols: list[int]) -> np.ndarray | None:
     """Parse the lines below the header in one vectorised pass, or None.
@@ -124,12 +179,16 @@ def _load_body(path, skip: int, width: int, n_rows: int,
     the named columns ``cols``. ``loadtxt`` converts with the parser
     behind ``float()`` but takes no underscore, quote or non-ASCII
     digit, so every cell it accepts the scanner reads to the same bits.
+    numpy opens the file itself where :func:`_loadtxt_source` allows.
+    The named columns are gathered even when they are every column in
+    header order: ``loadtxt`` returns rows, the gather returns columns
+    (strides ``(8, 8 n)``), and that is the layout X and y keep.
     """
     try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
+        with _loadtxt_source(path) as source, warnings.catch_warnings():
             # a body of blank lines only: the row count below rejects it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
+            body = np.loadtxt(source, delimiter=",", comments=None, quotechar=None,
                               skiprows=skip, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
@@ -160,7 +219,21 @@ def read_csv(path, covariates: list[str] | None = None,
     that pass cannot vouch for is scanned cell by cell, which returns
     the same array (quoted numerals and non-ASCII digits read as
     ``float()`` reads them) or names the offending cell.
+
+    Argument errors that need no look at the file (``log_response``
+    without a response, a covariate named twice, the response named as
+    a covariate) are raised before any byte of it is read.
     """
+    if log_response and response is None:
+        raise ConfigError("log_response requires a response column")
+    if covariates is not None:
+        twice = sorted({c for c in covariates if covariates.count(c) > 1})
+        if twice:
+            raise ConfigError(f"covariate column(s) {twice} named more than once")
+        if response in covariates:
+            raise ConfigError(
+                f"column {response!r} cannot be both the response and a covariate"
+            )
     header, header_lines, n_rows = _read_header(path)
     if not n_rows:
         raise DataFormatError(f"{path} has a header but no data rows")
@@ -182,13 +255,6 @@ def read_csv(path, covariates: list[str] | None = None,
         if missing:
             raise ConfigError(
                 f"covariate column(s) {missing} not in header {header}"
-            )
-        twice = sorted({c for c in covariates if covariates.count(c) > 1})
-        if twice:
-            raise ConfigError(f"covariate column(s) {twice} named more than once")
-        if response in covariates:
-            raise ConfigError(
-                f"column {response!r} cannot be both the response and a covariate"
             )
         cov_names = list(covariates)
     if not cov_names:
@@ -214,8 +280,6 @@ def read_csv(path, covariates: list[str] | None = None,
                 )
             y = np.log(y)
         return DataMatrix(X, y)
-    if log_response:
-        raise ConfigError("log_response requires a response column")
     return DataMatrix(parsed)
 
 

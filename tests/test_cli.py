@@ -569,6 +569,21 @@ class TestRuntimeConfigErrors:
         assert column in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["select", "--method", "levss", "--k", "20", "--log-response"],
+        ["select", "--method", "levss", "--k", "20", "--covariates", "x1,x1"],
+        ["bootstrap", "--response", "y", "--boot", "1", "--covariates", "x1,y"],
+    ], ids=["log-without-response", "select-twice", "response-as-covariate"])
+    @pytest.mark.parametrize("content", [None, b"x1,x2,y\n1,2,\xff\n"],
+                             ids=["missing-input", "undecodable-input"])
+    def test_argument_errors_exit_2_before_the_input_is_read(self, argv, content,
+                                                            tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / "d.csv").write_bytes(content)
+        assert main(argv + ["--input", "d.csv", "--output", "o.csv"]) == 2
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("k", ["2", "8"])
     def test_levss_on_fewer_rows_than_columns_exits_2(self, k, tmp_path, capsys):
         data = tmp_path / "wide.csv"

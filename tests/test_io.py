@@ -1,11 +1,15 @@
 """CSV ingestion with coordinate-carrying errors, and result round-trips."""
 
 import csv
+import hashlib
 import json
 import math
+import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from subdata import (
     ConfigError,
@@ -65,6 +69,21 @@ class TestReadCsv:
         f = _write(tmp_path, "a,b,y\n1,2,3\n4,5,7\n2,8,1\n")
         with pytest.raises(ConfigError, match=column):
             read_csv(f, covariates=covariates, response=response)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"log_response": True}, "log_response"),
+        ({"covariates": ["a", "a"]}, "'a'"),
+        ({"covariates": ["a", "y"], "response": "y"}, "'y'"),
+    ], ids=["log-without-response", "twice", "response-as-covariate"])
+    @pytest.mark.parametrize("content", [None, b"a,b,y\n1,2,\xff\n"],
+                             ids=["missing-file", "undecodable-file"])
+    def test_argument_errors_come_before_the_file(self, tmp_path, kwargs, match,
+                                                  content):
+        f = tmp_path / "d.csv"
+        if content is not None:
+            f.write_bytes(content)
+        with pytest.raises(ConfigError, match=match):
+            read_csv(f, **kwargs)
 
     def test_malformed_cell_coordinates(self, tmp_path):
         rows = ["a,b,c"] + ["1,2,3"] * 6
@@ -326,7 +345,7 @@ class TestParsePaths:
 
     def test_crlf_split_across_count_blocks(self, tmp_path, monkeypatch):
         # put a row's "\r" last in one block and its "\n" first in the next
-        block = 1 << 20
+        block = subdata_io._COUNT_BLOCK
         header = next(h for h in (f"{'a' * m},b\r\n" for m in range(1, 6))
                       if (block - 4 - len(h)) % 5 == 0)
         rows = block // 5 + 2
@@ -368,11 +387,129 @@ class TestParsePaths:
         _scan_only(monkeypatch)
         assert _outcome(lambda: read_csv(marked, response="y")) == want
 
+    def test_every_column_named_is_pinned(self, tmp_path):
+        # the bits and the layout (column-major, as the column gather
+        # leaves it) of X and y when every column is named in header order
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=3000, p=4, k=10, seed=7))
+        f = write_dataset(data, tmp_path / "d.csv")
+        d = read_csv(f, covariates=["x1", "x2", "x3", "x4"], response="y")
+        digest = hashlib.sha256(d.values.tobytes() + d.response.tobytes()).hexdigest()
+        assert digest == "e4bf7658879e5996056e82bf156e7963fa5a0acbc3f7254ecfa062d34936d24a"
+        assert d.values.strides == (8, 8 * 3000)
+        assert d.response.strides == (8,)
+
     def test_underscore_numeral_rejected(self, tmp_path):
         f = _write(tmp_path, "a,b\n1,2\n3,1_000\n")
         with pytest.raises(DataFormatError, match="row 2, col 2") as err:
             read_csv(f)
         assert (err.value.row, err.value.col) == (2, 2)
+
+
+def _text_line_count(path):
+    """What the text reader makes of ``path``: its line count, or its error."""
+    try:
+        with open(path, newline="") as fh:
+            return ("lines", sum(1 for _line in fh))
+    except UnicodeDecodeError as exc:
+        return ("error", str(exc))
+
+
+def _counted_lines(path):
+    try:
+        return ("lines", subdata_io._count_lines(path))
+    except UnicodeDecodeError as exc:
+        return ("error", str(exc))
+
+
+# cells, line endings, a two-byte character and its two halves alone
+_COUNT_PIECES = [b"a", b",", b"1", b"\r", b"\n", "\u00e9".encode(), b"\xc3", b"\xa9"]
+
+
+class TestCountLines:
+    """The byte count of line endings equals the text reader's count."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bom=st.booleans(),
+           pieces=st.lists(st.sampled_from(_COUNT_PIECES), max_size=40),
+           block=st.integers(1, 7))
+    def test_equals_the_text_reader(self, tmp_path, bom, pieces, block):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(pieces))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subdata_io, "_COUNT_BLOCK", block)
+            assert _counted_lines(f) == _text_line_count(f)
+
+    def test_undecodable_byte_after_the_first_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(subdata_io, "_COUNT_BLOCK", 4)
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(DataFormatError, match="d.csv"):
+            read_csv(f)
+
+    def test_ascii_block_after_a_split_character_is_decoded(self, tmp_path,
+                                                            monkeypatch):
+        # b"\xc3" then b"a": the second block is ASCII yet ends a bad sequence
+        monkeypatch.setattr(subdata_io, "_COUNT_BLOCK", 1)
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"a,b\n1,\xc3a\xa9\n")
+        assert _text_line_count(f)[0] == "error"
+        assert _counted_lines(f) == _text_line_count(f)
+
+
+def _small_dataset(tmp_path):
+    data = gen_dataset(ScenarioConfig(case="mvnormal", n=40, p=2, k=10, seed=5))
+    return write_dataset(data, tmp_path / "d.csv")
+
+
+class TestLoadtxtSource:
+    """numpy reads a plain file by path, and never as compressed or remote."""
+
+    def test_plain_file_goes_to_numpy_by_absolute_path(self, tmp_path, monkeypatch):
+        _small_dataset(tmp_path)
+        seen = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda fname, **kw: seen.append(fname) or loadtxt(fname, **kw))
+        monkeypatch.chdir(tmp_path)
+        read_csv("d.csv", response="y")
+        assert seen == [str(tmp_path / "d.csv")]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".GZ"])
+    def test_compressed_suffix_reads_as_plain_text(self, tmp_path, monkeypatch,
+                                                   suffix):
+        plain = _small_dataset(tmp_path)
+        odd = tmp_path / f"d.csv{suffix}"
+        odd.write_bytes(plain.read_bytes())
+        want = _outcome(lambda: read_csv(plain, response="y"))
+        _refuse_scan(monkeypatch)
+        assert _outcome(lambda: read_csv(odd, response="y")) == want
+
+    def test_relative_path_from_another_working_directory(self, tmp_path,
+                                                          monkeypatch):
+        (tmp_path / "sub").mkdir()
+        f = _small_dataset(tmp_path / "sub")
+        want = _outcome(lambda: read_csv(f, response="y"))
+        _refuse_scan(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert _outcome(lambda: read_csv("sub/d.csv", response="y")) == want
+        monkeypatch.chdir(tmp_path / "sub")
+        assert _outcome(lambda: read_csv("d.csv", response="y")) == want
+
+    def test_url_like_relative_path_is_a_file(self, tmp_path, monkeypatch):
+        # "http://host/d.csv" names the file http:/host/d.csv below the
+        # working directory; numpy's opener would take it for a URL
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        f = _small_dataset(tmp_path / "http:" / "host")
+        want = _outcome(lambda: read_csv(f, response="y"))
+
+        def no_url(*args, **kwargs):
+            raise AssertionError("a path was opened as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_url)
+        _refuse_scan(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert _outcome(lambda: read_csv("http://host/d.csv", response="y")) == want
 
 
 class TestWriteDataset:
