@@ -4,7 +4,8 @@ A simulation repetition or a bootstrap replicate is fully determined by
 its seed, so both studies are reproducible record for record, whether
 their units run serially or on the one process pool (:func:`_run_units`).
 The pool size is set by the SUBDATA_THREADS environment variable
-(default 1) and never exceeds the unit count or the machine's CPU count.
+(default 1) and never exceeds the unit count or the CPUs this process may
+run on (:func:`usable_cpus`).
 
 Work the harness repeats runs on STUDY_BLAS_THREADS OpenBLAS threads: the
 timing grid, each simulation repetition and bootstrap replicate, serial
@@ -269,6 +270,14 @@ class MetricsRecord:
     error: str = ""
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def resolve_workers() -> int:
     """Worker count from SUBDATA_THREADS, else 1."""
     raw = os.environ.get(THREADS_ENV_VAR, "1")
@@ -389,14 +398,14 @@ def _pinned(unit, i: int) -> list[MetricsRecord]:
 def _run_units(unit, count: int, what: str) -> list[MetricsRecord]:
     """The records of ``unit(0)``, ..., ``unit(count - 1)``, in order.
 
-    Units run serially or on min(SUBDATA_THREADS, count, CPUs) workers,
+    Units run serially or on min(SUBDATA_THREADS, count, usable CPUs) workers,
     each worker taking one contiguous chunk of units, so ``unit`` (and
     the dataset it carries) is pickled once per worker. Each worker runs
     its units with OpenBLAS pinned to STUDY_BLAS_THREADS; the serial loop
     relies on its caller's pin, which the two studies hold around this
     call. Each failed record warns once, naming its ``what``.
     """
-    workers = min(resolve_workers(), count, os.cpu_count() or 1)
+    workers = min(resolve_workers(), count, usable_cpus())
     if workers == 1:
         per_unit = [unit(i) for i in range(count)]
     else:

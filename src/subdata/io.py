@@ -11,7 +11,10 @@ import codecs
 import csv
 import json
 import math
+import mmap
 import os
+import signal
+import threading
 import typing
 import warnings
 from contextlib import contextmanager
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import MetricsRecord, TimingRecord
+from .bench import MetricsRecord, TimingRecord, usable_cpus
 from .errors import ConfigError, DataFormatError
 from .linalg import DataMatrix
 
@@ -30,6 +33,10 @@ TIMING_COLUMNS = tuple(f.name for f in dataclass_fields(TimingRecord))
 
 # bytes read at a time by _count_lines
 _COUNT_BLOCK = 1 << 20
+# rows a parse range gets at least: a smaller body is parsed serially
+_SPLIT_MIN_ROWS = 1 << 14
+# parse ranges at most, whatever the CPU count: the split is measured at two
+_SPLIT_MAX_RANGES = 2
 # suffixes numpy's path opener decompresses by
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -55,8 +62,9 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def _count_lines(path) -> int:
-    r"""Physical lines in ``path`` as ``open(newline="")`` splits them.
+def _count_lines(path) -> tuple[int, bool]:
+    r"""Physical lines in ``path`` as ``open(newline="")`` splits them,
+    and whether any of them is empty.
 
     ``\n``, ``\r\n`` and a lone ``\r`` each end a line, a last line
     without an ending counts too, and blank lines count like any other.
@@ -68,12 +76,17 @@ def _count_lines(path) -> int:
     skipped while the decoder holds no partial character, every other
     block is fed to it, and an undecodable file is read again as text
     so that it fails as ``open`` words it.
+
+    A line is empty where it is its ending alone: where the file starts
+    with an ending byte, or where two ending bytes meet other than as
+    ``\r\n``.
     """
     with open(path, newline="") as fh:
         decoder = codecs.getincrementaldecoder(fh.encoding)()
         clean = decoder.getstate()
-        endings = 0
+        endings = empty = 0
         cr_before = False  # the previous block ended in "\r"
+        end_before = True  # ... in an ending byte (the file's start counts)
         last = b""
         try:
             while block := fh.buffer.read(_COUNT_BLOCK):
@@ -81,16 +94,22 @@ def _count_lines(path) -> int:
                     decoder.decode(block)
                 b = np.frombuffer(block, dtype=np.uint8)
                 lf, cr = b == 10, b == 13
+                ends = lf | cr
                 pairs = np.count_nonzero(cr[:-1] & lf[1:]) + (cr_before and lf[0])
-                endings += np.count_nonzero(lf) + np.count_nonzero(cr) - int(pairs)
-                cr_before, last = bool(cr[-1]), block[-1:]
+                endings += np.count_nonzero(ends) - int(pairs)
+                # ending bytes side by side, less the "\r\n" pairs among them
+                empty += (np.count_nonzero(ends[:-1] & ends[1:])
+                          + (end_before and ends[0]) - int(pairs))
+                cr_before, end_before = bool(cr[-1]), bool(ends[-1])
+                last = block[-1:]
             decoder.decode(b"", final=True)
         except UnicodeDecodeError:
             pass
         else:
-            return endings + (last not in (b"", b"\n", b"\r"))
+            return int(endings) + (last not in (b"", b"\n", b"\r")), bool(empty)
     with open(path, newline="") as fh:
-        return sum(1 for _line in fh)
+        # the text read fails on the same bytes first, as open words it
+        return sum(1 for _line in fh), True
 
 
 def _parse_cell(cell: str) -> float:
@@ -131,14 +150,15 @@ def _scan_cells(path, col_of: dict[str, int], names: list[str]) -> np.ndarray:
     return parsed
 
 
-def _read_header(path) -> tuple[list[str], int, int]:
-    """Header cells, the physical lines they span and the data lines below.
+def _read_header(path) -> tuple[list[str], int, int, bool]:
+    """Header cells, the physical lines they span, the data lines below,
+    and whether any line of the file is empty.
 
     The count decodes the whole file, so a byte the text reader cannot
     decode fails here, wherever it sits, and names the file.
     """
     try:
-        n_lines = _count_lines(path)
+        n_lines, empty_line = _count_lines(path)
         with _open_csv(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -146,7 +166,7 @@ def _read_header(path) -> tuple[list[str], int, int]:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if header is None:
         raise DataFormatError(f"{path} is empty")
-    return header, reader.line_num, n_lines - reader.line_num
+    return header, reader.line_num, n_lines - reader.line_num, empty_line
 
 
 @contextmanager
@@ -169,8 +189,118 @@ def _loadtxt_source(path):
             yield fh
 
 
-def _load_body(path, skip: int, width: int, n_rows: int,
-               cols: list[int]) -> np.ndarray | None:
+def _loadtxt(source, skip: int, rows: int | None = None) -> np.ndarray:
+    """The rows of ``source`` below its first ``skip`` lines, all or ``rows``."""
+    with warnings.catch_warnings():
+        # a body of blank lines only: the row count of _load_body rejects it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, delimiter=",", comments=None, quotechar=None,
+                          skiprows=skip, max_rows=rows, ndmin=2, dtype=np.float64)
+
+
+def _split_bounds(source, n_rows: int, empty_line: bool) -> list[int]:
+    """Row bounds of the ranges to parse the body in, one per usable CPU
+    up to ``_SPLIT_MAX_RANGES``.
+
+    One range (the serial parse) unless each range gets at least
+    ``_SPLIT_MIN_ROWS`` rows, numpy reads the file by path, no line is
+    empty, the process can fork and knows its CPU affinity, no other
+    thread is alive, since a fork copies only the calling one, and
+    ``SIGCHLD`` is not ignored, since the kernel would then reap the
+    children before this process could wait for them. An empty line
+    would shift ranges: ``skiprows`` counts lines, but ``max_rows``
+    counts rows, so a range holding one would read a row of the next.
+    """
+    if (empty_line or not isinstance(source, str) or threading.active_count() > 1
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN):
+        return [0, n_rows]
+    count = max(1, min(_SPLIT_MAX_RANGES, usable_cpus(), n_rows // _SPLIT_MIN_ROWS))
+    return [n_rows * i // count for i in range(count + 1)]
+
+
+def _fork_range(source, skip: int, width: int, start: int, stop: int,
+                last: bool, shared: mmap.mmap, offset: int) -> int:
+    """Fork a child that parses rows ``start:stop`` into ``shared``; its pid.
+
+    The child writes the rows at byte ``offset`` of ``shared`` and leaves
+    by ``os._exit``, with status 0 only if it parsed ``stop - start``
+    rows of ``width`` cells.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        rows = _loadtxt(source, skip + start, None if last else stop - start)
+        if rows.shape == (stop - start, width):
+            np.ndarray(rows.shape, buffer=shared, offset=offset)[...] = rows
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pids: list[int]) -> bool:
+    """Wait for every child in ``pids``; True if each exited with status 0.
+
+    A child reaped elsewhere (``SIGCHLD`` ignored) counts as failed.
+    """
+    ok = True
+    for pid in pids:
+        try:
+            ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
+        except ChildProcessError:
+            ok = False
+    return ok
+
+
+def _gather(out: np.ndarray, rows: np.ndarray, cols: list[int]) -> None:
+    """``out[:] = rows[:, cols]`` a column at a time, with no temporary copy."""
+    for j, c in enumerate(cols):
+        out[:, j] = rows[:, c]
+
+
+def _load_ranges(source, skip: int, width: int, bounds: list[int],
+                 cols: list[int]) -> np.ndarray | None:
+    """The columns ``cols`` of the body parsed range by range, or None.
+
+    Each range past the first is parsed in a forked child (see
+    :func:`_fork_range`) into one shared anonymous map, while this
+    process parses the first. Every child is reaped, and killed first
+    unless that first range was parsed. None if a fork or any range
+    failed; otherwise the named columns of every range are gathered into
+    one column-major array, the layout ``body[:, cols]`` gives.
+    """
+    head_rows, n_rows = bounds[1], bounds[-1]
+    pids, head = [], None
+    with mmap.mmap(-1, (n_rows - head_rows) * width * 8) as shared:
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                pids.append(_fork_range(source, skip, width, start, stop,
+                                        stop == n_rows, shared,
+                                        (start - head_rows) * width * 8))
+            head = _loadtxt(source, skip, head_rows)
+        except (OSError, ValueError):
+            pass  # a failed fork or range: the serial parse decides
+        finally:
+            if head is None:
+                for pid in pids:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass  # reaped already: _reap counts it failed
+            ok = _reap(pids)
+        if not ok or head is None or head.shape != (head_rows, width):
+            return None
+        parsed = np.empty((n_rows, len(cols)), order="F")
+        _gather(parsed[:head_rows], head, cols)
+        del head
+        _gather(parsed[head_rows:], np.frombuffer(shared).reshape(-1, width), cols)
+    return parsed
+
+
+def _load_body(path, skip: int, width: int, n_rows: int, cols: list[int],
+               empty_line: bool) -> np.ndarray | None:
     """Parse the lines below the header in one vectorised pass, or None.
 
     The result stands only where :func:`_scan_cells` would return the
@@ -183,18 +313,26 @@ def _load_body(path, skip: int, width: int, n_rows: int,
     The named columns are gathered even when they are every column in
     header order: ``loadtxt`` returns rows, the gather returns columns
     (strides ``(8, 8 n)``), and that is the layout X and y keep.
+
+    A large body is parsed in two contiguous row ranges when two CPUs
+    are usable, the second in a forked process (:func:`_split_bounds`,
+    :func:`_load_ranges`).
+    Each range converts its cells as the serial pass does, so the result
+    is the same bit for bit; if any range fails, the serial pass runs
+    instead and decides.
     """
-    try:
-        with _loadtxt_source(path) as source, warnings.catch_warnings():
-            # a body of blank lines only: the row count below rejects it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(source, delimiter=",", comments=None, quotechar=None,
-                              skiprows=skip, ndmin=2, dtype=np.float64)
-    except ValueError:
-        return None
-    if body.shape != (n_rows, width):
-        return None
-    parsed = body[:, cols]
+    with _loadtxt_source(path) as source:
+        bounds = _split_bounds(source, n_rows, empty_line)
+        parsed = (_load_ranges(source, skip, width, bounds, cols)
+                  if len(bounds) > 2 else None)
+        if parsed is None:
+            try:
+                body = _loadtxt(source, skip)
+            except ValueError:
+                return None
+            if body.shape != (n_rows, width):
+                return None
+            parsed = body[:, cols]
     return parsed if np.isfinite(parsed).all() else None
 
 
@@ -234,7 +372,7 @@ def read_csv(path, covariates: list[str] | None = None,
             raise ConfigError(
                 f"column {response!r} cannot be both the response and a covariate"
             )
-    header, header_lines, n_rows = _read_header(path)
+    header, header_lines, n_rows, empty_line = _read_header(path)
     if not n_rows:
         raise DataFormatError(f"{path} has a header but no data rows")
     if len(set(header)) != len(header):
@@ -262,7 +400,7 @@ def read_csv(path, covariates: list[str] | None = None,
 
     names = cov_names + ([response] if response is not None else [])
     parsed = _load_body(path, header_lines, len(header), n_rows,
-                        [col_of[name] for name in names])
+                        [col_of[name] for name in names], empty_line)
     if parsed is None:
         parsed = _scan_cells(path, col_of, names)
 

@@ -20,6 +20,7 @@ from subdata import (
     expand_interactions,
     fit_ols,
     gen_dataset,
+    read_csv,
     resolve_workers,
     run_bootstrap,
     run_simulation,
@@ -27,7 +28,9 @@ from subdata import (
     select_iboss,
     summarize,
     with_intercept,
+    write_dataset,
 )
+from subdata import io as subdata_io
 from subdata import linalg, selectors
 from subdata.bench import THREADS_ENV_VAR, _run_selector
 
@@ -274,11 +277,35 @@ class TestResolveWorkers:
         {"2-pools0": (2, [2]), "None-pools1": (None, [])}))
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, in_process_pool,
                                           study, cpus, pools):
+        # the count usable_cpus falls back to without an affinity mask
         monkeypatch.setenv(THREADS_ENV_VAR, "100000")
+        monkeypatch.delattr(bench.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
         recs = _run_three_units(study, "uniform")
         assert in_process_pool["workers"] == pools
         assert [r.repetition for r in recs] == [0, 1, 2]
+
+    def test_one_usable_cpu_gives_a_serial_pool_and_no_fork(
+            self, monkeypatch, in_process_pool, tmp_path):
+        # four CPUs in the machine, one in this process's affinity mask
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {2},
+                            raising=False)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        assert bench.usable_cpus() == 1
+        _run_three_units("simulate", "uniform")
+        assert in_process_pool["workers"] == []
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError("a fork was tried")
+
+        monkeypatch.setattr(subdata_io, "_SPLIT_MIN_ROWS", 2)
+        monkeypatch.setattr(bench.os, "fork", no_fork)
+        data = gen_dataset(ScenarioConfig(case="uniform01", n=40, p=2, k=10, seed=1))
+        d = read_csv(write_dataset(data, tmp_path / "d.csv"), response="y")
+        assert forks == [] and d.values.tobytes() == data.values.tobytes()
 
     @pytest.mark.parametrize("workers, count, chunksize", [
         (2, 3, 2), (2, 4, 2), (3, 7, 3), (4, 4, 1)])
@@ -287,7 +314,7 @@ class TestResolveWorkers:
         # one chunk per worker pickles the unit, and the dataset it
         # carries, once per worker
         monkeypatch.setenv(THREADS_ENV_VAR, str(workers))
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 8)
         cfg = ScenarioConfig(case="uniform01", n=200, p=2, k=20, seed=1)
         recs = run_simulation(cfg, ("uniform",), reps=count)
         assert in_process_pool == {"workers": [workers], "chunksizes": [chunksize]}
@@ -310,7 +337,7 @@ class TestResolveWorkers:
         real = getattr(bench, _STUDY_UNIT[study])
         monkeypatch.setattr(bench, _STUDY_UNIT[study], recording)
         monkeypatch.setenv(THREADS_ENV_VAR, str(workers))
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: cpus)
         with linalg.blas_threads(start):
             _run_three_units(study, "levss")
             assert _blas_counts() == [start] * len(_blas_counts())

@@ -2,8 +2,13 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
+import os
+import signal
+import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -406,32 +411,38 @@ class TestParsePaths:
 
 
 def _text_line_count(path):
-    """What the text reader makes of ``path``: its line count, or its error."""
+    """What the text reader makes of ``path``: its line count and whether
+    a line is empty (its ending alone), or its error."""
     try:
         with open(path, newline="") as fh:
-            return ("lines", sum(1 for _line in fh))
+            lines = list(fh)
     except UnicodeDecodeError as exc:
         return ("error", str(exc))
+    return ("lines", len(lines), any(line in ("\n", "\r", "\r\n") for line in lines))
 
 
 def _counted_lines(path):
     try:
-        return ("lines", subdata_io._count_lines(path))
+        return ("lines", *subdata_io._count_lines(path))
     except UnicodeDecodeError as exc:
         return ("error", str(exc))
 
 
 # cells, line endings, a two-byte character and its two halves alone
 _COUNT_PIECES = [b"a", b",", b"1", b"\r", b"\n", "\u00e9".encode(), b"\xc3", b"\xa9"]
+# pieces that always decode, "\r\n" among them, so that most texts count
+_DECODABLE_PIECES = _COUNT_PIECES[:6] + [b"\r\n"]
 
 
 class TestCountLines:
-    """The byte count of line endings equals the text reader's count."""
+    """The byte count of line endings, and the empty-line flag, equal the
+    text reader's."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(bom=st.booleans(),
-           pieces=st.lists(st.sampled_from(_COUNT_PIECES), max_size=40),
+           pieces=st.lists(st.sampled_from(_COUNT_PIECES), max_size=40)
+           | st.lists(st.sampled_from(_DECODABLE_PIECES), max_size=40),
            block=st.integers(1, 7))
     def test_equals_the_text_reader(self, tmp_path, bom, pieces, block):
         f = tmp_path / "d.csv"
@@ -541,3 +552,320 @@ class TestWriteDataset:
         got = write_dataset(data, tmp_path / "d.csv").read_bytes()
         assert got == want
         assert got.startswith(b"x1,x2,x3,y\r\n" if with_response else b"x1,x2,x3\r\n")
+
+
+def _full_outcome(read):
+    """Everything a read gives: the arrays' shape, strides and bits, or the
+    error's type, message and coordinates."""
+    try:
+        d = read()
+    except Exception as err:
+        return ("error", type(err).__name__, str(err),
+                getattr(err, "row", None), getattr(err, "col", None))
+    y = None if d.response is None else (d.response.strides, d.response.tobytes())
+    return ("data", d.values.shape, d.values.strides, d.values.tobytes(), y)
+
+
+def _usable(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs, as far as subdata can tell."""
+    assert cpus <= 4  # each CPU past the first is one real fork per read
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child ``os.fork`` starts, each checked reaped at the end.
+
+    A reaped child is no longer this process's child, so ``waitpid``
+    fails for it: no child is left running and none is left a zombie.
+    """
+    pids = []
+    real_fork = os.fork
+
+    def recording():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _serial_outcome(monkeypatch, read):
+    with monkeypatch.context() as mp:
+        _usable(mp, 1)
+        return _full_outcome(read)
+
+
+def _empty_line_in(text):
+    return any(line in ("\n", "\r", "\r\n")
+               for line in io.StringIO(text, newline=""))
+
+
+# cells: clean numerals, then cells loadtxt refuses or the scan rejects
+_GOOD_CELLS = ["1", "-2.5", "3e-3", " 4 ", "0.1", "1.7976931348623157e308"]
+_ODD_CELLS = ["x", "1_0", "inf", "nan", "-1e500", '"5"', "١", ""]
+_ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV text with mixed endings and its column names.
+
+    Rows are mostly clean; some are blank, wide, short, or hold a cell
+    that loadtxt refuses or the finiteness check rejects, so that any
+    range may fail.
+    """
+    width = draw(st.integers(2, 4))
+    names = ["a", "b", "c", "d"][:width]
+    header = draw(st.sampled_from(["plain", "bom", "quoted over two lines"]))
+    if header == "quoted over two lines":
+        names[0] = "a" + draw(st.sampled_from(_ENDINGS)) + "z"
+    head = ",".join(f'"{n}"' if header != "plain" else n for n in names)
+    lines = ["\ufeff" * (header == "bom") + head]
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["clean"] * 6 + ["odd", "blank", "wide", "short"]))
+        cells = [draw(st.sampled_from(_GOOD_CELLS)) for _ in range(width)]
+        if kind == "odd":
+            cells[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        lines.append({"blank": "", "wide": ",".join(cells + ["1"]),
+                      "short": ",".join(cells[1:])}.get(kind, ",".join(cells)))
+    endings = [draw(st.sampled_from(_ENDINGS)) for _ in lines]
+    if not draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(map("".join, zip(lines, endings))), names
+
+
+class TestSplitParse:
+    """The parse split across forked row ranges equals the serial parse."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_csv_texts(), ranges=st.integers(2, 4), data=st.data())
+    def test_equals_the_serial_parse(self, tmp_path, forks, case, ranges, data):
+        text, names = case
+        response = data.draw(st.sampled_from([None, *names]))
+        rest = [n for n in names if n != response]
+        covariates = data.draw(st.none() | st.permutations(rest).flatmap(
+            lambda order: st.integers(1, len(order)).map(lambda m: order[:m])))
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode())
+
+        def read():
+            return read_csv(f, covariates=covariates, response=response)
+
+        before = len(forks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subdata_io, "_SPLIT_MIN_ROWS", 1)
+            mp.setattr(subdata_io, "_SPLIT_MAX_RANGES", 4)
+            serial = _serial_outcome(mp, read)
+            assert len(forks) == before
+            _usable(mp, ranges)
+            assert _full_outcome(read) == serial
+        header_lines = 1 + (names[0] != "a")
+        n_rows = sum(1 for _line in io.StringIO(text, newline="")) - header_lines
+        if not _empty_line_in(text) and n_rows >= 2:
+            assert len(forks) - before == min(ranges, n_rows) - 1
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n\n3,4\n5,6\n",
+                                      "a,b\r1,2\r\r3,4\r5,6\r"])
+    def test_empty_line_keeps_the_serial_parse(self, tmp_path, monkeypatch, forks,
+                                               text):
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode())
+        monkeypatch.setattr(subdata_io, "_SPLIT_MIN_ROWS", 1)
+        serial = _serial_outcome(monkeypatch, lambda: read_csv(f))
+        assert serial[:2] == ("error", "DataFormatError")
+        _usable(monkeypatch, 2)
+        assert _full_outcome(lambda: read_csv(f)) == serial
+        assert forks == []
+        # unguarded, the first range reads past the empty line into the
+        # second, and a row comes back twice
+        count = subdata_io._count_lines
+        monkeypatch.setattr(subdata_io, "_count_lines",
+                            lambda path: (count(path)[0], False))
+        with pytest.warns(UserWarning, match="contained no data"):
+            d = read_csv(f)
+        assert d.values.tolist() == [[1, 2], [3, 4], [3, 4], [5, 6]]
+        assert len(forks) == 1
+
+    def test_written_dataset_splits_to_the_same_bits(self, tmp_path, monkeypatch,
+                                                     forks):
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=3000, p=4, k=10, seed=7))
+        f = write_dataset(data, tmp_path / "d.csv")
+        monkeypatch.setattr(subdata_io, "_SPLIT_MIN_ROWS", 1000)
+        monkeypatch.setattr(subdata_io, "_SPLIT_MAX_RANGES", 4)
+        _usable(monkeypatch, 4)
+        d = read_csv(f, covariates=["x1", "x2", "x3", "x4"], response="y")
+        assert len(forks) == 2  # three ranges of 1000 rows
+        assert np.array_equal(d.values.view(np.int64), data.values.view(np.int64))
+        assert np.array_equal(d.response.view(np.int64), data.response.view(np.int64))
+        assert d.values.strides == (8, 8 * 3000) and d.response.strides == (8,)
+
+    def test_two_ranges_at_most(self, tmp_path, monkeypatch, forks):
+        # four usable CPUs still give one child
+        monkeypatch.setattr(subdata_io, "_SPLIT_MIN_ROWS", 2)
+        _usable(monkeypatch, 4)
+        f = _clean_file(tmp_path)
+        d = read_csv(f, response="y")
+        assert len(forks) == 1
+        assert d.values[:, 0].tolist() == list(range(12))
+
+
+def _clean_file(tmp_path, name="d.csv", rows=12):
+    text = "a,b,y\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(rows))
+    f = tmp_path / name
+    f.write_text(text)
+    return f
+
+
+class TestSplitGuards:
+    """When the body is parsed serially, and what a split leaves behind."""
+
+    @pytest.fixture(autouse=True)
+    def small_ranges(self, monkeypatch):
+        monkeypatch.setattr(subdata_io, "_SPLIT_MIN_ROWS", 2)
+        monkeypatch.setattr(subdata_io, "_SPLIT_MAX_RANGES", 3)
+        _usable(monkeypatch, 3)
+
+    def test_clean_file_splits(self, tmp_path, forks):
+        f = _clean_file(tmp_path)
+        d = read_csv(f, response="y")
+        assert len(forks) == 2
+        assert d.values[:, 0].tolist() == list(range(12))
+
+    @pytest.mark.parametrize("guard", ["empty line", "one usable CPU",
+                                       "compressed suffix", "bytes path",
+                                       "no os.fork", "no affinity mask",
+                                       "another thread", "SIGCHLD ignored"])
+    def test_serial_parse_when(self, tmp_path, monkeypatch, forks, guard):
+        name = "d.csv.gz" if guard == "compressed suffix" else "d.csv"
+        f = _clean_file(tmp_path, name)
+        if guard == "empty line":
+            f.write_text(f.read_text() + "\n")
+        want = _serial_outcome(monkeypatch, lambda: read_csv(f, response="y"))
+        calls = []
+        monkeypatch.setattr(subdata_io, "_load_ranges", lambda *a: calls.append(a))
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        path = f
+        if guard == "one usable CPU":
+            _usable(monkeypatch, 1)
+        elif guard == "bytes path":
+            path = os.fsencode(f)
+        elif guard == "no os.fork":
+            monkeypatch.delattr(os, "fork")
+        elif guard == "no affinity mask":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        elif guard == "another thread":
+            other.start()
+        previous = signal.getsignal(signal.SIGCHLD)
+        if guard == "SIGCHLD ignored":
+            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert _full_outcome(lambda: read_csv(path, response="y")) == want
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+            stop.set()
+            if other.is_alive():
+                other.join()
+        assert calls == [] and forks == []
+
+    @pytest.mark.parametrize("failure", ["bad cell", "child raises",
+                                         "child killed"])
+    def test_failed_range_reruns_the_serial_parse(self, tmp_path, monkeypatch,
+                                                  forks, failure):
+        f = _clean_file(tmp_path)
+        if failure == "bad cell":
+            f.write_text(f.read_text().replace("11,", "1x,"))
+        want = _serial_outcome(monkeypatch, lambda: read_csv(f, response="y"))
+        parent, real = os.getpid(), np.loadtxt
+
+        def loadtxt(fname, **kwargs):
+            if os.getpid() != parent and failure == "child raises":
+                raise RuntimeError("a range failed")
+            if os.getpid() != parent and failure == "child killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(fname, **kwargs)
+
+        calls = []
+        parse_rows = subdata_io._loadtxt
+
+        def recording(source, skip, rows=None):
+            calls.append((skip, rows))
+            return parse_rows(source, skip, rows)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(subdata_io, "_loadtxt", recording)
+        assert _full_outcome(lambda: read_csv(f, response="y")) == want
+        assert want[0] == ("error" if failure == "bad cell" else "data")
+        assert len(forks) == 2
+        # this process's calls: its own range of 4 rows, then the serial parse
+        assert calls == [(1, 4), (1, None)]
+
+    def test_exception_in_own_range_kills_then_reaps(self, tmp_path, monkeypatch,
+                                                     forks):
+        f = _clean_file(tmp_path)
+        parent, real = os.getpid(), np.loadtxt
+
+        def loadtxt(fname, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)  # outlives the test unless killed
+            elif kwargs["max_rows"] is not None:
+                raise KeyboardInterrupt
+            return real(fname, **kwargs)
+
+        statuses = []
+        waitpid = os.waitpid
+
+        def recording(pid, options):
+            out = waitpid(pid, options)
+            statuses.append(out[1])
+            return out
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(os, "waitpid", recording)
+        with pytest.raises(KeyboardInterrupt):
+            read_csv(f, response="y")
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        assert len(forks) == 2 and len(statuses) == 2
+        assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL
+                   for s in statuses)
+
+    def test_child_gone_before_the_kill(self, tmp_path, monkeypatch, forks):
+        # a child reaped elsewhere leaves no process to kill; the serial
+        # parse still decides
+        f = _clean_file(tmp_path)
+        want = _serial_outcome(monkeypatch, lambda: read_csv(f, response="y"))
+        parent, real = os.getpid(), np.loadtxt
+
+        def loadtxt(fname, **kwargs):
+            if os.getpid() == parent and kwargs["max_rows"] is not None:
+                raise ValueError("this process's range failed")
+            return real(fname, **kwargs)
+
+        def gone(pid, sig):
+            raise ProcessLookupError(3, "No such process")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(os, "kill", gone)
+        assert _full_outcome(lambda: read_csv(f, response="y")) == want
+        assert want[0] == "data" and len(forks) == 2
+
+    def test_fork_error_reruns_the_serial_parse(self, tmp_path, monkeypatch, forks):
+        f = _clean_file(tmp_path)
+        want = _serial_outcome(monkeypatch, lambda: read_csv(f, response="y"))
+        recording = os.fork
+
+        def second_fails():
+            if forks:
+                raise OSError(11, "Resource temporarily unavailable")
+            return recording()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert _full_outcome(lambda: read_csv(f, response="y")) == want
+        assert len(forks) == 1
