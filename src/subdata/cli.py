@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import bench, datagen, io as data_io
@@ -120,8 +120,10 @@ _COMMAND_FLAGS = {
     "gen-data": ("output", "config", "case", "n", "p", "seed", "interaction"),
 }
 
-# RunConfig attributes whose echo() key is the flag's dest instead
-_ECHO_KEYS = {"methods": "method", "n_values": "n"}
+# flag dests that RunConfig carries under another attribute name
+_ATTRS = {"method": "methods", "n": "n_values"}
+# commands whose worker pool SUBDATA_THREADS sizes
+_POOLED = ("simulate", "bootstrap")
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,15 @@ class RunConfig:
     interaction: bool
 
     def echo(self) -> dict:
-        """JSON-ready mirror of the effective options."""
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            doc[_ECHO_KEYS.get(f.name, f.name)] = (
-                list(value) if isinstance(value, tuple) else value)
-        doc["workers"] = bench.resolve_workers()
+        """JSON-ready mirror of the options the command takes, keyed by
+        flag dest, plus the worker count where the command has a pool."""
+        doc = {"command": self.command}
+        for dest in _COMMAND_FLAGS[self.command]:
+            if dest != "config":
+                value = getattr(self, _ATTRS.get(dest, dest))
+                doc[dest] = list(value) if isinstance(value, tuple) else value
+        if self.command in _POOLED:
+            doc["workers"] = bench.resolve_workers()
         return doc
 
 
@@ -213,7 +217,8 @@ def _merge(command: str, args: argparse.Namespace,
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
-        unknown = sorted(set(file_values) - set(dests))
+        # a config file sets the command's flags, but names no other config file
+        unknown = sorted(k for k in file_values if k not in dests or k == "config")
         if unknown:
             parser.error(f"unknown config file key(s) for {command}: {unknown}")
 

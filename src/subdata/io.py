@@ -17,7 +17,7 @@ import signal
 import threading
 import typing
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -33,10 +33,8 @@ TIMING_COLUMNS = tuple(f.name for f in dataclass_fields(TimingRecord))
 
 # bytes read at a time by _count_lines
 _COUNT_BLOCK = 1 << 20
-# rows a parse range gets at least: a smaller body is parsed serially
+# rows each half of a split parse gets at least: a smaller body is parsed serially
 _SPLIT_MIN_ROWS = 1 << 14
-# parse ranges at most, whatever the CPU count: the split is measured at two
-_SPLIT_MAX_RANGES = 2
 # suffixes numpy's path opener decompresses by
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -198,104 +196,85 @@ def _loadtxt(source, skip: int, rows: int | None = None) -> np.ndarray:
                           skiprows=skip, max_rows=rows, ndmin=2, dtype=np.float64)
 
 
-def _split_bounds(source, n_rows: int, empty_line: bool) -> list[int]:
-    """Row bounds of the ranges to parse the body in, one per usable CPU
-    up to ``_SPLIT_MAX_RANGES``.
+def _may_split(source, n_rows: int, empty_line: bool) -> bool:
+    """Whether the body may be parsed in two halves, the second in a child.
 
-    One range (the serial parse) unless each range gets at least
-    ``_SPLIT_MIN_ROWS`` rows, numpy reads the file by path, no line is
-    empty, the process can fork and knows its CPU affinity, no other
-    thread is alive, since a fork copies only the calling one, and
-    ``SIGCHLD`` is not ignored, since the kernel would then reap the
-    children before this process could wait for them. An empty line
-    would shift ranges: ``skiprows`` counts lines, but ``max_rows``
-    counts rows, so a range holding one would read a row of the next.
+    Only when each half gets at least ``_SPLIT_MIN_ROWS`` rows, numpy
+    reads the file by path, no line is empty, the process can fork and
+    knows its CPU affinity, no other thread is alive, since a fork
+    copies only the calling one, ``SIGCHLD`` is not ignored, since the
+    kernel would then reap the child before this process could wait for
+    it, and two CPUs are usable. An empty line would shift the halves:
+    ``skiprows`` counts lines, but ``max_rows`` counts rows, so the
+    first half would read a row of the second.
     """
-    if (empty_line or not isinstance(source, str) or threading.active_count() > 1
-            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN):
-        return [0, n_rows]
-    count = max(1, min(_SPLIT_MAX_RANGES, usable_cpus(), n_rows // _SPLIT_MIN_ROWS))
-    return [n_rows * i // count for i in range(count + 1)]
+    return (n_rows >= 2 * _SPLIT_MIN_ROWS and not empty_line
+            and isinstance(source, str) and threading.active_count() == 1
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN
+            and usable_cpus() >= 2)
 
 
-def _fork_range(source, skip: int, width: int, start: int, stop: int,
-                last: bool, shared: mmap.mmap, offset: int) -> int:
-    """Fork a child that parses rows ``start:stop`` into ``shared``; its pid.
+def _parse_split(source, skip: int, width: int, n_rows: int, cols: list[int],
+                 mid: int) -> np.ndarray | None:
+    """The columns ``cols`` of the ``n_rows`` body rows, split at ``mid``; or None.
 
-    The child writes the rows at byte ``offset`` of ``shared`` and leaves
-    by ``os._exit``, with status 0 only if it parsed ``stop - start``
-    rows of ``width`` cells.
+    This process parses rows ``:mid``. When ``mid < n_rows``, one forked
+    child parses rows ``mid:`` into an anonymous shared map and leaves by
+    ``os._exit``, with status 0 only if it parsed ``n_rows - mid`` rows
+    of ``width`` cells. The child is killed first if this process's own
+    half raised, and reaped in any case; one reaped elsewhere
+    (``SIGCHLD`` ignored) counts as failed. With ``mid == n_rows``
+    nothing is mapped or forked: that is the serial parse. None if the
+    fork or either half failed, ``loadtxt`` refused a cell, or a half
+    has another shape; otherwise the named columns of both halves are
+    gathered, a column at a time and each half freed once gathered, into
+    one column-major array: the layout ``body[:, cols]`` gives.
     """
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        rows = _loadtxt(source, skip + start, None if last else stop - start)
-        if rows.shape == (stop - start, width):
-            np.ndarray(rows.shape, buffer=shared, offset=offset)[...] = rows
-            status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(pids: list[int]) -> bool:
-    """Wait for every child in ``pids``; True if each exited with status 0.
-
-    A child reaped elsewhere (``SIGCHLD`` ignored) counts as failed.
-    """
-    ok = True
-    for pid in pids:
+    tail = n_rows - mid
+    with (mmap.mmap(-1, tail * width * 8) if tail else nullcontext()) as shared:
+        pid, head, ok = 0, None, True
+        if tail:
+            try:
+                pid = os.fork()
+            except OSError:
+                return None
+            if not pid:
+                status = 1
+                try:
+                    rows = _loadtxt(source, skip + mid)
+                    if rows.shape == (tail, width):
+                        np.ndarray(rows.shape, buffer=shared)[...] = rows
+                        status = 0
+                finally:
+                    os._exit(status)
         try:
-            ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
-        except ChildProcessError:
-            ok = False
-    return ok
-
-
-def _gather(out: np.ndarray, rows: np.ndarray, cols: list[int]) -> None:
-    """``out[:] = rows[:, cols]`` a column at a time, with no temporary copy."""
-    for j, c in enumerate(cols):
-        out[:, j] = rows[:, c]
-
-
-def _load_ranges(source, skip: int, width: int, bounds: list[int],
-                 cols: list[int]) -> np.ndarray | None:
-    """The columns ``cols`` of the body parsed range by range, or None.
-
-    Each range past the first is parsed in a forked child (see
-    :func:`_fork_range`) into one shared anonymous map, while this
-    process parses the first. Every child is reaped, and killed first
-    unless that first range was parsed. None if a fork or any range
-    failed; otherwise the named columns of every range are gathered into
-    one column-major array, the layout ``body[:, cols]`` gives.
-    """
-    head_rows, n_rows = bounds[1], bounds[-1]
-    pids, head = [], None
-    with mmap.mmap(-1, (n_rows - head_rows) * width * 8) as shared:
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                pids.append(_fork_range(source, skip, width, start, stop,
-                                        stop == n_rows, shared,
-                                        (start - head_rows) * width * 8))
-            head = _loadtxt(source, skip, head_rows)
-        except (OSError, ValueError):
-            pass  # a failed fork or range: the serial parse decides
+            head = _loadtxt(source, skip, mid if tail else None)
+        except ValueError:
+            pass  # a cell loadtxt refuses: the serial parse or the scan decides
         finally:
-            if head is None:
-                for pid in pids:
+            if pid:
+                if head is None:
                     try:
                         os.kill(pid, signal.SIGKILL)
                     except ProcessLookupError:
-                        pass  # reaped already: _reap counts it failed
-            ok = _reap(pids)
-        if not ok or head is None or head.shape != (head_rows, width):
+                        pass  # reaped already: waitpid counts it failed
+                try:
+                    ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+                except ChildProcessError:
+                    ok = False
+        if not ok or head is None or head.shape != (mid, width):
             return None
         parsed = np.empty((n_rows, len(cols)), order="F")
-        _gather(parsed[:head_rows], head, cols)
+        halves = [head, np.frombuffer(shared).reshape(tail, width)] if tail else [head]
         del head
-        _gather(parsed[head_rows:], np.frombuffer(shared).reshape(-1, width), cols)
+        start = 0
+        while halves:
+            rows = halves.pop(0)
+            for j, c in enumerate(cols):
+                parsed[start:start + len(rows), j] = rows[:, c]
+            start += len(rows)
+            del rows  # no view of the map outlives it
     return parsed
 
 
@@ -314,26 +293,20 @@ def _load_body(path, skip: int, width: int, n_rows: int, cols: list[int],
     header order: ``loadtxt`` returns rows, the gather returns columns
     (strides ``(8, 8 n)``), and that is the layout X and y keep.
 
-    A large body is parsed in two contiguous row ranges when two CPUs
-    are usable, the second in a forked process (:func:`_split_bounds`,
-    :func:`_load_ranges`).
-    Each range converts its cells as the serial pass does, so the result
-    is the same bit for bit; if any range fails, the serial pass runs
+    Where :func:`_may_split` allows, the body is split at its middle row
+    and the second half is parsed in one forked child
+    (:func:`_parse_split`). Each half converts its cells as the serial
+    pass does, so the result is the same bit for bit; if the split
+    fails, the serial pass (the same call split at ``n_rows``) runs
     instead and decides.
     """
     with _loadtxt_source(path) as source:
-        bounds = _split_bounds(source, n_rows, empty_line)
-        parsed = (_load_ranges(source, skip, width, bounds, cols)
-                  if len(bounds) > 2 else None)
+        parsed = None
+        if _may_split(source, n_rows, empty_line):
+            parsed = _parse_split(source, skip, width, n_rows, cols, n_rows // 2)
         if parsed is None:
-            try:
-                body = _loadtxt(source, skip)
-            except ValueError:
-                return None
-            if body.shape != (n_rows, width):
-                return None
-            parsed = body[:, cols]
-    return parsed if np.isfinite(parsed).all() else None
+            parsed = _parse_split(source, skip, width, n_rows, cols, n_rows)
+    return parsed if parsed is not None and np.isfinite(parsed).all() else None
 
 
 def read_csv(path, covariates: list[str] | None = None,
@@ -353,10 +326,12 @@ def read_csv(path, covariates: list[str] | None = None,
     coordinates, data rows counted from 1 below the header. Cells of
     columns not named are not parsed.
 
-    A well-formed body is parsed in one ``np.loadtxt`` pass; whatever
-    that pass cannot vouch for is scanned cell by cell, which returns
-    the same array (quoted numerals and non-ASCII digits read as
-    ``float()`` reads them) or names the offending cell.
+    A well-formed body is parsed in one vectorised ``np.loadtxt`` pass,
+    a large body's second half in one forked child where two CPUs are
+    usable, to the same bits; whatever that pass cannot vouch for is
+    scanned cell by cell, which returns the same array (quoted numerals
+    and non-ASCII digits read as ``float()`` reads them) or names the
+    offending cell.
 
     Argument errors that need no look at the file (``log_response``
     without a response, a covariate named twice, the response named as

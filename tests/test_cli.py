@@ -119,6 +119,24 @@ class TestParse:
         assert echo["k_multiples"] == [5, 10]
         assert echo["log_response"] is True
 
+    @pytest.mark.parametrize("argv, keys", [
+        (["select", "--input", "d.csv", "--method", "levss", "--k", "10",
+          "--output", "o.csv"],
+         "input output method k seed covariates response log_response"),
+        (["simulate", "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"],
+         "output method k case n p reps seed interaction workers"),
+        (["timing", "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"],
+         "output method k case n p reps seed"),
+        (["bootstrap", "--input", "d.csv", "--response", "y", "--output", "o.csv"],
+         "input output method boot k_multiples seed covariates response "
+         "log_response workers"),
+        (["gen-data", "--n", "100", "--p", "2", "--output", "o.csv"],
+         "output case n p seed interaction"),
+    ], ids=["select", "simulate", "timing", "bootstrap", "gen-data"])
+    def test_echo_holds_only_the_command_options(self, argv, keys):
+        # workers only where SUBDATA_THREADS sizes a pool
+        assert set(parse_cli(argv).echo()) == {"command", *keys.split()}
+
     @pytest.mark.parametrize("argv", [
         ["bootstrap", "--input", "d.csv", "--response", "y",
          "--method", "levss:T=40,iboss:T=40", "--output", "o.csv"],
@@ -291,6 +309,16 @@ class TestConfigFile:
                  "--k", "10", "--output", "o.csv"]
             )
         assert exc.value.code == 2
+
+    def test_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("config = nowhere.cfg\nk = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["select", "--config", str(cfg), "--input", "d.csv",
+                       "--method", "levss", "--output", "o.csv"])
+        assert exc.value.code == 2
+        assert "unknown config file key(s) for select: ['config']" in \
+            capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -583,6 +611,19 @@ class TestRuntimeConfigErrors:
             (tmp_path / "d.csv").write_bytes(content)
         assert main(argv + ["--input", "d.csv", "--output", "o.csv"]) == 2
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--method", "levss", "--k", "10", "--input", "d.csv",
+         "--response", "y"],
+        ["timing", "--n", "100", "--p", "2", "--k", "10", "--reps", "1",
+         "--method", "uniform"],
+    ], ids=["select", "timing"])
+    def test_threads_env_is_read_only_where_a_pool_runs(self, argv, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data", "--n", "300", "--p", "2", "--output", "d.csv"]) == 0
+        monkeypatch.setenv("SUBDATA_THREADS", "abc")
+        assert main(argv + ["--output", "o.csv"]) == 0
 
     @pytest.mark.parametrize("k", ["2", "8"])
     def test_levss_on_fewer_rows_than_columns_exits_2(self, k, tmp_path, capsys):

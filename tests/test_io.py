@@ -568,7 +568,7 @@ def _full_outcome(read):
 
 def _usable(monkeypatch, cpus):
     """Let this process run on ``cpus`` CPUs, as far as subdata can tell."""
-    assert cpus <= 4  # each CPU past the first is one real fork per read
+    assert cpus <= 4  # a read that forked per CPU would fork this many for real
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -617,8 +617,8 @@ def _csv_texts(draw):
     """A CSV text with mixed endings and its column names.
 
     Rows are mostly clean; some are blank, wide, short, or hold a cell
-    that loadtxt refuses or the finiteness check rejects, so that any
-    range may fail.
+    that loadtxt refuses or the finiteness check rejects, so that either
+    half may fail.
     """
     width = draw(st.integers(2, 4))
     names = ["a", "b", "c", "d"][:width]
@@ -641,12 +641,13 @@ def _csv_texts(draw):
 
 
 class TestSplitParse:
-    """The parse split across forked row ranges equals the serial parse."""
+    """The parse split at its middle row, the second half in a forked
+    child, equals the serial parse."""
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=_csv_texts(), ranges=st.integers(2, 4), data=st.data())
-    def test_equals_the_serial_parse(self, tmp_path, forks, case, ranges, data):
+    @given(case=_csv_texts(), cpus=st.integers(2, 4), data=st.data())
+    def test_equals_the_serial_parse(self, tmp_path, forks, case, cpus, data):
         text, names = case
         response = data.draw(st.sampled_from([None, *names]))
         rest = [n for n in names if n != response]
@@ -661,15 +662,14 @@ class TestSplitParse:
         before = len(forks)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subdata_io, "_SPLIT_MIN_ROWS", 1)
-            mp.setattr(subdata_io, "_SPLIT_MAX_RANGES", 4)
             serial = _serial_outcome(mp, read)
             assert len(forks) == before
-            _usable(mp, ranges)
+            _usable(mp, cpus)
             assert _full_outcome(read) == serial
         header_lines = 1 + (names[0] != "a")
         n_rows = sum(1 for _line in io.StringIO(text, newline="")) - header_lines
-        if not _empty_line_in(text) and n_rows >= 2:
-            assert len(forks) - before == min(ranges, n_rows) - 1
+        split = not _empty_line_in(text) and n_rows >= 2
+        assert len(forks) - before == split
 
     @pytest.mark.parametrize("text", ["a,b\n1,2\n\n3,4\n5,6\n",
                                       "a,b\r1,2\r\r3,4\r5,6\r"])
@@ -683,7 +683,7 @@ class TestSplitParse:
         _usable(monkeypatch, 2)
         assert _full_outcome(lambda: read_csv(f)) == serial
         assert forks == []
-        # unguarded, the first range reads past the empty line into the
+        # unguarded, the first half reads past the empty line into the
         # second, and a row comes back twice
         count = subdata_io._count_lines
         monkeypatch.setattr(subdata_io, "_count_lines",
@@ -698,15 +698,14 @@ class TestSplitParse:
         data = gen_dataset(ScenarioConfig(case="mvnormal", n=3000, p=4, k=10, seed=7))
         f = write_dataset(data, tmp_path / "d.csv")
         monkeypatch.setattr(subdata_io, "_SPLIT_MIN_ROWS", 1000)
-        monkeypatch.setattr(subdata_io, "_SPLIT_MAX_RANGES", 4)
         _usable(monkeypatch, 4)
         d = read_csv(f, covariates=["x1", "x2", "x3", "x4"], response="y")
-        assert len(forks) == 2  # three ranges of 1000 rows
+        assert len(forks) == 1  # two halves of 1500 rows
         assert np.array_equal(d.values.view(np.int64), data.values.view(np.int64))
         assert np.array_equal(d.response.view(np.int64), data.response.view(np.int64))
         assert d.values.strides == (8, 8 * 3000) and d.response.strides == (8,)
 
-    def test_two_ranges_at_most(self, tmp_path, monkeypatch, forks):
+    def test_one_child_at_most(self, tmp_path, monkeypatch, forks):
         # four usable CPUs still give one child
         monkeypatch.setattr(subdata_io, "_SPLIT_MIN_ROWS", 2)
         _usable(monkeypatch, 4)
@@ -714,6 +713,17 @@ class TestSplitParse:
         d = read_csv(f, response="y")
         assert len(forks) == 1
         assert d.values[:, 0].tolist() == list(range(12))
+
+    @pytest.mark.parametrize("rows, children", [(32767, 0), (32768, 1)])
+    def test_documented_threshold(self, tmp_path, monkeypatch, forks, rows,
+                                  children):
+        # _SPLIT_MIN_ROWS as shipped: a body splits from 2^15 rows on
+        f = _clean_file(tmp_path, rows=rows)
+        serial = _serial_outcome(monkeypatch, lambda: read_csv(f, response="y"))
+        assert serial[:2] == ("data", (rows, 2))
+        _usable(monkeypatch, 2)
+        assert _full_outcome(lambda: read_csv(f, response="y")) == serial
+        assert len(forks) == children
 
 
 def _clean_file(tmp_path, name="d.csv", rows=12):
@@ -727,15 +737,14 @@ class TestSplitGuards:
     """When the body is parsed serially, and what a split leaves behind."""
 
     @pytest.fixture(autouse=True)
-    def small_ranges(self, monkeypatch):
+    def small_halves(self, monkeypatch):
         monkeypatch.setattr(subdata_io, "_SPLIT_MIN_ROWS", 2)
-        monkeypatch.setattr(subdata_io, "_SPLIT_MAX_RANGES", 3)
         _usable(monkeypatch, 3)
 
     def test_clean_file_splits(self, tmp_path, forks):
         f = _clean_file(tmp_path)
         d = read_csv(f, response="y")
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert d.values[:, 0].tolist() == list(range(12))
 
     @pytest.mark.parametrize("guard", ["empty line", "one usable CPU",
@@ -748,8 +757,6 @@ class TestSplitGuards:
         if guard == "empty line":
             f.write_text(f.read_text() + "\n")
         want = _serial_outcome(monkeypatch, lambda: read_csv(f, response="y"))
-        calls = []
-        monkeypatch.setattr(subdata_io, "_load_ranges", lambda *a: calls.append(a))
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         path = f
@@ -773,7 +780,7 @@ class TestSplitGuards:
             stop.set()
             if other.is_alive():
                 other.join()
-        assert calls == [] and forks == []
+        assert forks == []
 
     @pytest.mark.parametrize("failure", ["bad cell", "child raises",
                                          "child killed"])
@@ -787,7 +794,7 @@ class TestSplitGuards:
 
         def loadtxt(fname, **kwargs):
             if os.getpid() != parent and failure == "child raises":
-                raise RuntimeError("a range failed")
+                raise RuntimeError("the child's half failed")
             if os.getpid() != parent and failure == "child killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(fname, **kwargs)
@@ -803,9 +810,9 @@ class TestSplitGuards:
         monkeypatch.setattr(subdata_io, "_loadtxt", recording)
         assert _full_outcome(lambda: read_csv(f, response="y")) == want
         assert want[0] == ("error" if failure == "bad cell" else "data")
-        assert len(forks) == 2
-        # this process's calls: its own range of 4 rows, then the serial parse
-        assert calls == [(1, 4), (1, None)]
+        assert len(forks) == 1
+        # this process's calls: its own half of 6 rows, then the serial parse
+        assert calls == [(1, 6), (1, None)]
 
     def test_exception_in_own_range_kills_then_reaps(self, tmp_path, monkeypatch,
                                                      forks):
@@ -832,7 +839,7 @@ class TestSplitGuards:
         with pytest.raises(KeyboardInterrupt):
             read_csv(f, response="y")
         monkeypatch.setattr(os, "waitpid", waitpid)
-        assert len(forks) == 2 and len(statuses) == 2
+        assert len(forks) == 1 and len(statuses) == 1
         assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL
                    for s in statuses)
 
@@ -845,7 +852,7 @@ class TestSplitGuards:
 
         def loadtxt(fname, **kwargs):
             if os.getpid() == parent and kwargs["max_rows"] is not None:
-                raise ValueError("this process's range failed")
+                raise ValueError("this process's half failed")
             return real(fname, **kwargs)
 
         def gone(pid, sig):
@@ -854,18 +861,17 @@ class TestSplitGuards:
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         monkeypatch.setattr(os, "kill", gone)
         assert _full_outcome(lambda: read_csv(f, response="y")) == want
-        assert want[0] == "data" and len(forks) == 2
+        assert want[0] == "data" and len(forks) == 1
 
     def test_fork_error_reruns_the_serial_parse(self, tmp_path, monkeypatch, forks):
         f = _clean_file(tmp_path)
         want = _serial_outcome(monkeypatch, lambda: read_csv(f, response="y"))
-        recording = os.fork
+        attempts = []
 
-        def second_fails():
-            if forks:
-                raise OSError(11, "Resource temporarily unavailable")
-            return recording()
+        def fails():
+            attempts.append(1)
+            raise OSError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(os, "fork", second_fails)
+        monkeypatch.setattr(os, "fork", fails)
         assert _full_outcome(lambda: read_csv(f, response="y")) == want
-        assert len(forks) == 1
+        assert attempts == [1] and forks == []
