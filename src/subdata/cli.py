@@ -324,8 +324,11 @@ def _cmd_bootstrap(rc: RunConfig) -> int:
 
 
 def _cmd_gen_data(rc: RunConfig) -> int:
+    n = rc.n_values[0]
+    if not n > rc.p:
+        raise ConfigError(f"gen-data needs --n above --p, got --n {n}, --p {rc.p}")
     # the generators ignore k; p + 1 is the smallest value the config accepts
-    cfg = datagen.ScenarioConfig(case=rc.case, n=rc.n_values[0], p=rc.p, k=rc.p + 1,
+    cfg = datagen.ScenarioConfig(case=rc.case, n=n, p=rc.p, k=rc.p + 1,
                                  seed=rc.seed, interaction=rc.interaction)
     data = datagen.gen_dataset(cfg)
     data_io.write_dataset(data, rc.output)

@@ -7,7 +7,6 @@ pairs: a records CSV plus a JSON summary next to it.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import math
@@ -37,6 +36,9 @@ _COUNT_BLOCK = 1 << 20
 _SPLIT_MIN_ROWS = 1 << 14
 # suffixes numpy's path opener decompresses by
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+# a parsed body: X, and y or None without a response column
+_Body = tuple[np.ndarray, np.ndarray | None]
 
 
 @contextmanager
@@ -69,45 +71,31 @@ def _count_lines(path) -> tuple[int, bool]:
     The endings are counted on the raw bytes, ``_COUNT_BLOCK`` at a
     time, which takes the encoding ``open`` picks to write ``\n`` and
     ``\r`` as those single bytes and to use the bytes for nothing else,
-    as UTF-8 and the single-byte encodings do. The file is never held
-    whole but is still decoded in full: a block of ASCII bytes only is
-    skipped while the decoder holds no partial character, every other
-    block is fed to it, and an undecodable file is read again as text
-    so that it fails as ``open`` words it.
+    as UTF-8 and the single-byte encodings do. Nothing is decoded here:
+    the header read, the vectorised parse and the cell scan each read
+    the text, and a byte that does not decode fails there.
 
     A line is empty where it is its ending alone: where the file starts
     with an ending byte, or where two ending bytes meet other than as
     ``\r\n``.
     """
-    with open(path, newline="") as fh:
-        decoder = codecs.getincrementaldecoder(fh.encoding)()
-        clean = decoder.getstate()
-        endings = empty = 0
-        cr_before = False  # the previous block ended in "\r"
-        end_before = True  # ... in an ending byte (the file's start counts)
-        last = b""
-        try:
-            while block := fh.buffer.read(_COUNT_BLOCK):
-                if not block.isascii() or decoder.getstate() != clean:
-                    decoder.decode(block)
-                b = np.frombuffer(block, dtype=np.uint8)
-                lf, cr = b == 10, b == 13
-                ends = lf | cr
-                pairs = np.count_nonzero(cr[:-1] & lf[1:]) + (cr_before and lf[0])
-                endings += np.count_nonzero(ends) - int(pairs)
-                # ending bytes side by side, less the "\r\n" pairs among them
-                empty += (np.count_nonzero(ends[:-1] & ends[1:])
-                          + (end_before and ends[0]) - int(pairs))
-                cr_before, end_before = bool(cr[-1]), bool(ends[-1])
-                last = block[-1:]
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError:
-            pass
-        else:
-            return int(endings) + (last not in (b"", b"\n", b"\r")), bool(empty)
-    with open(path, newline="") as fh:
-        # the text read fails on the same bytes first, as open words it
-        return sum(1 for _line in fh), True
+    endings = empty = 0
+    cr_before = False  # the previous block ended in "\r"
+    end_before = True  # ... in an ending byte (the file's start counts)
+    last = b""
+    with open(path, "rb") as fh:
+        while block := fh.read(_COUNT_BLOCK):
+            b = np.frombuffer(block, dtype=np.uint8)
+            lf, cr = b == 10, b == 13
+            ends = lf | cr
+            pairs = np.count_nonzero(cr[:-1] & lf[1:]) + (cr_before and lf[0])
+            endings += np.count_nonzero(ends) - int(pairs)
+            # ending bytes side by side, less the "\r\n" pairs among them
+            empty += (np.count_nonzero(ends[:-1] & ends[1:])
+                      + (end_before and ends[0]) - int(pairs))
+            cr_before, end_before = bool(cr[-1]), bool(ends[-1])
+            last = block[-1:]
+    return int(endings) + (last not in (b"", b"\n", b"\r")), bool(empty)
 
 
 def _parse_cell(cell: str) -> float:
@@ -117,8 +105,10 @@ def _parse_cell(cell: str) -> float:
     return float(cell)
 
 
-def _scan_cells(path, col_of: dict[str, int], names: list[str]) -> np.ndarray:
-    """Parse the named columns cell by cell, naming the first bad cell."""
+def _scan_cells(path, col_of: dict[str, int], cov_names: list[str],
+                response: str | None) -> _Body:
+    """X and y parsed cell by cell, naming the first bad cell."""
+    names = cov_names + ([response] if response is not None else [])
     header, rows = _read_rows(path)
     width = len(header)
     parsed = np.empty((len(rows), len(names)))
@@ -145,15 +135,17 @@ def _scan_cells(path, col_of: dict[str, int], names: list[str]) -> np.ndarray:
                     row=i + 1, col=c + 1,
                 )
             parsed[i, j] = val
-    return parsed
+    p = len(cov_names)
+    return parsed[:, :p], (parsed[:, p] if response is not None else None)
 
 
 def _read_header(path) -> tuple[list[str], int, int, bool]:
     """Header cells, the physical lines they span, the data lines below,
     and whether any line of the file is empty.
 
-    The count decodes the whole file, so a byte the text reader cannot
-    decode fails here, wherever it sits, and names the file.
+    A byte the text reader cannot decode fails here, naming the file,
+    where it sits in the first block of text read for the header; one
+    further on fails the parse of the body as well.
     """
     try:
         n_lines, empty_line = _count_lines(path)
@@ -216,8 +208,8 @@ def _may_split(source, n_rows: int, empty_line: bool) -> bool:
 
 
 def _parse_split(source, skip: int, width: int, n_rows: int, cols: list[int],
-                 mid: int) -> np.ndarray | None:
-    """The columns ``cols`` of the ``n_rows`` body rows, split at ``mid``; or None.
+                 response: int | None, mid: int) -> _Body | None:
+    """X and y of the ``n_rows`` body rows, parsed split at ``mid``; or None.
 
     This process parses rows ``:mid``. When ``mid < n_rows``, one forked
     child parses rows ``mid:`` into an anonymous shared map and leaves by
@@ -227,9 +219,9 @@ def _parse_split(source, skip: int, width: int, n_rows: int, cols: list[int],
     (``SIGCHLD`` ignored) counts as failed. With ``mid == n_rows``
     nothing is mapped or forked: that is the serial parse. None if the
     fork or either half failed, ``loadtxt`` refused a cell, or a half
-    has another shape; otherwise the named columns of both halves are
-    gathered, a column at a time and each half freed once gathered, into
-    one column-major array: the layout ``body[:, cols]`` gives.
+    has another shape. Otherwise each half, freed once gathered, gives
+    its rows of the columns ``cols`` to a row-major X and of the column
+    ``response``, if any, to y: the one copy out of the parsed halves.
     """
     tail = n_rows - mid
     with (mmap.mmap(-1, tail * width * 8) if tail else nullcontext()) as shared:
@@ -265,33 +257,38 @@ def _parse_split(source, skip: int, width: int, n_rows: int, cols: list[int],
                     ok = False
         if not ok or head is None or head.shape != (mid, width):
             return None
-        parsed = np.empty((n_rows, len(cols)), order="F")
+        X = np.empty((n_rows, len(cols)))
+        y = None if response is None else np.empty(n_rows)
         halves = [head, np.frombuffer(shared).reshape(tail, width)] if tail else [head]
         del head
         start = 0
         while halves:
             rows = halves.pop(0)
-            for j, c in enumerate(cols):
-                parsed[start:start + len(rows), j] = rows[:, c]
-            start += len(rows)
+            stop = start + len(rows)
+            # every column is in range; mode="raise" would buffer the output
+            np.take(rows, cols, axis=1, out=X[start:stop], mode="clip")
+            if y is not None:
+                y[start:stop] = rows[:, response]
+            start = stop
             del rows  # no view of the map outlives it
-    return parsed
+    return X, y
 
 
 def _load_body(path, skip: int, width: int, n_rows: int, cols: list[int],
-               empty_line: bool) -> np.ndarray | None:
-    """Parse the lines below the header in one vectorised pass, or None.
+               response: int | None, empty_line: bool) -> _Body | None:
+    """X (the columns ``cols``) and y (the column ``response``, if any)
+    of the lines below the header, parsed in one vectorised pass; or None.
 
-    The result stands only where :func:`_scan_cells` would return the
-    same array: ``n_rows`` rows (``loadtxt`` skips blank lines, the
+    The result stands only where :func:`_scan_cells` would give the
+    same arrays: ``n_rows`` rows (``loadtxt`` skips blank lines, the
     scanner rejects them) of ``width`` cells each, and finite values in
-    the named columns ``cols``. ``loadtxt`` converts with the parser
-    behind ``float()`` but takes no underscore, quote or non-ASCII
-    digit, so every cell it accepts the scanner reads to the same bits.
-    numpy opens the file itself where :func:`_loadtxt_source` allows.
-    The named columns are gathered even when they are every column in
-    header order: ``loadtxt`` returns rows, the gather returns columns
-    (strides ``(8, 8 n)``), and that is the layout X and y keep.
+    the named columns. ``loadtxt`` converts with the parser behind
+    ``float()`` but takes no underscore, quote or non-ASCII digit, so
+    every cell it accepts the scanner reads to the same bits. A byte
+    that does not decode makes ``loadtxt`` raise, and the scan then
+    names the file. numpy opens the file itself where
+    :func:`_loadtxt_source` allows. X and y are row-major, as a
+    :class:`DataMatrix` keeps them, so it takes them without a copy.
 
     Where :func:`_may_split` allows, the body is split at its middle row
     and the second half is parsed in one forked child
@@ -301,12 +298,14 @@ def _load_body(path, skip: int, width: int, n_rows: int, cols: list[int],
     instead and decides.
     """
     with _loadtxt_source(path) as source:
-        parsed = None
+        body = None
         if _may_split(source, n_rows, empty_line):
-            parsed = _parse_split(source, skip, width, n_rows, cols, n_rows // 2)
-        if parsed is None:
-            parsed = _parse_split(source, skip, width, n_rows, cols, n_rows)
-    return parsed if parsed is not None and np.isfinite(parsed).all() else None
+            body = _parse_split(source, skip, width, n_rows, cols, response, n_rows // 2)
+        if body is None:
+            body = _parse_split(source, skip, width, n_rows, cols, response, n_rows)
+    if body is None or not all(np.isfinite(a).all() for a in body if a is not None):
+        return None
+    return body
 
 
 def read_csv(path, covariates: list[str] | None = None,
@@ -329,7 +328,7 @@ def read_csv(path, covariates: list[str] | None = None,
     A well-formed body is parsed in one vectorised ``np.loadtxt`` pass,
     a large body's second half in one forked child where two CPUs are
     usable, to the same bits; whatever that pass cannot vouch for is
-    scanned cell by cell, which returns the same array (quoted numerals
+    scanned cell by cell, which returns the same arrays (quoted numerals
     and non-ASCII digits read as ``float()`` reads them) or names the
     offending cell.
 
@@ -373,27 +372,21 @@ def read_csv(path, covariates: list[str] | None = None,
     if not cov_names:
         raise ConfigError("no covariate columns left after excluding the response")
 
-    names = cov_names + ([response] if response is not None else [])
-    parsed = _load_body(path, header_lines, len(header), n_rows,
-                        [col_of[name] for name in names], empty_line)
-    if parsed is None:
-        parsed = _scan_cells(path, col_of, names)
-
-    if response is not None:
-        y = parsed[:, -1].copy()
-        X = parsed[:, :-1]
-        if log_response:
-            bad = np.flatnonzero(y <= 0.0)
-            if bad.size:
-                i = int(bad[0])
-                raise DataFormatError(
-                    f"log transform needs a positive response, got {y[i]!r} "
-                    f"at row {i + 1}",
-                    row=i + 1, col=col_of[response] + 1,
-                )
-            y = np.log(y)
-        return DataMatrix(X, y)
-    return DataMatrix(parsed)
+    X, y = (_load_body(path, header_lines, len(header), n_rows,
+                       [col_of[name] for name in cov_names], col_of.get(response),
+                       empty_line)
+            or _scan_cells(path, col_of, cov_names, response))
+    if log_response:  # so y is not None
+        bad = np.flatnonzero(y <= 0.0)
+        if bad.size:
+            i = int(bad[0])
+            raise DataFormatError(
+                f"log transform needs a positive response, got {y[i]!r} "
+                f"at row {i + 1}",
+                row=i + 1, col=col_of[response] + 1,
+            )
+        y = np.log(y)
+    return DataMatrix(X, y)
 
 
 def _fmt(value) -> str:
@@ -408,10 +401,12 @@ def _fmt(value) -> str:
 
 
 def _json_paths(path) -> tuple[Path, Path]:
+    """The CSV and JSON paths of ``path``: ``.csv`` or ``.json`` at its end
+    is dropped, any other suffix is part of the name."""
     base = Path(path)
-    if base.suffix == ".csv":
-        return base, base.with_suffix(".json")
-    return base.with_suffix(".csv"), base.with_suffix(".json")
+    if base.suffix in (".csv", ".json"):
+        base = base.with_suffix("")
+    return base.with_name(base.name + ".csv"), base.with_name(base.name + ".json")
 
 
 def _write_pair(path, header, rows, summary: dict) -> tuple[Path, Path]:
@@ -434,8 +429,9 @@ def _record_rows(records, columns):
 def write_results(records, summary: dict, path) -> tuple[Path, Path]:
     """Write a records CSV and its JSON summary; returns both paths.
 
-    ``path`` may point at the CSV or be extension-free; the JSON lands
-    next to it with the same stem. Column order is fixed, floats are
+    ``path`` may point at the CSV or the JSON, or name both without a
+    suffix; any suffix other than ``.csv`` or ``.json`` is part of the
+    name, so ``run.a`` writes ``run.a.csv`` and ``run.a.json``. Column order is fixed, floats are
     written at round-trip precision, and an empty record list still
     produces the header line.
     """

@@ -106,14 +106,17 @@ class DataMatrix:
     """An n x p covariate matrix with an optional response vector.
 
     Construction validates shape and finiteness once so downstream code
-    can skip per-call checks. Instances are immutable.
+    can skip per-call checks. Both arrays are float64 and row-major
+    (C-contiguous): an input of any other layout is copied once, so
+    every consumer sums in the same order and equal numbers give equal
+    results wherever they came from. Instances are immutable.
     """
 
     values: np.ndarray
     response: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64, order="C")
         if vals.ndim != 2:
             raise DimensionError(f"expected a 2-d matrix, got ndim={vals.ndim}")
         if vals.shape[0] < 1 or vals.shape[1] < 1:
@@ -122,7 +125,7 @@ class DataMatrix:
             raise ContractError("covariate matrix contains non-finite entries")
         object.__setattr__(self, "values", vals)
         if self.response is not None:
-            resp = np.asarray(self.response, dtype=np.float64)
+            resp = np.asarray(self.response, dtype=np.float64, order="C")
             if resp.ndim != 1 or resp.shape[0] != vals.shape[0]:
                 raise DimensionError(
                     f"response must be 1-d with length {vals.shape[0]}, "

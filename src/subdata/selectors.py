@@ -501,7 +501,7 @@ def _column_extrema(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, p = vals.shape
     head = n - n % _EXTREMA_ROWS
-    if not head or not vals.flags.c_contiguous:
+    if not head:
         return vals.min(axis=0), vals.max(axis=0)
     blocks = vals[:head].reshape(-1, _EXTREMA_ROWS * p)
     lo = blocks.min(axis=0).reshape(_EXTREMA_ROWS, p).min(axis=0)
@@ -520,8 +520,9 @@ def _oss_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     minima lo and maxima hi, takes |z|^2 by the same einsum as over the
     whole scaled matrix, and packs the bits [z > 0 | z < 0] of each row
     into bytes, bit j of the pattern being bit j mod 8 of byte j // 8.
-    Every value is bit for bit what the whole-matrix formula gives; no
-    n x p scaled copy is made.
+    ``vals`` is row-major, as a :class:`DataMatrix`'s values are, and so
+    is every block. Every value is bit for bit what the whole-matrix
+    formula gives; no n x p scaled copy is made.
 
     Returns
     -------
@@ -547,18 +548,11 @@ def _oss_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, p = vals.shape
     width = 8 * -(-2 * p // 64)         # bytes per row, whole uint64 words
     rows = min(n, _OSS_BLOCK_ROWS)
-    # the block is laid out as ``vals - lo`` would lay out the whole
-    # matrix, column-major for column-major input, so einsum sums each
-    # row in the same order; a partial block is a slice, never a fresh
-    # contiguous array, for the same reason
-    column_major = abs(vals.strides[0]) < abs(vals.strides[1])
-    block = np.empty((rows, p), order="F" if column_major else "C")
-    # lo and span as (rows, p) operands: tiled for a row-major block, where
-    # broadcasting a p-vector runs an inner loop of p elements per row, and
-    # broadcast for a column-major one, whose loops already run down columns
-    reps = (1, 1) if column_major else (rows, 1)
-    lo_rows = np.broadcast_to(np.tile(lo, reps), (rows, p))
-    span_rows = np.broadcast_to(np.tile(span, reps), (rows, p))
+    block = np.empty((rows, p))
+    # lo and span tiled to the block's shape: broadcasting a p-vector
+    # over rows runs an inner loop of p elements per row
+    lo_rows = np.tile(lo, (rows, 1))
+    span_rows = np.tile(span, (rows, 1))
     bits = np.zeros((rows, 8 * width), dtype=bool)
     norms2 = np.empty(n)
     signs = np.empty((n, width), dtype=np.uint8)
@@ -693,10 +687,9 @@ def _resample_classes(res: Resample) -> tuple[np.ndarray, np.ndarray,
 
     ``np.minimum.at`` finds each base row's first position. Only those
     rows are scaled, gathered in order of appearance by the same
-    ``np.take`` that copies the resample, so each block of
-    :func:`_oss_rows` has the resample's memory order and every |z|^2 is
-    summed as it is there; the column extrema are those of the rows
-    present, as in the resample. :func:`_interchangeable_classes` merges
+    ``np.take`` that copies the resample, row-major as it is, so every
+    |z|^2 is summed as it is there; the column extrema are those of the
+    rows present, as in the resample. :func:`_interchangeable_classes` merges
     distinct base rows that are interchangeable, and orders the classes
     by their first appearance, which is their lowest position. One
     int64 sort of (class, position) keys then lists each class's

@@ -625,6 +625,33 @@ class TestRuntimeConfigErrors:
         monkeypatch.setenv("SUBDATA_THREADS", "abc")
         assert main(argv + ["--output", "o.csv"]) == 0
 
+    @pytest.mark.parametrize("n", ["3", "5"])
+    def test_gen_data_n_not_above_p_names_the_flags(self, n, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["gen-data", "--n", n, "--p", "5", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--n {n}" in err and "--p 5" in err and "k=" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [
+        [b"1.25,2.5"] * 1499 + [b"1.25,\xe9.5"] + [b"1.25,2.5"] * 500 + [b""],
+        [b"1.25,2.5"] * 20 + [b"1.25,2.\xc3"],
+    ], ids=["past-the-first-8-KiB", "cut-short-at-the-end"])
+    def test_header_error_before_an_undecodable_byte_past_the_header_read(
+            self, rows, tmp_path, capsys):
+        # the header read decodes the first 8 KiB of text and holds back a
+        # character cut short at its end; the parse of the body meets such a
+        # byte after the header's own checks
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"\n".join([b"a,b", *rows]))
+        argv = ["select", "--method", "uniform", "--k", "10", "--input", str(f),
+                "--output", str(tmp_path / "o.csv")]
+        assert main(argv + ["--response", "z"]) == 2
+        assert "response column 'z' not in header" in capsys.readouterr().err
+        assert main(argv + ["--response", "b"]) == 1
+        assert f"cannot read {f}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("k", ["2", "8"])
     def test_levss_on_fewer_rows_than_columns_exits_2(self, k, tmp_path, capsys):
         data = tmp_path / "wide.csv"

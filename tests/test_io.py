@@ -10,6 +10,7 @@ import signal
 import threading
 import time
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subdata import (
+    BootstrapPlan,
     ConfigError,
     DataFormatError,
     ScenarioConfig,
     gen_dataset,
     read_csv,
     read_records,
+    run_bootstrap,
     run_simulation,
     summarize,
     write_dataset,
@@ -153,6 +156,31 @@ class TestDatasetRoundTrip:
         path = write_dataset(gen_dataset(cfg), tmp_path / "d.csv")
         assert path.read_text().splitlines()[0] == "x1,x2,y"
 
+    @pytest.mark.parametrize("parse", ["vectorised", "scan"])
+    def test_arrays_are_row_major(self, tmp_path, monkeypatch, parse):
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=50, p=3, k=10, seed=3))
+        f = write_dataset(data, tmp_path / "d.csv")
+        (_scan_only if parse == "scan" else _refuse_scan)(monkeypatch)
+        for kwargs in ({"response": "y"}, {"covariates": ["x3", "x1"], "response": "y"},
+                       {"covariates": ["x2"]}, {}):
+            d = read_csv(f, **kwargs)
+            assert d.values.flags.c_contiguous, kwargs
+            assert d.response is None or d.response.flags.c_contiguous, kwargs
+
+    def test_bootstrap_of_the_read_back_equals_the_original(self, tmp_path):
+        # the same numbers give the same records, bit for bit, whether they
+        # were generated or read back: X has one layout either way
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=20_000, p=10, k=11, seed=7))
+        back = read_csv(write_dataset(data, tmp_path / "d.csv"), response="y")
+        plan = BootstrapPlan.from_multiples(10, n_boot=3, seed=1)
+
+        def untimed(records):
+            return [repr(replace(r, elapsed_select=0.0, elapsed_fit=0.0)) for r in records]
+
+        want = run_bootstrap(data, plan)
+        assert len(want) == 72 and not any(r.failed for r in want)
+        assert untimed(run_bootstrap(back, plan)) == untimed(want)
+
 
 class TestResultsRoundTrip:
     def test_records_survive(self, tmp_path):
@@ -164,6 +192,19 @@ class TestResultsRoundTrip:
         assert csv_path.suffix == ".csv" and json_path.suffix == ".json"
         back = read_records(csv_path)
         assert back == recs
+
+    @pytest.mark.parametrize("name, csv_name, json_name", [
+        ("run", "run.csv", "run.json"),
+        ("run.csv", "run.csv", "run.json"),
+        ("run.json", "run.csv", "run.json"),
+        ("run.a", "run.a.csv", "run.a.json"),
+        ("run.a.csv", "run.a.csv", "run.a.json"),
+    ])
+    def test_output_names(self, tmp_path, name, csv_name, json_name):
+        # only a .csv or .json suffix is dropped: run.a and run.b stay apart
+        paths = write_results([], {}, tmp_path / name)
+        assert paths == (tmp_path / csv_name, tmp_path / json_name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([csv_name, json_name])
 
     def test_records_with_byte_order_mark_survive(self, tmp_path):
         cfg = ScenarioConfig(case="mvnormal", n=200, p=3, k=30, seed=1)
@@ -393,14 +434,14 @@ class TestParsePaths:
         assert _outcome(lambda: read_csv(marked, response="y")) == want
 
     def test_every_column_named_is_pinned(self, tmp_path):
-        # the bits and the layout (column-major, as the column gather
-        # leaves it) of X and y when every column is named in header order
+        # the bits and the layout (row-major, as every DataMatrix keeps
+        # it) of X and y when every column is named in header order
         data = gen_dataset(ScenarioConfig(case="mvnormal", n=3000, p=4, k=10, seed=7))
         f = write_dataset(data, tmp_path / "d.csv")
         d = read_csv(f, covariates=["x1", "x2", "x3", "x4"], response="y")
         digest = hashlib.sha256(d.values.tobytes() + d.response.tobytes()).hexdigest()
         assert digest == "e4bf7658879e5996056e82bf156e7963fa5a0acbc3f7254ecfa062d34936d24a"
-        assert d.values.strides == (8, 8 * 3000)
+        assert d.values.strides == (8 * 4, 8)
         assert d.response.strides == (8,)
 
     def test_underscore_numeral_rejected(self, tmp_path):
@@ -421,13 +462,6 @@ def _text_line_count(path):
     return ("lines", len(lines), any(line in ("\n", "\r", "\r\n") for line in lines))
 
 
-def _counted_lines(path):
-    try:
-        return ("lines", *subdata_io._count_lines(path))
-    except UnicodeDecodeError as exc:
-        return ("error", str(exc))
-
-
 # cells, line endings, a two-byte character and its two halves alone
 _COUNT_PIECES = [b"a", b",", b"1", b"\r", b"\n", "\u00e9".encode(), b"\xc3", b"\xa9"]
 # pieces that always decode, "\r\n" among them, so that most texts count
@@ -436,7 +470,8 @@ _DECODABLE_PIECES = _COUNT_PIECES[:6] + [b"\r\n"]
 
 class TestCountLines:
     """The byte count of line endings, and the empty-line flag, equal the
-    text reader's."""
+    text reader's; a text that reader cannot decode fails read_csv with
+    the reader's own error."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -446,10 +481,19 @@ class TestCountLines:
            block=st.integers(1, 7))
     def test_equals_the_text_reader(self, tmp_path, bom, pieces, block):
         f = tmp_path / "d.csv"
-        f.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(pieces))
+        text = b"\xef\xbb\xbf" * bom + b"".join(pieces)
+        f.write_bytes(text)
+        want = _text_line_count(f)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subdata_io, "_COUNT_BLOCK", block)
-            assert _counted_lines(f) == _text_line_count(f)
+            if want[0] == "lines":
+                assert ("lines", *subdata_io._count_lines(f)) == want
+                return
+            # below a header that decodes, so that no header check fails first
+            f.write_bytes(b"\xef\xbb\xbf" * bom + b"a,b\n" + text[3 * bom:])
+            with pytest.raises(DataFormatError) as err:
+                read_csv(f)
+            assert str(err.value) == f"cannot read {f}: {_text_line_count(f)[1]}"
 
     def test_undecodable_byte_after_the_first_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(subdata_io, "_COUNT_BLOCK", 4)
@@ -464,8 +508,11 @@ class TestCountLines:
         monkeypatch.setattr(subdata_io, "_COUNT_BLOCK", 1)
         f = tmp_path / "d.csv"
         f.write_bytes(b"a,b\n1,\xc3a\xa9\n")
-        assert _text_line_count(f)[0] == "error"
-        assert _counted_lines(f) == _text_line_count(f)
+        want = _text_line_count(f)
+        assert want[0] == "error"
+        with pytest.raises(DataFormatError) as err:
+            read_csv(f)
+        assert str(err.value) == f"cannot read {f}: {want[1]}"
 
 
 def _small_dataset(tmp_path):
@@ -703,7 +750,7 @@ class TestSplitParse:
         assert len(forks) == 1  # two halves of 1500 rows
         assert np.array_equal(d.values.view(np.int64), data.values.view(np.int64))
         assert np.array_equal(d.response.view(np.int64), data.response.view(np.int64))
-        assert d.values.strides == (8, 8 * 3000) and d.response.strides == (8,)
+        assert d.values.strides == (8 * 4, 8) and d.response.strides == (8,)
 
     def test_one_child_at_most(self, tmp_path, monkeypatch, forks):
         # four usable CPUs still give one child

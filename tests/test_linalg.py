@@ -15,8 +15,10 @@ from subdata import (
     DimensionError,
     as_data_matrix,
     condition_number,
+    fit_ols,
     leverage_scores,
     logdet_info,
+    select_oss,
     thin_svd,
 )
 from subdata.linalg import matrix_rank_from_singular_values
@@ -41,6 +43,8 @@ class TestDataMatrix:
             DataMatrix(np.arange(4.0))
         with pytest.raises(DimensionError):
             DataMatrix(np.empty((0, 3)))
+        with pytest.raises(DimensionError, match="ndim=0"):
+            DataMatrix(np.float64(1.0))
 
     def test_response_must_match_rows(self):
         x = np.ones((4, 2))
@@ -48,6 +52,32 @@ class TestDataMatrix:
             DataMatrix(x, response=np.ones(3))
         with pytest.raises(ContractError):
             DataMatrix(x, response=np.array([1.0, 2.0, np.nan, 4.0]))
+
+    @pytest.mark.parametrize("layout", ["row-major", "column-major", "strided view"])
+    def test_arrays_are_row_major(self, layout):
+        base = np.random.default_rng(2).normal(size=(30, 9))
+        x, y = {"row-major": (base[:, :4].copy(), base[:, 8].copy()),
+                "column-major": (np.asfortranarray(base[:, :4]), base[:, 8].copy()),
+                "strided view": (base[::2, 1::2], base[::2, 8])}[layout]
+        d = DataMatrix(x, response=y)
+        assert d.values.flags.c_contiguous and d.response.flags.c_contiguous
+        assert np.array_equal(d.values, x) and np.array_equal(d.response, y)
+        # copied once where the layout differs, never where it is row-major
+        assert (d.values is x) == (layout == "row-major")
+        assert (d.response is y) == (layout != "strided view")
+
+    def test_column_major_input_gives_the_same_bits(self):
+        # fit_ols sums in memory order, so its last bits would follow the
+        # layout of X if a DataMatrix did not give X one layout
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3000, 10)) @ rng.normal(size=(10, 10))
+        y = x @ rng.normal(size=10) + rng.normal(size=3000)
+        xf = np.asfortranarray(x)
+        fit, fit_f = fit_ols(x, y), fit_ols(xf, y)
+        assert np.float64(fit.intercept).view(np.int64) == np.float64(fit_f.intercept).view(np.int64)
+        assert np.array_equal(fit.slopes.view(np.int64), fit_f.slopes.view(np.int64))
+        for k in (20, 300):
+            assert np.array_equal(select_oss(x, k).indices, select_oss(xf, k).indices)
 
     def test_take_carries_response(self):
         d = DataMatrix(np.arange(8.0).reshape(4, 2), response=np.arange(4.0))

@@ -631,8 +631,7 @@ class TestOssOnResample:
         rng = np.random.default_rng(5)
         base = rng.normal(size=(3000, 5))
         self._assert_same(base, rng.integers(0, 3000, size=3000), (2, 50, 400, 2999))
-        # a column-major base: the resample's copy and the prepared rows
-        # are gathered by the same np.take
+        # a column-major base: Resample and take hold it row-major alike
         self._assert_same(np.asfortranarray(base), rng.integers(0, 3000, size=3000),
                           (300,))
 
@@ -723,8 +722,12 @@ class TestScaleToUnitBox:
         self._assert_matches_reference(x)
 
     def test_fortran_order_input(self):
+        # a DataMatrix holds column-major input row-major, the one layout
+        # the pass reads
         for n, p in ((130, 3), (_OSS_BLOCK_ROWS + 1, 10), (2 * _OSS_BLOCK_ROWS + 1, 33)):
-            self._assert_matches_reference(np.asfortranarray(_unit_box_case(n, p, seed=5)))
+            vals = DataMatrix(np.asfortranarray(_unit_box_case(n, p, seed=5))).values
+            assert vals.flags.c_contiguous
+            self._assert_matches_reference(vals)
 
     def test_constant_column_is_named(self):
         x = np.random.default_rng(3).normal(size=(_OSS_BLOCK_ROWS + 1, 3))
