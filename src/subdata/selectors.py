@@ -25,6 +25,7 @@ prepares each distinct row once.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -522,7 +523,13 @@ def _oss_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     into bytes, bit j of the pattern being bit j mod 8 of byte j // 8.
     ``vals`` is row-major, as a :class:`DataMatrix`'s values are, and so
     is every block. Every value is bit for bit what the whole-matrix
-    formula gives; no n x p scaled copy is made.
+    formula gives; no n x p scaled copy is made. A column whose span
+    is more than half the largest float, so that 2 (vals - lo) would
+    overflow, is scaled as its quarter; only then is X copied once.
+
+    Every z lies in [-1, 1]: rounding is monotone, so vals - lo rounds
+    into [0, span] and its quotient by span into [0, 2]. Hence
+    0 <= |z|^2 <= p, the premise of :func:`select_oss`'s head rule.
 
     Returns
     -------
@@ -538,13 +545,21 @@ def _oss_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         If some column is constant, naming the first such column.
     """
     lo, hi = _column_extrema(vals)
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
+        wide = ~np.isfinite(2.0 * span)
     flat = np.flatnonzero(span == 0.0)
     if flat.size:
         j = int(flat[0])
         raise ScalingError(
             f"column {j} is constant and cannot be scaled to [-1, 1]", column=j
         )
+    if wide.any():
+        # 2 (vals - lo) would overflow: such a column is scaled as its
+        # quarter, a power of two, so every z still lies in [-1, 1]
+        quarter = np.where(wide, 0.25, 1.0)
+        vals, lo, hi = vals * quarter, lo * quarter, hi * quarter
+        span = hi - lo
     n, p = vals.shape
     width = 8 * -(-2 * p // 64)         # bytes per row, whole uint64 words
     rows = min(n, _OSS_BLOCK_ROWS)
@@ -571,6 +586,37 @@ def _oss_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms2, signs
 
 
+def _all_distinct(key: np.ndarray) -> bool:
+    """Whether no two entries of ``key`` are equal, found by one sort."""
+    ordered = np.sort(key)
+    return bool((ordered[1:] != ordered[:-1]).all())
+
+
+def _runs(key: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices in runs of equal key and words, and where each run starts.
+
+    i and j share a run when ``key[i] == key[j]`` and every uint64 word
+    of ``words[i]`` (n x W) equals that of ``words[j]``. ``order`` lists
+    the indices run by run and ``start`` holds each run's first position
+    in it, ending with n; runs and the indices within one come in no
+    fixed order. One argsort of the key is refined word by word, and
+    only where a run of equal keys mixes words.
+    """
+    order = np.argsort(key)
+    ordered = key[order]
+    start = np.ones(key.size, dtype=bool)  # a run starts at this position
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    for word in words.T:
+        sw = word[order]
+        split = sw[1:] != sw[:-1]
+        if (split & ~start[1:]).any():  # a run mixes words: sort it by this one
+            resort = np.lexsort((sw, np.cumsum(start)))
+            order, sw = order[resort], sw[resort]
+            split = sw[1:] != sw[:-1]
+        start[1:] |= split
+    return order, np.append(np.flatnonzero(start), key.size)
+
+
 def _interchangeable_classes(norms2: np.ndarray,
                              signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows laid out class by class, and where each class starts.
@@ -578,36 +624,53 @@ def _interchangeable_classes(norms2: np.ndarray,
     Rows are interchangeable in the OSS greedy when they share |z|^2 bit
     for bit and every sign byte, compared as the uint64 words that the
     rows of ``signs`` (from :func:`_oss_rows`) view as: every loss term
-    against them or from them is then the same float. Classes come in
-    the order of their lowest row and each class lists its rows in
-    ascending order, so ``members[first[c]:first[c + 1]]`` are the rows
-    of class c and ``first`` ends with n. Rows with pairwise distinct
-    |z|^2, as continuous data without repeated rows has, are found by
-    one sort and form n one-row classes.
+    against them or from them is then the same float. Classes are the
+    :func:`_runs` of that key, laid out in the order of their lowest row,
+    each listing its rows in ascending order, so
+    ``members[first[c]:first[c + 1]]`` are the rows of class c and
+    ``first`` ends with n. Rows with pairwise distinct |z|^2, as
+    continuous data without repeated rows has, are found by one sort
+    and form n one-row classes.
     """
     n = norms2.size
-    ordered = np.sort(norms2)
-    start = np.ones(n, dtype=bool)      # a class starts at this sorted position
-    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
-    if start.all():
+    if _all_distinct(norms2):
         return np.arange(n), np.arange(n + 1)
-    order = np.argsort(norms2)          # rows in the order of ``ordered``
-    for word in signs.view(np.uint64).T:
-        sw = word[order]
-        split = sw[1:] != sw[:-1]
-        if (split & ~start[1:]).any():  # a class mixes words: sort it by this one
-            resort = np.lexsort((sw, np.cumsum(start)))
-            order, sw = order[resort], sw[resort]
-            split = sw[1:] != sw[:-1]
-        start[1:] |= split
-    starts = np.flatnonzero(start)
+    order, start = _runs(norms2, signs.view(np.uint64))
+    starts = start[:-1]
     lowest = np.minimum.reduceat(order, starts)
     # lowest row of the row's class, then the row: one key, since both are < n
-    key = np.repeat(lowest, np.diff(starts, append=n)) * n + order
+    key = np.repeat(lowest, np.diff(start)) * n + order
     key.sort()
     cls, members = np.divmod(key, n)
     first = np.append(np.flatnonzero(members == cls), n)
     return members, first
+
+
+def _pattern_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Classes in runs of one sign pattern, where each run starts, and how
+    many runs hold one class.
+
+    ``signs`` holds one row of sign bytes per class, as
+    :func:`_oss_classes` returns them; the runs are the :func:`_runs` of
+    their uint64 words, keyed on the first. Runs of one class come first,
+    in class order, then the longer runs, so ``order[start[i]:start[i +
+    1]]`` are the classes of run i and ``start`` ends with the class
+    count. Classes whose first words all differ are found by one sort
+    and form one-class runs.
+    """
+    words = signs.view(np.uint64)
+    g = words.shape[0]
+    if _all_distinct(words[:, 0]):
+        return np.arange(g), np.arange(g + 1), g
+    order, start = _runs(words[:, 0], words[:, 1:])
+    sizes = np.diff(start)
+    one = sizes == 1
+    alone = np.sort(order[start[:-1][one]])
+    sizes = sizes[~one]
+    at = np.cumsum(sizes) - sizes  # each longer run's start among them
+    pos = np.repeat(start[:-1][~one] - at, sizes) + np.arange(g - alone.size)
+    return (np.concatenate([alone, order[pos]]),
+            np.concatenate([np.arange(alone.size), at + alone.size, [g]]), alone.size)
 
 
 @dataclass(frozen=True)
@@ -752,22 +815,50 @@ def select_oss(X, k: int) -> SelectionResult:
 
     Rows that share |z|^2 bit for bit and every sign byte are
     interchangeable: each loss term against them or from them is the
-    same float. The greedy therefore scores classes of such rows,
-    grouped by sorting on that key, in the order of their lowest row.
-    Each step adds the new row's loss term to every class's running
-    score, summed in selection order as the naive greedy sums it, and
-    takes the lowest untaken row of the class with the smallest score.
-    A class's score is pinned at +inf once its last row is taken; until
-    then its rows keep the score each of them has in a row-by-row run.
-    Ties go to the lowest row. The first class with the smallest score
-    holds it unless that class has lost a row; only then is its lowest
-    untaken row compared with those of every exactly tied class.
+    same float. The greedy therefore treats classes of such rows, grouped
+    by sorting on that key, in the order of their lowest row; a class
+    keeps the score each of its rows has in a row-by-row run and gives
+    up its lowest untaken row when picked.
 
-    With G classes the greedy costs O(G k ceil(2p / 8)), after an
-    O(n p) preparation and an O(n log n) grouping. G is n for
-    continuous data without repeated rows, found by one sort of |z|^2,
-    and about 1 - 1/e, or 63 %, of n for a bootstrap resample of such
-    data.
+    Classes that share a sign pattern share every delta. With
+    u = p - |z|^2 / 2 and b = |x|^2 / 2 the loss is (u - b + delta)^2,
+    and its base is never negative: the scaling keeps 0 <= |z|^2 <= p,
+    so u >= p / 2 >= b, and delta >= 0. Subtraction, addition, squaring
+    and the running sum round monotonically on non-negative operands,
+    so within a pattern no class's float score is ever below that of
+    the pattern's head, its untaken class of smallest u (the lowest
+    class on ties). Only a head can hold the minimum. The greedy keeps
+    one running score per pattern, its head's, summed with the same
+    operations in the same order as the row-by-row greedy. When a head
+    runs out of rows, the next class of its pattern in (u, class) order
+    becomes the head, and its score is rebuilt by ``np.add.accumulate``
+    over its t terms in selection order: the very bits a running sum
+    holds. A pattern with no class left is pinned at +inf.
+
+    Ties go to the lowest untaken row. A class can tie only if its
+    pattern's head holds the smallest score m, and a follower ties its
+    head only if its u is close: after t picks, rounding moves either
+    score by a relative (t + 4) 2^-53 at most, to first order, while a
+    follower whose u exceeds the head's by d sums at least 2 d sqrt(m)
+    more before rounding, to first order. A margin eight times wider
+    covers both: a follower with d > (t + 8) 2^-50 sqrt(m) scores more,
+    a closer one has its score rebuilt, and one with equal u ties
+    exactly. One-class patterns whose class has lost no row come
+    first, in the order of that row, so the first of them with the
+    smallest score holds the lowest tied row among them; the longer
+    patterns, and each one-class pattern that loses a row, come after
+    them and are compared one by one.
+
+    With P distinct sign patterns, P <= min(G, 3^p) for G classes, the
+    greedy costs O(P k ceil(2p / 8)), plus O(t) at each head change
+    after t picks, plus a comparison per step for each pattern after
+    the one-class ones; all this after an O(n p) preparation and an
+    O(n log n) grouping. G is n for continuous data without repeated
+    rows, found by one sort of |z|^2, and about 1 - 1/e, or 63 %, of n
+    for a bootstrap resample of such data; such data has no exact
+    zeros, so P <= 2^p, at most 1,024 at p = 10. When every pattern
+    holds one class the heads are the classes and nothing is rebuilt.
+    The picks are those of the row-by-row greedy, bit for bit.
 
     A :class:`Resample` names its repeated rows, so given one in place
     of ``X.matrix()`` the call scales and groups only the distinct base
@@ -804,47 +895,163 @@ def select_oss(X, k: int) -> SelectionResult:
         norms2, signs, members, first = _resample_classes(source)
     else:
         norms2, signs, members, first = _oss_classes(source.values)
-    g = first.size - 1
-    nbytes = -(-2 * p // 8)       # sign bytes per row
-    planes = np.ascontiguousarray(signs[:, :nbytes].T)
-    del signs
+    g = norms2.size
+    order, start, ones = _pattern_runs(signs)  # classes by sign pattern
+    npat = start.size - 1
     u = p - 0.5 * norms2          # candidate-side constant of the loss
     b = 0.5 * norms2              # selected-side constant
+    head = order[start[:-1]]
+    if ones < npat:
+        # the head of a longer pattern: the lowest class of its smallest u
+        cls, at = order[start[ones]:], start[ones:-1] - start[ones]
+        u_run = u[cls]
+        least = np.repeat(np.minimum.reduceat(u_run, at), np.diff(start[ones:]))
+        head[ones:] = np.minimum.reduceat(np.where(u_run == least, cls, g), at)
+        del cls, at, u_run, least
+    # pattern i starts in slot i; a one-class pattern that loses a row
+    # moves to the next free slot, past every pattern's first slot
+    room = npat + min(ones, k)
+    slot = np.arange(npat)
+    owner = np.arange(room)       # pattern in each slot
+    nbytes = -(-2 * p // 8)       # sign bytes per row
+    planes = np.zeros((nbytes, room), dtype=np.uint8)
+    planes[:, :npat] = np.take(signs, head, axis=0)[:, :nbytes].T
+    words = signs.view(np.uint64)
+    head_u = np.full(room, float(p))
+    head_u[:npat] = u[head]
+    scores = np.zeros(room)       # score of the head in each slot
+    scores[npat:] = np.inf
+    ranked = np.zeros(npat, dtype=bool)  # pattern's classes listed by (u, class)
+    ranked[:ones] = True
+    at_head = start[:-1].copy()   # position of a ranked pattern's head in order
 
-    both = np.empty(g, dtype=np.uint8)
-    delta = np.empty(g, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
-    term = np.empty(g)
-    scores = np.zeros(g)
+    both = np.empty(room, dtype=np.uint8)
+    delta = np.empty(room, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
+    term = np.empty(room)
     chosen = np.empty(k, dtype=np.intp)
+    seen = np.empty(k, dtype=np.intp)  # class of each pick
+    hits = np.empty(k, dtype=np.uint64)
+    counts = np.empty(k, dtype=np.uint8)
+    deltas = np.empty(k, dtype=delta.dtype)
+    sums = np.empty(k)
     nxt = first[:-1].copy()       # each class's lowest untaken row, in members
+    used = npat                   # slots taken
 
-    def take(c: int) -> int:
-        """Class c's lowest untaken row; its score is pinned when none is left."""
+    def replay(c: int, t: int) -> float:
+        """Class c's score over the first t picks, summed as the greedy sums it."""
+        if not t:
+            return 0.0
+        picks, mine = seen[:t], words[c]
+        d = np.bitwise_count(np.bitwise_and(words[:, 0][picks], mine[0], out=hits[:t]),
+                             out=deltas[:t])
+        for w in range(1, mine.size):
+            d += np.bitwise_count(np.bitwise_and(words[:, w][picks], mine[w], out=hits[:t]),
+                                  out=counts[:t])
+        np.subtract(u[c], b[picks], out=sums[:t])
+        sums[:t] += d
+        np.square(sums[:t], out=sums[:t])
+        return np.add.accumulate(sums[:t], out=sums[:t])[-1]
+
+    def rank(pat: int) -> None:
+        """List pattern pat's classes by (u, class); its head comes first."""
+        a, e = start[pat], start[pat + 1]
+        cls = np.sort(order[a:e])
+        order[a:e] = cls[np.argsort(u[cls], kind="stable")]
+        ranked[pat] = True
+
+    def lowest_tied(pat: int, t: int) -> tuple[int, int]:
+        """The class of pattern pat scoring exactly its head's score after t
+        picks that holds the lowest untaken row, and that row."""
+        h = head[pat]
+        best, row = h, members[nxt[h]]
+        hu, m = u[h], scores[slot[pat]]
+        # a follower whose u exceeds the head's by more than this is
+        # certainly worse (see the docstring)
+        margin = (t + 8) * 2.0 ** -50 * math.sqrt(m)
+        if not ranked[pat]:
+            rank(pat)
+        for at in range(at_head[pat] + 1, start[pat + 1]):
+            c = order[at]
+            if nxt[c] == first[c + 1]:
+                continue
+            if u[c] != hu and (u[c] - hu > margin or replay(c, t) != m):
+                break             # every later class scores as much or more
+            if members[nxt[c]] < row:
+                best, row = c, members[nxt[c]]
+        return best, row
+
+    def relocate(pat: int) -> None:
+        """Move one-class pattern pat, which lost a row, to the next free slot."""
+        nonlocal used
+        old, new = slot[pat], used
+        used += 1
+        planes[:, new] = planes[:, old]
+        head_u[new], scores[new], scores[old] = head_u[old], scores[old], np.inf
+        owner[new], slot[pat] = pat, new
+
+    def take(c: int, pat: int, t: int) -> int:
+        """Class c's lowest untaken row. When the head of pattern pat runs
+        out, the next class in (u, class) order takes its place."""
         row = members[nxt[c]]
         nxt[c] += 1
-        if nxt[c] == first[c + 1]:
-            scores[c] = np.inf
+        if nxt[c] < first[c + 1]:
+            if slot[pat] < ones:
+                relocate(pat)
+            return row
+        at = slot[pat]
+        if pat < ones:
+            scores[at] = np.inf   # the pattern's one class is used up
+            return row
+        if c != head[pat]:
+            return row
+        if not ranked[pat]:
+            rank(pat)
+        pos, end = at_head[pat] + 1, start[pat + 1]
+        while pos < end and nxt[order[pos]] == first[order[pos] + 1]:
+            pos += 1
+        if pos == end:
+            scores[at] = np.inf   # no class of the pattern is left
+            return row
+        at_head[pat] = pos
+        head[pat] = order[pos]
+        head_u[at] = u[head[pat]]
+        scores[at] = replay(head[pat], t)
         return row
 
+    live = -1                     # slots the step reads, grown 64 at a time
     current = int(np.argmax(norms2))  # no class has lost a row: lowest row wins
-    chosen[0] = take(current)
+    pattern = int(np.searchsorted(start, np.flatnonzero(order == current)[0], "right")) - 1
+    chosen[0] = take(current, pattern, 0)
     for step in range(1, k):
-        mine = planes[:, current]
-        np.bitwise_count(np.bitwise_and(planes[0], mine[0], out=both), out=delta)
+        if used > live:
+            live = min(room, used + 64)
+            rows = [planes[w, :live] for w in range(nbytes)]
+            both_v, delta_v, term_v = both[:live], delta[:live], term[:live]
+            scores_v, head_u_v = scores[:live], head_u[:live]
+        seen[step - 1] = current
+        mine = planes[:, slot[pattern]]
+        np.bitwise_count(np.bitwise_and(rows[0], mine[0], out=both_v), out=delta_v)
         for w in range(1, nbytes):
-            np.bitwise_count(np.bitwise_and(planes[w], mine[w], out=both), out=both)
-            delta += both
-        np.subtract(u, b[current], out=term)
-        term += delta
-        np.square(term, out=term)
-        scores += term
-        current = int(np.argmin(scores))
-        if nxt[current] > first[current]:
-            # a class that lost a row may now hold a later lowest row than
-            # a class after it with exactly the same score
-            tied = np.flatnonzero(scores == scores[current])
-            current = int(tied[np.argmin(members[nxt[tied]])])
-        chosen[step] = take(current)
+            np.bitwise_count(np.bitwise_and(rows[w], mine[w], out=both_v), out=both_v)
+            delta_v += both_v
+        np.subtract(head_u_v, b[current], out=term_v)
+        term_v += delta_v
+        np.square(term_v, out=term_v)
+        scores_v += term_v
+        at = int(np.argmin(scores_v))
+        pattern = int(owner[at])
+        if at < ones:             # one class that lost no row: its lowest row
+            current, after = int(head[pattern]), ones  # beats every later one
+            row = members[first[current]]
+        else:
+            (current, row), after = lowest_tied(pattern, step), at + 1
+        if used > after:
+            m = scores[at]
+            for other in np.flatnonzero(scores[after:used] == m) + after:
+                c, r = lowest_tied(int(owner[other]), step)
+                if r < row:
+                    current, row, pattern = int(c), r, int(owner[other])
+        chosen[step] = take(int(current), pattern, step)
 
     elapsed = time.perf_counter() - t0
     return SelectionResult(chosen, k, _EMPTY_TRACE, elapsed)

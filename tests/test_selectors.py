@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdata import (
     ConfigError,
@@ -543,6 +545,78 @@ class TestOss:
             idx = select_oss(data, 300).indices.astype(np.int64)
             assert hashlib.sha256(idx.tobytes()).hexdigest() == want
 
+    def test_equal_u_classes_of_one_pattern_tie_to_the_lowest_row(self):
+        # the corners at -1 and 1 leave the scaling close to the identity, so
+        # entries of about 1e-9 keep their signs and give |z|^2 near 1e-18.
+        # Classes a (rows 2, 4), b (rows 3, 6) and c (row 5) share the
+        # pattern (+, +) and differ in |z|^2, yet u = 2 - |z|^2 / 2 rounds to
+        # 2.0 for all three, so every loss term ties between them. Once row
+        # 2 is taken, a still holds row 4, and row 3 of b must come first
+        a, b, c = [1e-9, 2e-9], [3e-9, 1e-9], [2e-9, 2e-9]
+        x = np.array([[-1.0, -1.0], [1.0, 1.0], a, b, a, c, b,
+                      [-2e-9, 1e-9], [1e-9, -3e-9]])
+        norms2, signs = _oss_rows(x)
+        assert len({norms2[2], norms2[3], norms2[5]}) == 3
+        assert signs[2].tobytes() == signs[3].tobytes() == signs[5].tobytes()
+        assert (2 - 0.5 * norms2[[2, 3, 5]] == 2.0).all()
+        want = oss_naive_greedy(x, x.shape[0] - 1)
+        assert want.index(3) < want.index(4)
+        for k in range(2, x.shape[0]):
+            assert select_oss(x, k).indices.tolist() == want[:k], k
+
+    def test_every_class_of_a_pattern_runs_out_up_to_n_minus_1(self):
+        # half-step values in [-2, 2], with both corners present, scale to
+        # z = x / 2 exactly: every loss is exact and its ties are real. Two
+        # patterns hold several classes each, and at k = n - 1 one row is
+        # left, so every class of at least one of them has run out
+        rng = np.random.default_rng(29)
+        x = rng.integers(-4, 5, size=(24, 2)) / 2.0
+        x[0], x[1] = -2.0, 2.0
+        x[2:9] = rng.integers(1, 4, size=(7, 2)) / 2.0    # (+, +)
+        x[9:16] = -rng.integers(1, 4, size=(7, 2)) / 2.0  # (-, -)
+        n = x.shape[0]
+        want = oss_naive_greedy(x, n - 1)
+        for k in range(2, n):
+            assert select_oss(x, k).indices.tolist() == want[:k], k
+        norms2, _ = _oss_rows(x)
+        for rows in (range(2, 9), range(9, 16)):
+            assert len({norms2[i] for i in rows}) > 1
+        assert set(range(2, 9)) <= set(want) or set(range(9, 16)) <= set(want)
+
+    def test_follower_within_the_margin_is_replayed(self):
+        # rows equal to a base row up to a relative 1e-15 share its signs,
+        # and their u differ from each other's by a few ulps: too close to
+        # rule out a tie, so the greedy rebuilds their scores. The row-by-
+        # row greedy sums the same floats in the same order
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(30, 3))
+        x = np.vstack([base, base[:10] * (1 + rng.integers(1, 6, size=(10, 1)) * 1e-15),
+                       base[:10] * (1 - rng.integers(1, 6, size=(10, 1)) * 1e-15)])
+        norms2, _ = _oss_rows(x)
+        u = 3 - 0.5 * norms2
+        assert (u[30:40] != u[:10]).any()
+        assert select_oss(x, 45).indices.tolist() == oss_rowwise_greedy(x, 45)
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["grid", "rounded", "resample"]),
+           p=st.sampled_from([1, 2, 3, 4, 5, 33]), n=st.integers(4, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_pattern_heads_match_naive_greedy(self, seed, kind, p, n):
+        # half-step values in [-2, 2] with both corners present scale to
+        # z = x / 2 exactly, so ties are exact whatever the summation order
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            x = rng.integers(-4, 5, size=(n, p)) / 2.0
+        else:
+            x = np.clip(np.round(rng.normal(size=(n, p)) * 2.0) / 2.0, -2.0, 2.0)
+        x[0], x[1] = -2.0, 2.0
+        data = x
+        if kind == "resample":
+            rows = np.concatenate([[0, 1], rng.integers(0, n, size=n)])
+            data, x = Resample(x, rows), x[rows]
+        want = oss_naive_greedy(x, x.shape[0] - 1)
+        for k in range(2, x.shape[0]):
+            assert select_oss(data, k).indices.tolist() == want[:k], k
+
     def test_deterministic(self):
         x = np.random.default_rng(17).normal(size=(90, 4))
         a = select_oss(x, 10).indices
@@ -735,6 +809,29 @@ class TestScaleToUnitBox:
         with pytest.raises(ScalingError) as err:
             _oss_rows(x)
         assert err.value.column == 2
+
+    @pytest.mark.parametrize("case", ["wide", "subnormal", "outlier", "zeros"])
+    def test_norms_lie_between_zero_and_p(self, case):
+        # select_oss's head rule rests on 0 <= |z|^2 <= p, which makes every
+        # loss base u - b + delta non-negative
+        rng = np.random.default_rng(12)
+        n = _OSS_BLOCK_ROWS + 7
+        x = rng.normal(size=(n, 4))
+        x[:, 1] = {
+            "wide": np.r_[-1e308, 1e308, rng.uniform(-1.0, 1.0, n - 2) * 1e308],
+            "subnormal": np.r_[1e-310, 3e-310, rng.uniform(1e-310, 3e-310, n - 2)],
+            "outlier": np.r_[rng.normal(size=n - 1), 1e300],
+            "zeros": rng.integers(-1, 2, n).astype(float),
+        }[case]
+        if case == "zeros":       # a second column with exact zeros
+            x[:, 3] = rng.integers(-2, 3, n).astype(float)
+        with np.errstate(all="raise"):
+            norms2, signs = _oss_rows(x)
+        assert np.all((norms2 >= 0.0) & (norms2 <= 4.0))
+        if case == "zeros":       # zeros scale to exact zeros, with no sign bit
+            zero = x[:, 1] == 0.0
+            bits = np.unpackbits(signs, axis=1, bitorder="little")
+            assert zero.any() and not bits[zero][:, [1, 5]].any()
 
 
 class TestUniform:
