@@ -646,28 +646,32 @@ def _interchangeable_classes(norms2: np.ndarray,
     return members, first
 
 
-def _pattern_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _pattern_runs(signs: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Classes in runs of one sign pattern, where each run starts, and how
-    many runs hold one class.
+    many runs hold one class of one row.
 
     ``signs`` holds one row of sign bytes per class, as
-    :func:`_oss_classes` returns them; the runs are the :func:`_runs` of
-    their uint64 words, keyed on the first. Runs of one class come first,
-    in class order, then the longer runs, so ``order[start[i]:start[i +
-    1]]`` are the classes of run i and ``start`` ends with the class
-    count. Classes whose first words all differ are found by one sort
-    and form one-class runs.
+    :func:`_oss_classes` returns them, and ``rows`` each class's row
+    count; the runs are the :func:`_runs` of their uint64 words, keyed on
+    the first. Runs of one class of one row come first, in class order,
+    then every other run, so ``order[start[i]:start[i + 1]]`` are the
+    classes of run i and ``start`` ends with the class count. Classes
+    whose first words all differ are found by one sort and form one-class
+    runs.
     """
     words = signs.view(np.uint64)
     g = words.shape[0]
     if _all_distinct(words[:, 0]):
-        return np.arange(g), np.arange(g + 1), g
+        alone = np.flatnonzero(rows == 1)
+        return (np.concatenate([alone, np.flatnonzero(rows != 1)]),
+                np.arange(g + 1), alone.size)
     order, start = _runs(words[:, 0], words[:, 1:])
     sizes = np.diff(start)
-    one = sizes == 1
+    one = (sizes == 1) & (rows[order[start[:-1]]] == 1)
     alone = np.sort(order[start[:-1][one]])
     sizes = sizes[~one]
-    at = np.cumsum(sizes) - sizes  # each longer run's start among them
+    at = np.cumsum(sizes) - sizes  # each other run's start among them
     pos = np.repeat(start[:-1][~one] - at, sizes) + np.arange(g - alone.size)
     return (np.concatenate([alone, order[pos]]),
             np.concatenate([np.arange(alone.size), at + alone.size, [g]]), alone.size)
@@ -843,21 +847,23 @@ def select_oss(X, k: int) -> SelectionResult:
     more before rounding, to first order. A margin eight times wider
     covers both: a follower with d > (t + 8) 2^-50 sqrt(m) scores more,
     a closer one has its score rebuilt, and one with equal u ties
-    exactly. One-class patterns whose class has lost no row come
-    first, in the order of that row, so the first of them with the
-    smallest score holds the lowest tied row among them; the longer
-    patterns, and each one-class pattern that loses a row, come after
-    them and are compared one by one.
+    exactly. Pattern i keeps slot i of the step's arrays for the whole
+    run. Patterns of one class that holds one row come first, in the
+    order of that row, so the first of them with the smallest score
+    holds the lowest tied row among them. Every other pattern, a
+    one-class pattern whose class holds several rows included, comes
+    after them, and each one that ties is compared one by one.
 
     With P distinct sign patterns, P <= min(G, 3^p) for G classes, the
     greedy costs O(P k ceil(2p / 8)), plus O(t) at each head change
-    after t picks, plus a comparison per step for each pattern after
-    the one-class ones; all this after an O(n p) preparation and an
-    O(n log n) grouping. G is n for continuous data without repeated
-    rows, found by one sort of |z|^2, and about 1 - 1/e, or 63 %, of n
-    for a bootstrap resample of such data; such data has no exact
-    zeros, so P <= 2^p, at most 1,024 at p = 10. When every pattern
-    holds one class the heads are the classes and nothing is rebuilt.
+    after t picks, plus a comparison for each pattern after the
+    one-row ones that ties the smallest score; all this after an O(n p)
+    preparation and an O(n log n) grouping. G is n for continuous data
+    without repeated rows, found by one sort of |z|^2, and about
+    1 - 1/e, or 63 %, of n for a bootstrap resample of such data; such
+    data has no exact zeros, so P <= 2^p, at most 1,024 at p = 10. When
+    every pattern holds one class the heads are the classes and nothing
+    is rebuilt.
     The picks are those of the row-by-row greedy, bit for bit.
 
     A :class:`Resample` names its repeated rows, so given one in place
@@ -896,38 +902,31 @@ def select_oss(X, k: int) -> SelectionResult:
     else:
         norms2, signs, members, first = _oss_classes(source.values)
     g = norms2.size
-    order, start, ones = _pattern_runs(signs)  # classes by sign pattern
+    # classes by sign pattern, one-row patterns first
+    order, start, ones = _pattern_runs(signs, np.diff(first))
     npat = start.size - 1
     u = p - 0.5 * norms2          # candidate-side constant of the loss
     b = 0.5 * norms2              # selected-side constant
     head = order[start[:-1]]
     if ones < npat:
-        # the head of a longer pattern: the lowest class of its smallest u
+        # the head of another pattern: the lowest class of its smallest u
         cls, at = order[start[ones]:], start[ones:-1] - start[ones]
         u_run = u[cls]
         least = np.repeat(np.minimum.reduceat(u_run, at), np.diff(start[ones:]))
         head[ones:] = np.minimum.reduceat(np.where(u_run == least, cls, g), at)
         del cls, at, u_run, least
-    # pattern i starts in slot i; a one-class pattern that loses a row
-    # moves to the next free slot, past every pattern's first slot
-    room = npat + min(ones, k)
-    slot = np.arange(npat)
-    owner = np.arange(room)       # pattern in each slot
     nbytes = -(-2 * p // 8)       # sign bytes per row
-    planes = np.zeros((nbytes, room), dtype=np.uint8)
-    planes[:, :npat] = np.take(signs, head, axis=0)[:, :nbytes].T
+    # one plane per sign byte, pattern i in column i for the whole run
+    planes = np.ascontiguousarray(np.take(signs, head, axis=0)[:, :nbytes].T)
     words = signs.view(np.uint64)
-    head_u = np.full(room, float(p))
-    head_u[:npat] = u[head]
-    scores = np.zeros(room)       # score of the head in each slot
-    scores[npat:] = np.inf
-    ranked = np.zeros(npat, dtype=bool)  # pattern's classes listed by (u, class)
-    ranked[:ones] = True
+    head_u = u[head]
+    scores = np.zeros(npat)       # score of each pattern's head
+    ranked = np.diff(start) == 1  # pattern's classes listed by (u, class)
     at_head = start[:-1].copy()   # position of a ranked pattern's head in order
 
-    both = np.empty(room, dtype=np.uint8)
-    delta = np.empty(room, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
-    term = np.empty(room)
+    both = np.empty(npat, dtype=np.uint8)
+    delta = np.empty(npat, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
+    term = np.empty(npat)
     chosen = np.empty(k, dtype=np.intp)
     seen = np.empty(k, dtype=np.intp)  # class of each pick
     hits = np.empty(k, dtype=np.uint64)
@@ -935,7 +934,6 @@ def select_oss(X, k: int) -> SelectionResult:
     deltas = np.empty(k, dtype=delta.dtype)
     sums = np.empty(k)
     nxt = first[:-1].copy()       # each class's lowest untaken row, in members
-    used = npat                   # slots taken
 
     def replay(c: int, t: int) -> float:
         """Class c's score over the first t picks, summed as the greedy sums it."""
@@ -964,7 +962,9 @@ def select_oss(X, k: int) -> SelectionResult:
         picks that holds the lowest untaken row, and that row."""
         h = head[pat]
         best, row = h, members[nxt[h]]
-        hu, m = u[h], scores[slot[pat]]
+        if start[pat + 1] - start[pat] == 1:
+            return best, row      # the pattern's one class
+        hu, m = u[h], scores[pat]
         # a follower whose u exceeds the head's by more than this is
         # certainly worse (see the docstring)
         margin = (t + 8) * 2.0 ** -50 * math.sqrt(m)
@@ -980,29 +980,12 @@ def select_oss(X, k: int) -> SelectionResult:
                 best, row = c, members[nxt[c]]
         return best, row
 
-    def relocate(pat: int) -> None:
-        """Move one-class pattern pat, which lost a row, to the next free slot."""
-        nonlocal used
-        old, new = slot[pat], used
-        used += 1
-        planes[:, new] = planes[:, old]
-        head_u[new], scores[new], scores[old] = head_u[old], scores[old], np.inf
-        owner[new], slot[pat] = pat, new
-
     def take(c: int, pat: int, t: int) -> int:
         """Class c's lowest untaken row. When the head of pattern pat runs
         out, the next class in (u, class) order takes its place."""
         row = members[nxt[c]]
         nxt[c] += 1
-        if nxt[c] < first[c + 1]:
-            if slot[pat] < ones:
-                relocate(pat)
-            return row
-        at = slot[pat]
-        if pat < ones:
-            scores[at] = np.inf   # the pattern's one class is used up
-            return row
-        if c != head[pat]:
+        if nxt[c] < first[c + 1] or c != head[pat]:
             return row
         if not ranked[pat]:
             rank(pat)
@@ -1010,47 +993,41 @@ def select_oss(X, k: int) -> SelectionResult:
         while pos < end and nxt[order[pos]] == first[order[pos] + 1]:
             pos += 1
         if pos == end:
-            scores[at] = np.inf   # no class of the pattern is left
+            scores[pat] = np.inf  # no class of the pattern is left
             return row
         at_head[pat] = pos
         head[pat] = order[pos]
-        head_u[at] = u[head[pat]]
-        scores[at] = replay(head[pat], t)
+        head_u[pat] = u[head[pat]]
+        scores[pat] = replay(head[pat], t)
         return row
 
-    live = -1                     # slots the step reads, grown 64 at a time
+    rows = list(planes)
     current = int(np.argmax(norms2))  # no class has lost a row: lowest row wins
     pattern = int(np.searchsorted(start, np.flatnonzero(order == current)[0], "right")) - 1
     chosen[0] = take(current, pattern, 0)
     for step in range(1, k):
-        if used > live:
-            live = min(room, used + 64)
-            rows = [planes[w, :live] for w in range(nbytes)]
-            both_v, delta_v, term_v = both[:live], delta[:live], term[:live]
-            scores_v, head_u_v = scores[:live], head_u[:live]
         seen[step - 1] = current
-        mine = planes[:, slot[pattern]]
-        np.bitwise_count(np.bitwise_and(rows[0], mine[0], out=both_v), out=delta_v)
+        mine = planes[:, pattern]
+        np.bitwise_count(np.bitwise_and(rows[0], mine[0], out=both), out=delta)
         for w in range(1, nbytes):
-            np.bitwise_count(np.bitwise_and(rows[w], mine[w], out=both_v), out=both_v)
-            delta_v += both_v
-        np.subtract(head_u_v, b[current], out=term_v)
-        term_v += delta_v
-        np.square(term_v, out=term_v)
-        scores_v += term_v
-        at = int(np.argmin(scores_v))
-        pattern = int(owner[at])
-        if at < ones:             # one class that lost no row: its lowest row
-            current, after = int(head[pattern]), ones  # beats every later one
+            np.bitwise_count(np.bitwise_and(rows[w], mine[w], out=both), out=both)
+            delta += both
+        np.subtract(head_u, b[current], out=term)
+        term += delta
+        np.square(term, out=term)
+        scores += term
+        pattern = int(np.argmin(scores))
+        m = scores[pattern]
+        if pattern < ones:        # one class of one row: its row beats every
+            current, after = int(head[pattern]), ones  # later one of them
             row = members[first[current]]
         else:
-            (current, row), after = lowest_tied(pattern, step), at + 1
-        if used > after:
-            m = scores[at]
-            for other in np.flatnonzero(scores[after:used] == m) + after:
-                c, r = lowest_tied(int(owner[other]), step)
+            (current, row), after = lowest_tied(pattern, step), pattern + 1
+        if after < npat and scores[after:].min() == m:
+            for other in np.flatnonzero(scores[after:] == m) + after:
+                c, r = lowest_tied(int(other), step)
                 if r < row:
-                    current, row, pattern = int(c), r, int(owner[other])
+                    current, row, pattern = int(c), r, int(other)
         chosen[step] = take(int(current), pattern, step)
 
     elapsed = time.perf_counter() - t0

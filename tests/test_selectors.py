@@ -29,7 +29,8 @@ from subdata import (
     thin_svd,
 )
 from subdata.selectors import (_OSS_BLOCK_ROWS, _argsort_head, _column_extrema,
-                               _iboss_quotas, _interchangeable_classes, _oss_rows)
+                               _iboss_quotas, _interchangeable_classes, _oss_rows,
+                               _pattern_runs)
 
 from _oracles import (
     hat_diagonal,
@@ -450,9 +451,14 @@ class TestOss:
     def test_tie_with_a_class_that_lost_a_row_goes_to_the_lowest_row(self):
         # rows scale to -1, 1, 1, -1: classes {0, 3} and {1, 2}. Rows 0 and
         # 1 come first; then rows 3 and 2 tie at exactly 1, and row 2 must
-        # win although the class of row 0 comes first
+        # win although the class of row 0 comes first. The same holds with
+        # 33 equal columns (66 sign bits, two words per row) and for the
+        # rows drawn as a Resample of the first two
         x = np.array([[0.0], [1.0], [1.0], [0.0]])
-        assert select_oss(x, 3).indices.tolist() == [0, 1, 2] == oss_naive_greedy(x, 3)
+        for base in (x, np.repeat(x, 33, axis=1)):
+            assert oss_naive_greedy(base, 3) == [0, 1, 2]
+            for data in (base, Resample(base[:2], [0, 1, 1, 0])):
+                assert select_oss(data, 3).indices.tolist() == [0, 1, 2]
 
     def test_exhausted_classes_match_naive_greedy_up_to_n_minus_1(self):
         # four distinct rows resampled to 14: every class runs out of rows
@@ -510,6 +516,26 @@ class TestOss:
         for k in (5, 15, 29):
             assert select_oss(x, k).indices.tolist() == oss_naive_greedy(x, k), k
 
+    def test_pattern_runs_put_one_row_patterns_first_in_row_order(self):
+        # p = 33: two uint64 words of signs per class. Classes 0, 1, 3 and
+        # 5 share their first word, and so do 2 and 6; 0 and 3 share both
+        # words. Classes 2 and 6 hold several rows, each alone in its
+        # pattern, and are compared one by one, so neither counts among the
+        # one-row patterns, which come first in class (lowest-row) order.
+        # The second input's first words all differ, so it takes the
+        # one-sort shortcut
+        for words, rows, want_alone, want_runs in (
+            ([[7, 1], [7, 2], [9, 0], [7, 1], [5, 5], [7, 3], [9, 4]],
+             [1, 1, 3, 1, 1, 1, 2], [1, 4, 5], [[0, 3], [2], [6]]),
+            ([[7, 1], [9, 0], [5, 5], [3, 4]], [1, 3, 1, 2], [0, 2], [[1], [3]]),
+        ):
+            signs = np.array(words, dtype=np.uint64).view(np.uint8)
+            order, start, ones = _pattern_runs(signs, np.array(rows))
+            runs = [order[a:b].tolist() for a, b in zip(start[:-1], start[1:])]
+            assert ones == len(want_alone)
+            assert runs[:ones] == [[c] for c in want_alone]
+            assert sorted(sorted(run) for run in runs[ones:]) == want_runs
+
     @pytest.mark.parametrize("p", [3, 4, 10, 33, 64])
     def test_resample_matches_rowwise_greedy_at_scale(self, p):
         rng = np.random.default_rng(100 + p)
@@ -520,13 +546,15 @@ class TestOss:
     def test_benchmark_shape_indices_are_pinned(self):
         # sha256 of the int64 indices the row-by-row greedy picks at the
         # benchmark's shape, 1e5 x 10 mvnormal (seed 41) and k = 300: on
-        # the distinct rows, then on one bootstrap resample of them
+        # the distinct rows, then on one bootstrap resample of them, copied
+        # and as a Resample
         x = gen_covariates(ScenarioConfig(case="mvnormal", n=100_000, p=10,
                                           k=11, seed=41)).values
         rows = np.random.default_rng(41).integers(0, x.shape[0], size=x.shape[0])
         for data, want in (
             (x, "0fbd96a0d9fd7ea8d3d86d22dff1624f8372d7f76e3d48fc3a90178038203aa2"),
             (x[rows], "a359fd37e52d0785fc0777a3463c9e40c8d225164842b0e887b77ab6ccb7819f"),
+            (Resample(x, rows), "a359fd37e52d0785fc0777a3463c9e40c8d225164842b0e887b77ab6ccb7819f"),
         ):
             idx = select_oss(data, 300).indices.astype(np.int64)
             assert hashlib.sha256(idx.tobytes()).hexdigest() == want
@@ -534,13 +562,16 @@ class TestOss:
     def test_wide_shape_indices_are_pinned(self):
         # sha256 of the int64 indices the row-by-row greedy picks with 80
         # sign bits per row, 2e4 x 40 mvnormal (seed 41) and k = 300: on
-        # the distinct rows, then on one bootstrap resample of them
+        # the distinct rows, then on one bootstrap resample of them, copied
+        # and as a Resample, where classes of several rows share a pattern
+        # with no other class
         x = gen_covariates(ScenarioConfig(case="mvnormal", n=20_000, p=40,
                                           k=41, seed=41)).values
         rows = np.random.default_rng(41).integers(0, x.shape[0], size=x.shape[0])
         for data, want in (
             (x, "1f85ac0af84bf45de6f3e0de54338488f84d18fc9669ea6440d9ab7d6c506c90"),
             (x[rows], "01963b04aa750f679a021e8e5c94e5d44a3e381baaaff0212c2ebc4c53fa01e0"),
+            (Resample(x, rows), "01963b04aa750f679a021e8e5c94e5d44a3e381baaaff0212c2ebc4c53fa01e0"),
         ):
             idx = select_oss(data, 300).indices.astype(np.int64)
             assert hashlib.sha256(idx.tobytes()).hexdigest() == want
