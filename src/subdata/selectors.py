@@ -792,6 +792,196 @@ def _oss_size(n: int, k) -> int:
     return k
 
 
+class _OssGreedy:
+    """The greedy of :func:`select_oss`, one pick per :meth:`step`.
+
+    The constructor prepares the greedy. One pass over blocks of rows
+    scales each block, takes each row's |z|^2 and packs the row's strict
+    signs into the 2p-bit pattern [z > 0 | z < 0], held in ceil(2p / 8)
+    bytes; no n x p scaled copy of X is made. delta(z, x) is the popcount
+    of the two patterns' AND, an exact integer, zero on coordinates whose
+    scaled entry is exactly 0. Rows that share |z|^2 bit for bit and
+    every sign byte are interchangeable: each loss term against them or
+    from them is the same float. The greedy therefore treats classes of
+    such rows, grouped by sorting on that key, in the order of their
+    lowest row; a class keeps the score each of its rows has in a
+    row-by-row run and gives up its lowest untaken row when picked. A
+    :class:`Resample` names its repeated rows, so only the distinct base
+    rows it draws are scaled and grouped, at their first appearance, and
+    each class's copies are listed from the row numbers by one integer
+    sort.
+
+    Heads. Classes that share a sign pattern share every delta. With
+    u = p - |z|^2 / 2 and b = |x|^2 / 2 the loss is (u - b + delta)^2,
+    and its base is never negative: the scaling keeps 0 <= |z|^2 <= p,
+    so u >= p / 2 >= b, and delta >= 0. Subtraction, addition, squaring
+    and the running sum round monotonically on non-negative operands,
+    so within a pattern no class's float score is ever below that of
+    the pattern's head, its untaken class of smallest u (the lowest
+    class on ties). Only a head can hold the minimum. The greedy keeps
+    one running score per pattern, its head's, summed with the same
+    operations in the same order as the row-by-row greedy. When a head
+    runs out of rows, the next live class of its pattern in (u, class)
+    order (:meth:`_live`) becomes the head, and :meth:`_replay` rebuilds
+    its score by ``np.add.accumulate`` over its t terms in selection
+    order: the very bits a running sum holds. A pattern with no class
+    left is pinned at +inf.
+
+    Slots. Pattern i keeps slot i of the step's arrays for the whole
+    run. Its head's sign bytes sit in column i of ceil(2p / 8)
+    contiguous byte planes, one per byte of the pattern, and a step
+    counts the set bits of each plane's AND with the last pick's bytes
+    separately. Patterns of one class that holds one row come first, in
+    the order of that row, so the first of them with the smallest score
+    holds the lowest tied row among them. Every other pattern, a
+    one-class pattern whose class holds several rows included, comes
+    after them.
+
+    Ties go to the lowest untaken row. A class can tie only if its
+    pattern's head holds the smallest score m, and a follower ties its
+    head only if its u is close: after t picks, rounding moves either
+    score by a relative (t + 4) 2^-53 at most, to first order, while a
+    follower whose u exceeds the head's by d sums at least 2 d sqrt(m)
+    more before rounding, to first order. A margin eight times wider
+    covers both: a follower with d > (t + 8) 2^-50 sqrt(m) scores more,
+    a closer one has its score rebuilt, and one with equal u ties
+    exactly (:meth:`_lowest_tied`). Each pattern after the one-row ones
+    that ties m is compared one by one.
+
+    Cost. With P distinct sign patterns, P <= min(G, 3^p) for G classes,
+    the greedy costs O(P k ceil(2p / 8)), plus O(t) at each head change
+    after t picks, plus a comparison for each pattern after the
+    one-row ones that ties the smallest score; all this after an O(n p)
+    preparation and an O(n log n) grouping. G is n for continuous data
+    without repeated rows, found by one sort of |z|^2, and about
+    1 - 1/e, or 63 %, of n for a bootstrap resample of such data; such
+    data has no exact zeros, so P <= 2^p, at most 1,024 at p = 10. When
+    every pattern holds one class the heads are the classes and nothing
+    is rebuilt. A pattern's classes are sorted by (u, class) on first
+    need only.
+    """
+
+    def __init__(self, source, k: int):
+        if isinstance(source, Resample):
+            norms2, signs, self.members, self.first = _resample_classes(source)
+        else:
+            norms2, signs, self.members, self.first = _oss_classes(source.values)
+        g, p = norms2.size, source.p
+        # classes by sign pattern, one-row patterns first
+        order, start, ones = _pattern_runs(signs, np.diff(self.first))
+        npat = start.size - 1
+        self.u = u = p - 0.5 * norms2  # candidate-side constant of the loss
+        self.b = 0.5 * norms2          # selected-side constant
+        head = order[start[:-1]]
+        if ones < npat:
+            # the head of another pattern: the lowest class of its smallest u
+            cls, at = order[start[ones]:], start[ones:-1] - start[ones]
+            u_run = u[cls]
+            least = np.repeat(np.minimum.reduceat(u_run, at), np.diff(start[ones:]))
+            head[ones:] = np.minimum.reduceat(np.where(u_run == least, cls, g), at)
+        nbytes = -(-2 * p // 8)             # sign bytes per row
+        # one plane per sign byte, pattern i in column i for the whole run
+        self.planes = np.ascontiguousarray(np.take(signs, head, axis=0)[:, :nbytes].T)
+        self.rows = list(self.planes)
+        self.words = signs.view(np.uint64)
+        self.order, self.start, self.ones = order, start, ones
+        self.head, self.head_u = head, u[head]
+        self.scores = np.zeros(npat)        # score of each pattern's head
+        self.ranked = np.diff(start) == 1   # pattern's classes listed by (u, class)
+        self.at_head = start[:-1].copy()    # position of a ranked pattern's head in order
+        self.both = np.empty(npat, dtype=np.uint8)
+        self.delta = np.empty(npat, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
+        self.term = np.empty(npat)
+        self.seen = np.empty(k, dtype=np.intp)  # class of each pick
+        self.nxt = self.first[:-1].copy()   # each class's lowest untaken row, in members
+        self.t = self.pattern = 0           # picks so far, the last one's pattern
+
+    def step(self) -> int:
+        """Take and return the next row: the lowest row of largest |z|^2
+        first, then the lowest row of smallest score."""
+        t, scores, nxt = self.t, self.scores, self.nxt
+        if t:
+            rows, both, delta, term = self.rows, self.both, self.delta, self.term
+            mine = self.planes[:, self.pattern]
+            np.bitwise_count(np.bitwise_and(rows[0], mine[0], out=both), out=delta)
+            for w in range(1, mine.size):
+                np.bitwise_count(np.bitwise_and(rows[w], mine[w], out=both), out=both)
+                delta += both
+            np.subtract(self.head_u, self.b[self.seen[t - 1]], out=term)
+            term += delta
+            np.square(term, out=term)
+            scores += term
+            pattern = int(scores.argmin())
+            current, row = self._lowest_tied(pattern, t)
+            m, after = scores[pattern], pattern + 1 if pattern >= self.ones else self.ones
+            if after < scores.size and scores[after:].min() == m:
+                for other in np.flatnonzero(scores[after:] == m) + after:
+                    c, r = self._lowest_tied(int(other), t)
+                    if r < row:
+                        current, row, pattern = c, r, int(other)
+        else:  # no class has lost a row: the first of largest |z|^2 holds the lowest row
+            current = int(np.argmax(self.b))
+            at = np.flatnonzero(self.order == current)[0]
+            pattern = int(np.searchsorted(self.start, at, "right")) - 1
+            row = self.members[nxt[current]]
+        nxt[current] += 1
+        if nxt[current] == self.first[current + 1] and current == self.head[pattern]:
+            end = self.start[pattern + 1]
+            if (pos := self._live(pattern, self.at_head[pattern] + 1, end)) == end:
+                scores[pattern] = np.inf    # no class of the pattern is left
+            else:
+                h = self.head[pattern] = self.order[pos]
+                self.at_head[pattern], self.head_u[pattern] = pos, self.u[h]
+                scores[pattern] = self._replay(h, t)
+        self.seen[t], self.pattern, self.t = current, pattern, t + 1
+        return row
+
+    def _live(self, pat: int, pos: int, end: int) -> int:
+        """The first position from ``pos`` on of a class with a row left in
+        pattern pat's (u, class) order, or the pattern's end ``end``. The
+        pattern's classes are sorted on first need."""
+        order, nxt, first = self.order, self.nxt, self.first
+        if not self.ranked[pat]:
+            cls = np.sort(order[self.start[pat]:end])
+            order[self.start[pat]:end] = cls[np.argsort(self.u[cls], kind="stable")]
+            self.ranked[pat] = True
+        while pos < end and nxt[(c := order[pos])] == first[c + 1]:
+            pos += 1
+        return pos
+
+    def _lowest_tied(self, pat: int, t: int) -> tuple[int, int]:
+        """The class of pattern pat scoring exactly its head's score after t
+        picks that holds the lowest untaken row, and that row."""
+        h, members, nxt, u = self.head[pat], self.members, self.nxt, self.u
+        best, row, end = h, members[nxt[h]], self.start[pat + 1]
+        if end - self.start[pat] == 1:
+            return best, row              # the pattern's one class
+        hu, m, pos = u[h], self.scores[pat], self.at_head[pat]
+        # a follower whose u exceeds the head's by more than this is
+        # certainly worse (see the class docstring)
+        margin = (t + 8) * 2.0 ** -50 * math.sqrt(m)
+        while (pos := self._live(pat, pos + 1, end)) < end:
+            c = self.order[pos]
+            if u[c] != hu and (u[c] - hu > margin or self._replay(c, t) != m):
+                break                     # every later class scores as much or more
+            if members[nxt[c]] < row:
+                best, row = c, members[nxt[c]]
+        return best, row
+
+    def _replay(self, c: int, t: int) -> float:
+        """Class c's score over the first t picks, summed as the greedy sums it."""
+        if not t:
+            return 0.0
+        picks, mine, words = self.seen[:t], self.words[c], self.words
+        d = np.bitwise_count(words[picks, 0] & mine[0]).astype(self.delta.dtype, copy=False)
+        for w in range(1, mine.size):
+            d += np.bitwise_count(words[picks, w] & mine[w])
+        sums = self.u[c] - self.b[picks]
+        sums += d
+        np.square(sums, out=sums)
+        return np.add.accumulate(sums)[-1]
+
+
 def select_oss(X, k: int) -> SelectionResult:
     """Greedy discrepancy-minimizing selection on the scaled unit box.
 
@@ -808,68 +998,11 @@ def select_oss(X, k: int) -> SelectionResult:
     the selection of size k is the first k rows of any longer run on
     the same matrix.
 
-    One pass over blocks of rows prepares the greedy: it scales each
-    block, takes each row's |z|^2 and packs the row's strict signs into
-    the 2p-bit pattern [z > 0 | z < 0], held in ceil(2p / 8) bytes. No
-    n x p scaled copy of X is made. delta(z, x) is the popcount of the
-    two patterns' AND, an exact integer, zero on coordinates whose
-    scaled entry is exactly 0. The greedy reads the patterns as
-    ceil(2p / 8) contiguous byte planes, one per byte of the pattern,
-    and counts the set bits of each plane's AND separately.
-
-    Rows that share |z|^2 bit for bit and every sign byte are
-    interchangeable: each loss term against them or from them is the
-    same float. The greedy therefore treats classes of such rows, grouped
-    by sorting on that key, in the order of their lowest row; a class
-    keeps the score each of its rows has in a row-by-row run and gives
-    up its lowest untaken row when picked.
-
-    Classes that share a sign pattern share every delta. With
-    u = p - |z|^2 / 2 and b = |x|^2 / 2 the loss is (u - b + delta)^2,
-    and its base is never negative: the scaling keeps 0 <= |z|^2 <= p,
-    so u >= p / 2 >= b, and delta >= 0. Subtraction, addition, squaring
-    and the running sum round monotonically on non-negative operands,
-    so within a pattern no class's float score is ever below that of
-    the pattern's head, its untaken class of smallest u (the lowest
-    class on ties). Only a head can hold the minimum. The greedy keeps
-    one running score per pattern, its head's, summed with the same
-    operations in the same order as the row-by-row greedy. When a head
-    runs out of rows, the next class of its pattern in (u, class) order
-    becomes the head, and its score is rebuilt by ``np.add.accumulate``
-    over its t terms in selection order: the very bits a running sum
-    holds. A pattern with no class left is pinned at +inf.
-
-    Ties go to the lowest untaken row. A class can tie only if its
-    pattern's head holds the smallest score m, and a follower ties its
-    head only if its u is close: after t picks, rounding moves either
-    score by a relative (t + 4) 2^-53 at most, to first order, while a
-    follower whose u exceeds the head's by d sums at least 2 d sqrt(m)
-    more before rounding, to first order. A margin eight times wider
-    covers both: a follower with d > (t + 8) 2^-50 sqrt(m) scores more,
-    a closer one has its score rebuilt, and one with equal u ties
-    exactly. Pattern i keeps slot i of the step's arrays for the whole
-    run. Patterns of one class that holds one row come first, in the
-    order of that row, so the first of them with the smallest score
-    holds the lowest tied row among them. Every other pattern, a
-    one-class pattern whose class holds several rows included, comes
-    after them, and each one that ties is compared one by one.
-
-    With P distinct sign patterns, P <= min(G, 3^p) for G classes, the
-    greedy costs O(P k ceil(2p / 8)), plus O(t) at each head change
-    after t picks, plus a comparison for each pattern after the
-    one-row ones that ties the smallest score; all this after an O(n p)
-    preparation and an O(n log n) grouping. G is n for continuous data
-    without repeated rows, found by one sort of |z|^2, and about
-    1 - 1/e, or 63 %, of n for a bootstrap resample of such data; such
-    data has no exact zeros, so P <= 2^p, at most 1,024 at p = 10. When
-    every pattern holds one class the heads are the classes and nothing
-    is rebuilt.
-    The picks are those of the row-by-row greedy, bit for bit.
-
-    A :class:`Resample` names its repeated rows, so given one in place
-    of ``X.matrix()`` the call scales and groups only the distinct base
-    rows it draws, at their first appearance, and lists each class's
-    copies from the row numbers by one integer sort. The result equals
+    The greedy (:class:`_OssGreedy`) scores one head per sign pattern
+    and classes of interchangeable rows, not rows, yet its picks are
+    those of the row-by-row greedy, bit for bit. Given a
+    :class:`Resample` in place of ``X.matrix()``, the call prepares
+    only the distinct base rows it draws, and the result equals
     ``select_oss(X.matrix(), k)`` bit for bit.
 
     Parameters
@@ -892,144 +1025,10 @@ def select_oss(X, k: int) -> SelectionResult:
         If some column is constant, naming that column.
     """
     t0 = time.perf_counter()
-    resampled = isinstance(X, Resample)
-    source = X if resampled else as_data_matrix(X)
-    n, p = source.n, source.p
-    k = _oss_size(n, k)
-
-    if resampled:
-        norms2, signs, members, first = _resample_classes(source)
-    else:
-        norms2, signs, members, first = _oss_classes(source.values)
-    g = norms2.size
-    # classes by sign pattern, one-row patterns first
-    order, start, ones = _pattern_runs(signs, np.diff(first))
-    npat = start.size - 1
-    u = p - 0.5 * norms2          # candidate-side constant of the loss
-    b = 0.5 * norms2              # selected-side constant
-    head = order[start[:-1]]
-    if ones < npat:
-        # the head of another pattern: the lowest class of its smallest u
-        cls, at = order[start[ones]:], start[ones:-1] - start[ones]
-        u_run = u[cls]
-        least = np.repeat(np.minimum.reduceat(u_run, at), np.diff(start[ones:]))
-        head[ones:] = np.minimum.reduceat(np.where(u_run == least, cls, g), at)
-        del cls, at, u_run, least
-    nbytes = -(-2 * p // 8)       # sign bytes per row
-    # one plane per sign byte, pattern i in column i for the whole run
-    planes = np.ascontiguousarray(np.take(signs, head, axis=0)[:, :nbytes].T)
-    words = signs.view(np.uint64)
-    head_u = u[head]
-    scores = np.zeros(npat)       # score of each pattern's head
-    ranked = np.diff(start) == 1  # pattern's classes listed by (u, class)
-    at_head = start[:-1].copy()   # position of a ranked pattern's head in order
-
-    both = np.empty(npat, dtype=np.uint8)
-    delta = np.empty(npat, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
-    term = np.empty(npat)
-    chosen = np.empty(k, dtype=np.intp)
-    seen = np.empty(k, dtype=np.intp)  # class of each pick
-    hits = np.empty(k, dtype=np.uint64)
-    counts = np.empty(k, dtype=np.uint8)
-    deltas = np.empty(k, dtype=delta.dtype)
-    sums = np.empty(k)
-    nxt = first[:-1].copy()       # each class's lowest untaken row, in members
-
-    def replay(c: int, t: int) -> float:
-        """Class c's score over the first t picks, summed as the greedy sums it."""
-        if not t:
-            return 0.0
-        picks, mine = seen[:t], words[c]
-        d = np.bitwise_count(np.bitwise_and(words[:, 0][picks], mine[0], out=hits[:t]),
-                             out=deltas[:t])
-        for w in range(1, mine.size):
-            d += np.bitwise_count(np.bitwise_and(words[:, w][picks], mine[w], out=hits[:t]),
-                                  out=counts[:t])
-        np.subtract(u[c], b[picks], out=sums[:t])
-        sums[:t] += d
-        np.square(sums[:t], out=sums[:t])
-        return np.add.accumulate(sums[:t], out=sums[:t])[-1]
-
-    def rank(pat: int) -> None:
-        """List pattern pat's classes by (u, class); its head comes first."""
-        a, e = start[pat], start[pat + 1]
-        cls = np.sort(order[a:e])
-        order[a:e] = cls[np.argsort(u[cls], kind="stable")]
-        ranked[pat] = True
-
-    def lowest_tied(pat: int, t: int) -> tuple[int, int]:
-        """The class of pattern pat scoring exactly its head's score after t
-        picks that holds the lowest untaken row, and that row."""
-        h = head[pat]
-        best, row = h, members[nxt[h]]
-        if start[pat + 1] - start[pat] == 1:
-            return best, row      # the pattern's one class
-        hu, m = u[h], scores[pat]
-        # a follower whose u exceeds the head's by more than this is
-        # certainly worse (see the docstring)
-        margin = (t + 8) * 2.0 ** -50 * math.sqrt(m)
-        if not ranked[pat]:
-            rank(pat)
-        for at in range(at_head[pat] + 1, start[pat + 1]):
-            c = order[at]
-            if nxt[c] == first[c + 1]:
-                continue
-            if u[c] != hu and (u[c] - hu > margin or replay(c, t) != m):
-                break             # every later class scores as much or more
-            if members[nxt[c]] < row:
-                best, row = c, members[nxt[c]]
-        return best, row
-
-    def take(c: int, pat: int, t: int) -> int:
-        """Class c's lowest untaken row. When the head of pattern pat runs
-        out, the next class in (u, class) order takes its place."""
-        row = members[nxt[c]]
-        nxt[c] += 1
-        if nxt[c] < first[c + 1] or c != head[pat]:
-            return row
-        if not ranked[pat]:
-            rank(pat)
-        pos, end = at_head[pat] + 1, start[pat + 1]
-        while pos < end and nxt[order[pos]] == first[order[pos] + 1]:
-            pos += 1
-        if pos == end:
-            scores[pat] = np.inf  # no class of the pattern is left
-            return row
-        at_head[pat] = pos
-        head[pat] = order[pos]
-        head_u[pat] = u[head[pat]]
-        scores[pat] = replay(head[pat], t)
-        return row
-
-    rows = list(planes)
-    current = int(np.argmax(norms2))  # no class has lost a row: lowest row wins
-    pattern = int(np.searchsorted(start, np.flatnonzero(order == current)[0], "right")) - 1
-    chosen[0] = take(current, pattern, 0)
-    for step in range(1, k):
-        seen[step - 1] = current
-        mine = planes[:, pattern]
-        np.bitwise_count(np.bitwise_and(rows[0], mine[0], out=both), out=delta)
-        for w in range(1, nbytes):
-            np.bitwise_count(np.bitwise_and(rows[w], mine[w], out=both), out=both)
-            delta += both
-        np.subtract(head_u, b[current], out=term)
-        term += delta
-        np.square(term, out=term)
-        scores += term
-        pattern = int(np.argmin(scores))
-        m = scores[pattern]
-        if pattern < ones:        # one class of one row: its row beats every
-            current, after = int(head[pattern]), ones  # later one of them
-            row = members[first[current]]
-        else:
-            (current, row), after = lowest_tied(pattern, step), pattern + 1
-        if after < npat and scores[after:].min() == m:
-            for other in np.flatnonzero(scores[after:] == m) + after:
-                c, r = lowest_tied(int(other), step)
-                if r < row:
-                    current, row, pattern = int(c), r, int(other)
-        chosen[step] = take(int(current), pattern, step)
-
+    source = X if isinstance(X, Resample) else as_data_matrix(X)
+    k = _oss_size(source.n, k)
+    greedy = _OssGreedy(source, k)
+    chosen = np.array([greedy.step() for _ in range(k)], dtype=np.intp)
     elapsed = time.perf_counter() - t0
     return SelectionResult(chosen, k, _EMPTY_TRACE, elapsed)
 

@@ -36,6 +36,7 @@ from _oracles import (
     hat_diagonal,
     iboss_sequential_trace,
     oss_naive_greedy,
+    oss_pair_loss,
     oss_rowwise_greedy,
     oss_scale,
     oss_total_loss,
@@ -628,6 +629,46 @@ class TestOss:
         assert (u[30:40] != u[:10]).any()
         assert select_oss(x, 45).indices.tolist() == oss_rowwise_greedy(x, 45)
 
+    def test_follower_at_the_margins_edge_matches_rowwise_greedy(self):
+        # followers as above, but with u gaps of about 1, 2 and 8 times the
+        # tie margin (t + 8) 2^-50 sqrt(m) of the step t that picks the
+        # first of the pair at score m: at the edge a follower is rebuilt
+        # or ruled out, beyond it ruled out. The corners keep z = x / 5
+        # up to rounding, so scaling a row by 1 + e moves its u by about
+        # e |z|^2, and one correction of e lands each gap near its target
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(30, 3))
+        corners = np.array([[-5.0] * 3, [5.0] * 3])
+        pairs = [(2 + j, 32 + j) for j in range(10)]
+        want = np.resize([1.0, 2.0, 8.0], 10)
+        scale = np.full(10, 1e-13)
+        for _ in range(2):
+            x = np.vstack([corners, base, base[:10] * (1 + scale[:, None])])
+            got, picks = _margin_ratios(x, pairs)
+            scale *= want / got
+        assert np.allclose(got, want, rtol=0.2)
+        assert select_oss(x, x.shape[0] - 1).indices.tolist() == picks
+
+    def test_delta_above_255_matches_rowwise_greedy(self):
+        # p = 300: 600 sign bits in 75 byte planes. Rows share most signs
+        # with a common pattern, so most deltas exceed 255 and a uint8
+        # count would wrap; the rows scaled by a half share their row's
+        # pattern, so heads change and scores are rebuilt
+        rng = np.random.default_rng(300)
+        common = rng.choice([-1.0, 1.0], size=300)
+        x = np.where(rng.random((200, 300)) < 0.05, -common, common) \
+            * rng.uniform(0.1, 1.0, size=(200, 300))
+        x[0], x[1] = -1.0, 1.0
+        x = np.vstack([x, x[2:42] * 0.5])
+        _, signs = _oss_rows(x)
+        bits = np.unpackbits(signs, axis=1).astype(np.int64)
+        delta = bits @ bits.T  # delta of every pair of rows
+        assert delta[np.triu_indices(x.shape[0], 1)].max() >= 256
+        rows = rng.integers(0, x.shape[0], size=400)
+        for data, plain in ((x, x), (Resample(x, rows), x[rows])):
+            for k in (60, 150):
+                assert select_oss(data, k).indices.tolist() == oss_rowwise_greedy(plain, k), k
+
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["grid", "rounded", "resample"]),
            p=st.sampled_from([1, 2, 3, 4, 5, 33]), n=st.integers(4, 12))
     @settings(max_examples=60, deadline=None)
@@ -695,6 +736,21 @@ def _sign_pattern(z):
     p = z.size
     return sum(1 << j for j in range(p) if z[j] > 0) \
         + sum(1 << (p + j) for j in range(p) if z[j] < 0)
+
+
+def _margin_ratios(x, pairs):
+    """Each (row, follower) pair's u gap over the tie margin (t + 8) 2^-50
+    sqrt(m), t being the step at which the row-by-row greedy picks the
+    first of the two and m its score then; and that greedy's n - 1 picks."""
+    picks = oss_rowwise_greedy(x, x.shape[0] - 1)
+    z = oss_scale(x)
+    u = x.shape[1] - 0.5 * _oss_rows(x)[0]
+    ratios = []
+    for pair in pairs:
+        t = min(picks.index(r) for r in pair if r in picks)
+        m = sum(oss_pair_loss(z[picks[t]], z[s]) for s in picks[:t])
+        ratios.append(abs(u[pair[1]] - u[pair[0]]) / ((t + 8) * 2.0 ** -50 * np.sqrt(m)))
+    return np.array(ratios), picks
 
 
 def _unit_box_case(n, p, seed):
