@@ -569,7 +569,7 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
         if not (data.p < k <= data.n):
             raise ConfigError(f"bootstrap k values must satisfy p < k <= n, got k={k}")
     with blas_threads(STUDY_BLAS_THREADS):
-        reference = fit_ols(data.values, data.response)
+        reference = fit_ols(data, data.response)
         return _run_units(partial(_bootstrap_rep, data, plan, reference),
                           plan.n_boot, "bootstrap replicate")
 

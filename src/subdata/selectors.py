@@ -54,6 +54,10 @@ _OSS_BLOCK_ROWS = 4096
 # _argsort_head takes its bound from every _HEAD_STRIDE-th value
 _HEAD_STRIDE = 32
 
+# classes the OSS greedy ranks on a sign pattern's first need; each
+# later ranking doubles the ranked front
+_RANK_DEPTH = 128
+
 # columns iboss_tails copies per pass over the rows
 _TAIL_COLUMNS = 8
 
@@ -653,27 +657,54 @@ def _pattern_runs(signs: np.ndarray,
 
     ``signs`` holds one row of sign bytes per class, as
     :func:`_oss_classes` returns them, and ``rows`` each class's row
-    count; the runs are the :func:`_runs` of their uint64 words, keyed on
-    the first. Runs of one class of one row come first, in class order,
-    then every other run, so ``order[start[i]:start[i + 1]]`` are the
-    classes of run i and ``start`` ends with the class count. Classes
-    whose first words all differ are found by one sort and form one-class
-    runs.
+    count. Runs of one class of one row come first, in class order, then
+    every other run, its classes in ascending order, so
+    ``order[start[i]:start[i + 1]]`` are the classes of run i and
+    ``start`` ends with the class count.
+
+    A pattern that fits one uint64 word with room above the data's
+    largest word for a class index, as every pattern of p <= 16 does at
+    up to 2^32 classes, is grouped by one sort of ``word << bits |
+    class``: it tests the words for distinctness and, when some repeat,
+    gives the runs with their classes in ascending order. Longer
+    patterns are tested by a sort of their first words, and repeats go
+    to the :func:`_runs` of all words, whose classes one more sort puts
+    in ascending order within each run. Classes whose patterns all
+    differ form one-class runs.
     """
     words = signs.view(np.uint64)
     g = words.shape[0]
-    if _all_distinct(words[:, 0]):
+    bits = g.bit_length()               # a class index fits in the low bits
+    one_word = words.shape[1] == 1 and int(words.max()).bit_length() + bits <= 64
+    if one_word:
+        key = words[:, 0] << bits
+        key |= np.arange(g, dtype=np.uint64)
+        key.sort()                      # pattern, then class
+        word = key >> bits
+        new = np.ones(g, dtype=bool)    # a run starts at this position
+        np.not_equal(word[1:], word[:-1], out=new[1:])
+        distinct = new.all()
+    else:
+        distinct = _all_distinct(words[:, 0])
+    if distinct:
         alone = np.flatnonzero(rows == 1)
         return (np.concatenate([alone, np.flatnonzero(rows != 1)]),
                 np.arange(g + 1), alone.size)
-    order, start = _runs(words[:, 0], words[:, 1:])
+    if one_word:
+        order = (key & ((1 << bits) - 1)).astype(np.intp)
+        start = np.append(np.flatnonzero(new), g)
+    else:
+        order, start = _runs(words[:, 0], words[:, 1:])
     sizes = np.diff(start)
     one = (sizes == 1) & (rows[order[start[:-1]]] == 1)
     alone = np.sort(order[start[:-1][one]])
     sizes = sizes[~one]
     at = np.cumsum(sizes) - sizes  # each other run's start among them
-    pos = np.repeat(start[:-1][~one] - at, sizes) + np.arange(g - alone.size)
-    return (np.concatenate([alone, order[pos]]),
+    others = order[np.repeat(start[:-1][~one] - at, sizes) + np.arange(g - alone.size)]
+    if not one_word:                    # classes ascending within each run
+        run = np.repeat(at, sizes) * g
+        others = np.sort(run + others) - run
+    return (np.concatenate([alone, others]),
             np.concatenate([np.arange(alone.size), at + alone.size, [g]]), alone.size)
 
 
@@ -828,14 +859,17 @@ class _OssGreedy:
     left is pinned at +inf.
 
     Slots. Pattern i keeps slot i of the step's arrays for the whole
-    run. Its head's sign bytes sit in column i of ceil(2p / 8)
-    contiguous byte planes, one per byte of the pattern, and a step
-    counts the set bits of each plane's AND with the last pick's bytes
-    separately. Patterns of one class that holds one row come first, in
-    the order of that row, so the first of them with the smallest score
-    holds the lowest tied row among them. Every other pattern, a
-    one-class pattern whose class holds several rows included, comes
-    after them.
+    run. Its head's signs sit in column i of w contiguous planes of
+    unsigned words, the fewest that numpy counts fast: a pattern of up
+    to 8 bits in one uint8 word, of up to 32 bits in one uint32 word
+    (numpy's uint16 popcount is the slowest per byte), and a longer one
+    in ceil(2p / 8) byte planes, which stream faster than uint64 words
+    at large P. A step counts the set bits of each plane's AND with the
+    last pick's word separately. Patterns of one class that holds one
+    row come first, in the order of that row, so the first of them with
+    the smallest score holds the lowest tied row among them. Every other
+    pattern, a one-class pattern whose class holds several rows
+    included, comes after them.
 
     Ties go to the lowest untaken row. A class can tie only if its
     pattern's head holds the smallest score m, and a follower ties its
@@ -849,16 +883,20 @@ class _OssGreedy:
     that ties m is compared one by one.
 
     Cost. With P distinct sign patterns, P <= min(G, 3^p) for G classes,
-    the greedy costs O(P k ceil(2p / 8)), plus O(t) at each head change
-    after t picks, plus a comparison for each pattern after the
-    one-row ones that ties the smallest score; all this after an O(n p)
-    preparation and an O(n log n) grouping. G is n for continuous data
-    without repeated rows, found by one sort of |z|^2, and about
-    1 - 1/e, or 63 %, of n for a bootstrap resample of such data; such
-    data has no exact zeros, so P <= 2^p, at most 1,024 at p = 10. When
-    every pattern holds one class the heads are the classes and nothing
-    is rebuilt. A pattern's classes are sorted by (u, class) on first
-    need only.
+    the greedy costs O(P k w), plus O(t) at each head change after t
+    picks, plus a comparison for each pattern after the one-row ones
+    that ties the smallest score; all this after an O(n p) preparation
+    and an O(n log n) grouping. G is n for continuous data without
+    repeated rows, found by one sort of |z|^2, and about 1 - 1/e, or
+    63 %, of n for a bootstrap resample of such data; such data has no
+    exact zeros, so P <= 2^p, at most 1,024 at p = 10. When every
+    pattern holds one class the heads are the classes and nothing is
+    rebuilt. A pattern's classes are ranked by (u, class) only as deep
+    as the greedy reads them (:meth:`_rank`): the first _RANK_DEPTH on
+    first need, by :func:`_argsort_head` over the pattern's u, then
+    twice as many each time a read passes the ranked front, so a
+    pattern of s classes read r deep costs O(s log r) in place of a
+    sort of all s.
     """
 
     def __init__(self, source, k: int):
@@ -880,16 +918,20 @@ class _OssGreedy:
             least = np.repeat(np.minimum.reduceat(u_run, at), np.diff(start[ones:]))
             head[ones:] = np.minimum.reduceat(np.where(u_run == least, cls, g), at)
         nbytes = -(-2 * p // 8)             # sign bytes per row
-        # one plane per sign byte, pattern i in column i for the whole run
-        self.planes = np.ascontiguousarray(np.take(signs, head, axis=0)[:, :nbytes].T)
+        size = 4 if 1 < nbytes <= 4 else 1  # bytes per plane word (see Slots)
+        heads = np.take(signs, head, axis=0)[:, :size * -(-nbytes // size)]
+        self.planes = np.ascontiguousarray(heads.view(f"u{size}").T)
         self.rows = list(self.planes)
         self.words = signs.view(np.uint64)
         self.order, self.start, self.ones = order, start, ones
         self.head, self.head_u = head, u[head]
         self.scores = np.zeros(npat)        # score of each pattern's head
-        self.ranked = np.diff(start) == 1   # pattern's classes listed by (u, class)
-        self.at_head = start[:-1].copy()    # position of a ranked pattern's head in order
-        self.both = np.empty(npat, dtype=np.uint8)
+        # ranked[start[i]:front[i]] holds pattern i's first classes in
+        # (u, class) order, as far as the greedy has read them
+        self.ranked = np.empty_like(order)
+        self.front = start[:-1].copy()
+        self.at_head = start[:-1].copy()    # position of a ranked pattern's head in ranked
+        self.both = np.empty(npat, dtype=self.planes.dtype)
         self.delta = np.empty(npat, dtype=np.min_scalar_type(p))  # delta <= p, summed exactly
         self.term = np.empty(npat)
         self.seen = np.empty(k, dtype=np.intp)  # class of each pick
@@ -930,7 +972,7 @@ class _OssGreedy:
             if (pos := self._live(pattern, self.at_head[pattern] + 1, end)) == end:
                 scores[pattern] = np.inf    # no class of the pattern is left
             else:
-                h = self.head[pattern] = self.order[pos]
+                h = self.head[pattern] = self.ranked[pos]
                 self.at_head[pattern], self.head_u[pattern] = pos, self.u[h]
                 scores[pattern] = self._replay(h, t)
         self.seen[t], self.pattern, self.t = current, pattern, t + 1
@@ -939,15 +981,25 @@ class _OssGreedy:
     def _live(self, pat: int, pos: int, end: int) -> int:
         """The first position from ``pos`` on of a class with a row left in
         pattern pat's (u, class) order, or the pattern's end ``end``. The
-        pattern's classes are sorted on first need."""
-        order, nxt, first = self.order, self.nxt, self.first
-        if not self.ranked[pat]:
-            cls = np.sort(order[self.start[pat]:end])
-            order[self.start[pat]:end] = cls[np.argsort(self.u[cls], kind="stable")]
-            self.ranked[pat] = True
-        while pos < end and nxt[(c := order[pos])] == first[c + 1]:
-            pos += 1
-        return pos
+        pattern's classes are ranked only as far as this reads."""
+        ranked, nxt, first = self.ranked, self.nxt, self.first
+        while True:
+            front = self.front[pat]
+            while pos < front and nxt[(c := ranked[pos])] == first[c + 1]:
+                pos += 1
+            if pos < front or pos >= end:
+                return pos
+            self._rank(pat, end)
+
+    def _rank(self, pat: int, end: int) -> None:
+        """Rank pattern pat's first classes in (u, class) order into
+        ``ranked``: _RANK_DEPTH of them on first need, then twice as many
+        as are ranked already."""
+        at = self.start[pat]
+        cls = self.order[at:end]        # in class order
+        top = _argsort_head(self.u[cls], max(_RANK_DEPTH, 2 * (self.front[pat] - at)))
+        self.ranked[at:at + top.size] = cls[top]
+        self.front[pat] = at + top.size
 
     def _lowest_tied(self, pat: int, t: int) -> tuple[int, int]:
         """The class of pattern pat scoring exactly its head's score after t
@@ -961,7 +1013,7 @@ class _OssGreedy:
         # certainly worse (see the class docstring)
         margin = (t + 8) * 2.0 ** -50 * math.sqrt(m)
         while (pos := self._live(pat, pos + 1, end)) < end:
-            c = self.order[pos]
+            c = self.ranked[pos]
             if u[c] != hu and (u[c] - hu > margin or self._replay(c, t) != m):
                 break                     # every later class scores as much or more
             if members[nxt[c]] < row:

@@ -28,6 +28,7 @@ from subdata import (
     select_uniform,
     thin_svd,
 )
+from subdata import selectors
 from subdata.selectors import (_OSS_BLOCK_ROWS, _argsort_head, _column_extrema,
                                _iboss_quotas, _interchangeable_classes, _oss_rows,
                                _pattern_runs)
@@ -536,6 +537,63 @@ class TestOss:
             assert ones == len(want_alone)
             assert runs[:ones] == [[c] for c in want_alone]
             assert sorted(sorted(run) for run in runs[ones:]) == want_runs
+
+    def test_pattern_runs_are_the_same_with_or_without_room_for_the_class(self, monkeypatch):
+        # one uint64 word per class. Small words leave room above them for a
+        # class index, so one sort of word << bits | class groups them; the
+        # same words shifted into the top bits leave none, and the grouping
+        # falls back to _runs, or to the all-distinct shortcut. Classes 0,
+        # 2 and 6 share a pattern in the first input, and so do 1 and 5;
+        # class 4 holds several rows alone in its pattern
+        calls = []
+
+        def counting_runs(key, words):
+            calls.append(key.size)
+            return runs_of(key, words)
+
+        runs_of = selectors._runs
+        monkeypatch.setattr(selectors, "_runs", counting_runs)
+        rows = np.array([1, 1, 3, 1, 2, 1, 1])
+        for words, repeats, want_alone, want_runs in (
+            ([7, 9, 7, 5, 3, 9, 7], True, [3], [[0, 2, 6], [1, 5], [4]]),
+            ([7, 9, 6, 5, 3, 8, 2], False, [0, 1, 3, 5, 6], [[2], [4]]),
+        ):
+            for shift in (0, 60):
+                calls.clear()
+                signs = (np.array(words, dtype=np.uint64) << shift).view(np.uint8).reshape(-1, 8)
+                order, start, ones = _pattern_runs(signs, rows)
+                runs = [order[a:b].tolist() for a, b in zip(start[:-1], start[1:])]
+                assert ones == len(want_alone), shift
+                assert runs[:ones] == [[c] for c in want_alone], shift
+                assert sorted(runs[ones:]) == want_runs, shift  # classes ascending
+                assert calls == ([len(words)] if shift and repeats else []), shift
+
+    def test_ranking_deepens_through_equal_u(self):
+        # pattern (+, +) holds the corner (1, 1), a few more classes of
+        # distinct u below 2 and, from position _RANK_DEPTH - 7 on, more
+        # than _RANK_DEPTH + 7 classes of entries near 1e-9, whose u = 2 -
+        # |z|^2 / 2 rounds to 2.0 though their |z|^2 differ. The greedy
+        # ranks the pattern _RANK_DEPTH classes deep first, then deepens
+        # twice inside the run of equal u, and at k = n - 1 it takes all
+        # but one row, so every class is read
+        depth = selectors._RANK_DEPTH
+        rng = np.random.default_rng(27)
+        big = rng.uniform(0.1, 0.9, size=(depth - 8, 2))
+        tiny = rng.uniform(1.0, 9.0, size=(depth + 64, 2)) * 1e-9
+        rest = rng.uniform(0.1, 0.9, size=(60, 2)) * np.resize([[-1, -1], [1, -1], [-1, 1]],
+                                                                (60, 2))
+        x = np.vstack([[[-1.0, -1.0], [1.0, 1.0]], big, tiny, rest])
+        x = x[np.r_[0:2, 2 + rng.permutation(x.shape[0] - 2)]]
+        norms2, _ = _oss_rows(x)
+        u = 2 - 0.5 * norms2
+        is_tiny = np.abs(x).max(axis=1) < 1e-8
+        assert (u[is_tiny] == 2.0).all() and np.unique(norms2[is_tiny]).size == tiny.shape[0]
+        plus = ((x > 0).all(axis=1) & (u < 2.0)).sum()
+        assert plus < depth and 2 * depth < plus + tiny.shape[0]
+        rows = np.r_[0:x.shape[0], rng.integers(0, x.shape[0], size=200)]
+        for data, plain in ((x, x), (Resample(x, rows), x[rows])):
+            k = plain.shape[0] - 1
+            assert select_oss(data, k).indices.tolist() == oss_rowwise_greedy(plain, k)
 
     @pytest.mark.parametrize("p", [3, 4, 10, 33, 64])
     def test_resample_matches_rowwise_greedy_at_scale(self, p):
