@@ -24,6 +24,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +59,22 @@ RNG_LABEL = "numpy default_rng (PCG64)"
 # OpenBLAS threads of the timing grid and of every study unit
 STUDY_BLAS_THREADS = 1
 
-# design name -> the one selector it applies to (None: every selector)
-_DESIGN_SELECTOR = {"main": None, "expanded": "iboss", "intercept": "levss"}
+
+class _Design(NamedTuple):
+    owner: str | None  # the one selector it applies to; None: every selector
+    build: Callable[[DataMatrix], object]  # its matrix from the covariates
+    width: Callable[[int], int]  # its column count for p covariates
+
+
+# the builders call this module's names at call time, so a test that
+# replaces bench.expand_interactions sees every expansion
+_DESIGNS = {
+    "main": _Design(None, lambda data: data, lambda p: p),
+    "expanded": _Design("iboss", lambda data: expand_interactions(data.values),
+                        expanded_column_count),
+    "intercept": _Design("levss", lambda data: with_intercept(data.values),
+                         lambda p: p + 1),
+}
 
 
 @dataclass(frozen=True)
@@ -69,11 +84,10 @@ class SelectorSpec:
     Records name a spec by its :attr:`label`, which :meth:`parse` reads
     back. ``threshold`` applies to the leverage selector only and must be
     at least 1, as in :class:`~subdata.selectors.LevssConfig`. ``design``
-    names the matrix the selector sees besides the raw covariates
-    ("main"): "expanded" applies to the extreme-value selector only and
-    hands it the interaction-expanded design; "intercept" applies to
-    the leverage selector only and hands it [1, X], so that leverage
-    and the stopping rule are those of the model every fit uses.
+    names the matrix the selector sees, a row of ``_DESIGNS``: the raw
+    covariates ("main", every selector), their interaction expansion
+    ("expanded", iboss only) or [1, X] ("intercept", levss only, so that
+    leverage and the stopping rule are those of the model every fit uses).
     """
 
     name: str
@@ -89,11 +103,11 @@ class SelectorSpec:
             if self.name != "levss":
                 raise ConfigError("threshold only applies to the levss selector")
             object.__setattr__(self, "threshold", _stopping_threshold(self.threshold))
-        if self.design not in _DESIGN_SELECTOR:
+        if self.design not in _DESIGNS:
             raise ConfigError(
-                f"design must be one of {tuple(_DESIGN_SELECTOR)}, got {self.design!r}"
+                f"design must be one of {tuple(_DESIGNS)}, got {self.design!r}"
             )
-        owner = _DESIGN_SELECTOR[self.design]
+        owner = _DESIGNS[self.design].owner
         if owner is not None and self.name != owner:
             raise ConfigError(
                 f"design={self.design!r} only applies to the {owner} selector"
@@ -140,9 +154,14 @@ class SelectorSpec:
 
 
 def _coerce_specs(selectors) -> tuple[SelectorSpec, ...]:
-    """Specs from specs or labels; ConfigError if none, or two share a label."""
+    """Specs from a sequence of specs and labels; ConfigError if not, if empty, or on a repeat."""
+    if isinstance(selectors, str):
+        raise ConfigError(f"expected a sequence of selector labels or specs, got {selectors!r}")
     specs = tuple(SelectorSpec.parse(s) if isinstance(s, str) else s
                   for s in selectors)
+    for s in specs:
+        if not isinstance(s, SelectorSpec):
+            raise ConfigError(f"a selector is a label or a SelectorSpec, got {s!r}")
     if not specs:
         raise ConfigError("need at least one selector")
     labels = [s.label for s in specs]
@@ -154,86 +173,65 @@ def _coerce_specs(selectors) -> tuple[SelectorSpec, ...]:
 class _Preparation:
     """Shared work for the cells of one selector and design on one dataset.
 
-    Every (k, threshold, seed) cell of the group ``spec`` names takes one
-    piece of work from :meth:`shared`, made when a cell first needs it
-    from the design the spec names ([1, X] for design="intercept", the
-    interaction expansion for design="expanded"): levss the leverage
-    ranking of its design and iboss the tails of every column of its
-    design, each to the largest k of the grid (cut to n), and oss one
-    greedy run to ``oss_k``, the largest k of the grid it can serve
-    (2 <= k < n; the greedy is prefix-consistent, so every smaller k is
-    its first k rows). Only the ranking, the tails or the greedy's
-    result is kept, not the design. A preparation that raises is not
-    kept, so every cell that needs it raises the same error. Uniform
-    draws follow the seed and share nothing.
-
-    ``resample``, when given, is the :class:`~subdata.selectors.Resample`
-    that ``data`` copies; the OSS greedy runs on it and prepares only
-    its distinct rows, with the same result bit for bit.
+    Each cell of the group ``spec`` names hands :meth:`shared` its
+    selector's preparer (:func:`_run_selector`). The first call builds
+    ``spec``'s design from ``data`` and keeps only the preparer's result,
+    not the design; a preparer that raises keeps nothing, so every cell
+    that needs it raises the same error. ``k_values`` is the k grid to
+    serve, and ``resample`` the :class:`~subdata.selectors.Resample`
+    that ``data`` copies, if it is one.
     """
 
     def __init__(self, data: DataMatrix, spec: SelectorSpec, k_values,
                  resample: Resample | None = None):
         self.data, self.spec, self.resample = data, spec, resample
-        self.depth = max(k_values)
-        self.oss_k = max((k for k in k_values if 2 <= k < data.n), default=0)
+        self.k_values = tuple(k_values)
         self._shared = None
 
-    def shared(self):
+    def shared(self, prepare):
+        """``prepare(design)``, made on the first call and kept."""
         if self._shared is None:
-            if self.spec.design == "intercept":
-                matrix = with_intercept(self.data.values)
-            elif self.spec.design == "expanded":
-                matrix = expand_interactions(self.data.values)
-            else:
-                matrix = self.data
-            if self.spec.name == "levss":
-                self._shared = rank_by_leverage(matrix, self.depth)
-            elif self.spec.name == "iboss":
-                self._shared = iboss_tails(matrix, self.depth)
-            else:
-                source = matrix if self.resample is None else self.resample
-                self._shared = select_oss(source, self.oss_k)
+            self._shared = prepare(_DESIGNS[self.spec.design].build(self.data))
         return self._shared
-
-
-def _design_width(spec: SelectorSpec, p: int) -> int:
-    """Column count of the matrix ``spec``'s selector sees for p covariates."""
-    if spec.design == "intercept":
-        return p + 1
-    if spec.design == "expanded":
-        return expanded_column_count(p)
-    return p
 
 
 def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
                   prep: _Preparation | None = None) -> SelectionResult:
     """Run the selector ``spec`` names on ``data``.
 
+    This is the only place a SelectorSpec turns into a selector call.
     ``prep`` is a preparation of ``data`` for a k grid and for
     ``spec``'s selector and design (else ValueError); without one, the
-    call prepares for its own k alone. k is checked against the
-    design's shape before any preparation is made, so a k the selector
-    cannot serve raises ConfigError without factoring or sorting. The
-    records are the same either way, timings aside. This is the only
-    place a SelectorSpec turns into a selector call; a negative seed is
-    a ConfigError here, whether or not the selector draws from it.
+    call prepares for its own k alone, with the same records, timings
+    aside. Each selector checks k against its design's width first, so
+    a k it cannot serve is a ConfigError before any design is built.
+    levss then ranks its design by leverage and iboss sorts the tails
+    of every column of its design, each to the largest k of the grid
+    (cut to n). oss runs one greedy, on the Resample if there is one,
+    to the largest k of the grid it can serve (2 <= k < n); the greedy
+    is prefix-consistent, so every smaller k is its first k rows.
+    Uniform draws follow the seed and share nothing. A negative seed is
+    a ConfigError, whether or not the selector draws from it.
     """
     seed = seed_integer(seed)
     prep = prep or _Preparation(data, spec, (k,))
     if (prep.spec.name, prep.spec.design) != (spec.name, spec.design):
         raise ValueError(f"a {prep.spec.label} preparation cannot serve {spec.label}")
-    width = _design_width(spec, data.p)
+    width = _DESIGNS[spec.design].width(data.p)
     if spec.name == "levss":
         config = LevssConfig(k=k, threshold=spec.threshold, seed=seed)
         _levss_size(data.n, width, config.k)
-        return select_levss(prep.shared(), config)
+        ranking = prep.shared(lambda design: rank_by_leverage(design, max(prep.k_values)))
+        return select_levss(ranking, config)
     if spec.name == "iboss":
         k = _iboss_size(data.n, width, k)
-        return select_iboss(prep.shared(), k)
+        tails = prep.shared(lambda design: iboss_tails(design, max(prep.k_values)))
+        return select_iboss(tails, k)
     if spec.name == "oss":
         k = _oss_size(data.n, k)
-        greedy = prep.shared()
+        greedy = prep.shared(lambda design: select_oss(
+            design if prep.resample is None else prep.resample,
+            max((j for j in prep.k_values if 2 <= j < data.n), default=0)))
         return replace(greedy, indices=greedy.indices[:k].copy(), k_star=k)
     return select_uniform(data, k, seed)
 

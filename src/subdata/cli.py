@@ -2,7 +2,8 @@
 
 Every subcommand is a thin shell over documented library calls:
 
-- ``select``    -> io.read_csv, bench._run_selector, io.write_selection
+- ``select``    -> io.read_csv, bench.SelectorSpec.parse, bench._run_selector
+  (the one place a spec meets its selector), io.write_selection
 - ``simulate``  -> bench.run_simulation, bench.summarize, io.write_results
 - ``timing``    -> bench.run_timing, io.write_timing
 - ``bootstrap`` -> io.read_csv, bench.run_bootstrap, io.write_results

@@ -148,9 +148,13 @@ class DataMatrix:
 
         ``np.take`` gathers the same rows as fancy indexing, negative
         indices and the IndexError out of range included, without its
-        per-row overhead.
+        per-row overhead. Indices that are not integers (a boolean mask,
+        floats) are a ContractError rather than cast.
         """
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.asarray(indices)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ContractError(f"row indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         resp = None if self.response is None else np.take(self.response, idx)
         return DataMatrix(np.take(self.values, idx, axis=0), resp)
 

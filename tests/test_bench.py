@@ -216,6 +216,20 @@ class TestSelectorSpec:
         with pytest.raises(ConfigError, match="may appear once"):
             BootstrapPlan(k_values=(20,), selectors=selectors)
 
+    @pytest.mark.parametrize("selectors, match", [
+        ("levss", "sequence of selector labels or specs, got 'levss'$"),
+        (("levss", 3), "label or a SelectorSpec, got 3$"),
+        ((SelectorSpec("oss"), None), "label or a SelectorSpec, got None$"),
+    ])
+    def test_non_label_rejected(self, selectors, match):
+        cfg = ScenarioConfig(case="mvnormal", n=200, p=2, k=20, seed=1)
+        with pytest.raises(ConfigError, match=match):
+            run_simulation(cfg, selectors, reps=1)
+        with pytest.raises(ConfigError, match=match):
+            run_timing([200], p=2, k=20, selectors=selectors, reps=1)
+        with pytest.raises(ConfigError, match=match):
+            BootstrapPlan(k_values=(20,), selectors=selectors)
+
     @pytest.mark.parametrize("threshold", [0.5, 0.0, -1.0, float("nan"), -np.inf])
     def test_threshold_below_one_rejected(self, threshold):
         with pytest.raises(ConfigError, match="threshold must be >= 1"):
@@ -270,6 +284,8 @@ class TestRunSelectorChecksK:
         monkeypatch.setattr(selectors, "thin_svd", unreachable)
         monkeypatch.setattr(bench, "iboss_tails", unreachable)
         monkeypatch.setattr(bench, "select_oss", unreachable)
+        monkeypatch.setattr(bench, "with_intercept", unreachable)
+        monkeypatch.setattr(bench, "expand_interactions", unreachable)
         data = DataMatrix(np.random.default_rng(0).normal(size=shape))
         with pytest.raises(ConfigError, match=match):
             _run_selector(spec, data, k, seed=0)
@@ -422,7 +438,7 @@ class TestPreparation:
         got = _run_selector(spec, data, 40, 0, prep)
         want = _run_selector(spec, data, 40, 0)
         assert np.array_equal(got.indices, want.indices)
-        assert prep.shared().head.size == 40
+        assert prep.shared(lambda design: pytest.fail("prepared twice")).head.size == 40
         with pytest.raises(ValueError, match="cannot serve levss$"):
             _run_selector(SelectorSpec("levss"), data, 20, 0, prep)
 

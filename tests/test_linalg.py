@@ -94,6 +94,14 @@ class TestDataMatrix:
         assert np.array_equal(sub.response.view(np.int64), y[rows].view(np.int64))
         assert DataMatrix(x).take(rows).response is None
 
+    @pytest.mark.parametrize("rows", [[True, False, True, False], [1.7, 0.2]])
+    def test_take_refuses_non_integer_indices(self, rows):
+        d = DataMatrix(np.arange(8.0).reshape(4, 2), response=np.arange(4.0))
+        with pytest.raises(ContractError, match=f"dtype {np.asarray(rows).dtype}$"):
+            d.take(rows)
+        with pytest.raises(DimensionError):
+            d.take([])
+
     @pytest.mark.parametrize("row", [50, -51])
     def test_take_out_of_range_raises(self, row):
         d = DataMatrix(np.ones((50, 2)), response=np.ones(50))
