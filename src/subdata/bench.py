@@ -21,6 +21,7 @@ import math
 import os
 import time
 import warnings
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -153,12 +154,17 @@ class SelectorSpec:
             raise ConfigError(f"selector label {label!r}: {exc}") from None
 
 
+def _items(values, what: str) -> tuple:
+    """``tuple(values)``; ConfigError naming ``what`` for a string or a non-iterable."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"expected a sequence of {what}, got {values!r}")
+    return tuple(values)
+
+
 def _coerce_specs(selectors) -> tuple[SelectorSpec, ...]:
     """Specs from a sequence of specs and labels; ConfigError if not, if empty, or on a repeat."""
-    if isinstance(selectors, str):
-        raise ConfigError(f"expected a sequence of selector labels or specs, got {selectors!r}")
     specs = tuple(SelectorSpec.parse(s) if isinstance(s, str) else s
-                  for s in selectors)
+                  for s in _items(selectors, "selector labels or specs"))
     for s in specs:
         if not isinstance(s, SelectorSpec):
             raise ConfigError(f"a selector is a label or a SelectorSpec, got {s!r}")
@@ -453,7 +459,8 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
                case: str = "uniform01", base_seed: int = 0) -> list[TimingRecord]:
     """Wall-clock selection time per selector across data sizes.
 
-    Each n may appear once. For each n, one warm-up repetition is run
+    Each n may appear once, and every n is checked against p and k
+    before any is timed. For each n, one warm-up repetition is run
     and discarded, then ``reps`` timed repetitions follow, each on a
     freshly seeded dataset shared by all selectors. Only the selection
     call is timed (the selector measures itself), and every call takes
@@ -470,12 +477,14 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     OpenBLAS library is found, a warning says so.
     """
     reps = positive_integer(reps, "reps")
-    n_values = [positive_integer(n, "n") for n in n_values]
+    n_values = [positive_integer(n, "n") for n in _items(n_values, "n_values")]
     if not n_values:
         raise ConfigError("n_values must not be empty")
     if len(set(n_values)) < len(n_values):
         raise ConfigError(f"each n may appear once, got {n_values}")
     specs = _coerce_specs(selectors)
+    for n in n_values:  # check the whole grid before timing any of it
+        ScenarioConfig(case=case, n=n, p=p, k=k, seed=base_seed)
     out = []
     with blas_threads(STUDY_BLAS_THREADS) as pinned:
         if not pinned:
@@ -524,7 +533,7 @@ class BootstrapPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "n_boot", positive_integer(self.n_boot, "n_boot"))
-        ks = tuple(positive_integer(k, "k") for k in self.k_values)
+        ks = tuple(positive_integer(k, "k") for k in _items(self.k_values, "k_values"))
         if not ks:
             raise ConfigError("k_values must not be empty")
         if len(set(ks)) < len(ks):
@@ -536,7 +545,8 @@ class BootstrapPlan:
     @classmethod
     def from_multiples(cls, p: int, multiples=(5, 10, 20, 30), **kwargs) -> "BootstrapPlan":
         """k grid as multiples of the covariate count, default 5p..30p."""
-        return cls(k_values=tuple(m * p for m in multiples), **kwargs)
+        return cls(k_values=tuple(m * p for m in _items(multiples, "multiples")),
+                   **kwargs)
 
 
 def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:

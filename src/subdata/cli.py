@@ -12,10 +12,14 @@ Every subcommand is a thin shell over documented library calls:
 ``--method`` takes selector labels as records carry them,
 ``name[:T=<float>][:design=<name>]`` (``bench.SelectorSpec.parse``).
 
-Options may come from a config file (``--config``): flat ``key = value``
-lines using the long flag names. Explicit flags always win over the
-file, which wins over built-in defaults. SUBDATA_THREADS caps the one
-worker pool of simulate and bootstrap.
+Three tables state each command's rules: ``_FLAGS`` gives every flag
+its converter, default and help, ``_COMMAND_FLAGS`` the flags each
+command takes, and ``_REQUIRED`` the ones it cannot run without.
+
+Options may come from a config file (``--config``, which every command
+takes): flat ``key = value`` lines using the long flag names. Explicit
+flags always win over the file, which wins over built-in defaults.
+SUBDATA_THREADS caps the one worker pool of simulate and bootstrap.
 
 Exit status: 0 on success with zero flagged records, 1 when any record
 was flagged or a run failed, 2 on usage or configuration errors.
@@ -59,6 +63,14 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return tuple(s.label for s in bench._coerce_specs(_parse_str_list(text)))
 
 
+def _parse_case(text: str) -> str:
+    """A scenario name from ``datagen.CASES``, or its alias 1, 2 or 3."""
+    case = _CASE_ALIASES.get(text, text)
+    if case not in datagen.CASES:
+        raise ValueError(f"unknown case {text!r}")
+    return case
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in _parse_str_list(text))
@@ -66,15 +78,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-# one row per flag: dest -> (flag string, converter for config-file text,
-# default, argparse kwargs). Converters also serve as the config-file type
-# map. A dict default maps command -> default (None for commands not
-# listed); every command's RunConfig carries every row's default.
+# one row per flag: dest -> (flag string, converter for flag and config-file
+# text, default, argparse kwargs). A dict default maps command -> default
+# (None for commands not listed); every command's RunConfig carries every
+# row's default.
 _FLAGS: dict[str, tuple[str, object, object, dict]] = {
     "input": ("--input", str, None, {"help": "input CSV path"}),
     "output": ("--output", str, None,
                {"help": "output path (CSV; JSON lands beside it)"}),
-    "config": ("--config", str, None, {"help": "flat key = value config file"}),
     "method": ("--method", _parse_methods,
                {"simulate": bench.SELECTOR_NAMES, "timing": bench.SELECTOR_NAMES,
                 "bootstrap": tuple(s.label
@@ -84,7 +95,7 @@ _FLAGS: dict[str, tuple[str, object, object, dict]] = {
                         "comma-separated list where the command compares "
                         "several"}),
     "k": ("--k", int, None, {"help": "subdata size"}),
-    "case": ("--case", str, "mvnormal",
+    "case": ("--case", _parse_case, "mvnormal",
              {"help": "scenario: uniform01 | mvnormal | truncated-mvnormal "
                       "(aliases 1, 2, 3)"}),
     "n": ("--n", _parse_int_list, None,
@@ -109,20 +120,26 @@ _FLAGS: dict[str, tuple[str, object, object, dict]] = {
                      "help": "include pairwise interactions in the scenario"}),
 }
 
+# the flags each command takes besides --config, which every command takes
 _COMMAND_FLAGS = {
-    "select": ("input", "output", "config", "method", "k", "seed",
-               "covariates", "response", "log_response"),
-    "simulate": ("output", "config", "method", "k", "case", "n", "p", "reps",
-                 "seed", "interaction"),
-    "timing": ("output", "config", "method", "k", "case", "n", "p", "reps",
-               "seed"),
-    "bootstrap": ("input", "output", "config", "method", "boot", "k_multiples",
-                  "seed", "covariates", "response", "log_response"),
-    "gen-data": ("output", "config", "case", "n", "p", "seed", "interaction"),
+    "select": ("input", "output", "method", "k", "seed", "covariates",
+               "response", "log_response"),
+    "simulate": ("output", "method", "k", "case", "n", "p", "reps", "seed",
+                 "interaction"),
+    "timing": ("output", "method", "k", "case", "n", "p", "reps", "seed"),
+    "bootstrap": ("input", "output", "method", "boot", "k_multiples", "seed",
+                  "covariates", "response", "log_response"),
+    "gen-data": ("output", "case", "n", "p", "seed", "interaction"),
 }
 
-# flag dests that RunConfig carries under another attribute name
-_ATTRS = {"method": "methods", "n": "n_values"}
+# the flags each command cannot run without, in the order they are checked
+_REQUIRED = {
+    "select": ("output", "input", "k"),
+    "simulate": ("output", "n", "p", "k"),
+    "timing": ("output", "n", "p", "k"),
+    "bootstrap": ("output", "input", "response"),
+    "gen-data": ("output", "n", "p"),
+}
 # commands whose worker pool SUBDATA_THREADS sizes
 _POOLED = ("simulate", "bootstrap")
 
@@ -134,10 +151,10 @@ class RunConfig:
     command: str
     output: str
     input: str | None
-    methods: tuple[str, ...]
+    method: tuple[str, ...]
     k: int | None
     case: str
-    n_values: tuple[int, ...]
+    n: tuple[int, ...]
     p: int | None
     reps: int | None
     boot: int | None
@@ -153,9 +170,8 @@ class RunConfig:
         flag dest, plus the worker count where the command has a pool."""
         doc = {"command": self.command}
         for dest in _COMMAND_FLAGS[self.command]:
-            if dest != "config":
-                value = getattr(self, _ATTRS.get(dest, dest))
-                doc[dest] = list(value) if isinstance(value, tuple) else value
+            value = getattr(self, dest)
+            doc[dest] = list(value) if isinstance(value, tuple) else value
         if self.command in _POOLED:
             doc["workers"] = bench.resolve_workers()
         return doc
@@ -169,14 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, dests in _COMMAND_FLAGS.items():
         cp = sub.add_parser(command)
+        cp.add_argument("--config", help="flat key = value config file")
         for dest in dests:
             flag, _conv, _default, kwargs = _FLAGS[dest]
-            kw = dict(kwargs)
-            action = kw.get("action")
-            if action is argparse.BooleanOptionalAction:
-                cp.add_argument(flag, dest=dest, default=None, **kw)
-            else:
-                cp.add_argument(flag, dest=dest, default=None, type=str, **kw)
+            cp.add_argument(flag, dest=dest, default=None, **kwargs)
     return parser
 
 
@@ -216,17 +228,15 @@ def _merge(command: str, args: argparse.Namespace,
     """
     dests = _COMMAND_FLAGS[command]
     file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = _load_config_file(args.config)
         # a config file sets the command's flags, but names no other config file
-        unknown = sorted(k for k in file_values if k not in dests or k == "config")
+        unknown = sorted(k for k in file_values if k not in dests)
         if unknown:
             parser.error(f"unknown config file key(s) for {command}: {unknown}")
 
     merged: dict = {}
     for dest, (flag, conv, default, kwargs) in _FLAGS.items():
-        if dest == "config":
-            continue
         raw = getattr(args, dest, None)
         if raw is not None and kwargs.get("action"):
             value = raw
@@ -247,46 +257,22 @@ def parse_cli(argv) -> RunConfig:
     args = parser.parse_args(argv)
     command = args.command
     m = _merge(command, args, parser)
-
-    def need(dest):
+    if command in ("simulate", "gen-data") and len(m["n"] or ()) > 1:
+        parser.error(f"{command} takes a single --n value")
+    for dest in _REQUIRED[command]:
         if m[dest] is None:
             parser.error(f"{command} requires {_FLAGS[dest][0]}")
-
-    case = _CASE_ALIASES.get(m["case"], m["case"])
-    if case not in datagen.CASES:
-        parser.error(f"unknown case {m['case']!r}")
-
-    methods = m["method"] or ()
-    n_values = m["n"] or ()
-    if command in ("simulate", "gen-data") and len(n_values) > 1:
-        parser.error(f"{command} takes a single --n value")
-
-    need("output")
-    if command in ("select", "bootstrap"):
-        need("input")
-    if command == "select":
-        need("k")
-        if len(methods) != 1:
-            parser.error("select requires exactly one --method")
-    if command in ("simulate", "timing"):
-        need("n")
-        need("p")
-        need("k")
-    if command == "gen-data":
-        need("n")
-        need("p")
-    if command == "bootstrap":
-        need("response")
-
-    m["case"] = case
-    del m["method"], m["n"]  # carried as methods and n_values
-    return RunConfig(command=command, methods=methods, n_values=n_values, **m)
+    # only now, after the check that reads None, do the lists default to empty
+    m["method"], m["n"] = m["method"] or (), m["n"] or ()
+    if command == "select" and len(m["method"]) != 1:
+        parser.error("select requires exactly one --method")
+    return RunConfig(command=command, **m)
 
 
 def _cmd_select(rc: RunConfig) -> int:
     data = data_io.read_csv(rc.input, covariates=rc.covariates,
                             response=rc.response, log_response=rc.log_response)
-    spec = bench.SelectorSpec.parse(rc.methods[0])
+    spec = bench.SelectorSpec.parse(rc.method[0])
     result = bench._run_selector(spec, data, rc.k, rc.seed)
     summary = {"rng": bench.RNG_LABEL, "config": rc.echo()}
     data_io.write_selection(result, summary, rc.output)
@@ -294,17 +280,17 @@ def _cmd_select(rc: RunConfig) -> int:
 
 
 def _cmd_simulate(rc: RunConfig) -> int:
-    cfg = datagen.ScenarioConfig(case=rc.case, n=rc.n_values[0], p=rc.p, k=rc.k,
+    cfg = datagen.ScenarioConfig(case=rc.case, n=rc.n[0], p=rc.p, k=rc.k,
                                  seed=rc.seed, interaction=rc.interaction)
-    records = bench.run_simulation(cfg, rc.methods, rc.reps)
+    records = bench.run_simulation(cfg, rc.method, rc.reps)
     summary = bench.summarize(records, rc.echo())
     data_io.write_results(records, summary, rc.output)
     return 1 if any(r.failed for r in records) else 0
 
 
 def _cmd_timing(rc: RunConfig) -> int:
-    records = bench.run_timing(rc.n_values, p=rc.p, k=rc.k,
-                               selectors=rc.methods, reps=rc.reps,
+    records = bench.run_timing(rc.n, p=rc.p, k=rc.k,
+                               selectors=rc.method, reps=rc.reps,
                                case=rc.case, base_seed=rc.seed)
     summary = {"rng": bench.RNG_LABEL, "config": rc.echo()}
     data_io.write_timing(records, summary, rc.output)
@@ -316,7 +302,7 @@ def _cmd_bootstrap(rc: RunConfig) -> int:
                             response=rc.response, log_response=rc.log_response)
     plan = bench.BootstrapPlan.from_multiples(
         data.p, multiples=rc.k_multiples, n_boot=rc.boot,
-        selectors=rc.methods, seed=rc.seed,
+        selectors=rc.method, seed=rc.seed,
     )
     records = bench.run_bootstrap(data, plan)
     summary = bench.summarize(records, rc.echo())
@@ -325,7 +311,7 @@ def _cmd_bootstrap(rc: RunConfig) -> int:
 
 
 def _cmd_gen_data(rc: RunConfig) -> int:
-    n = rc.n_values[0]
+    n = rc.n[0]
     if not n > rc.p:
         raise ConfigError(f"gen-data needs --n above --p, got --n {n}, --p {rc.p}")
     # the generators ignore k; p + 1 is the smallest value the config accepts

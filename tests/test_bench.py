@@ -220,6 +220,8 @@ class TestSelectorSpec:
         ("levss", "sequence of selector labels or specs, got 'levss'$"),
         (("levss", 3), "label or a SelectorSpec, got 3$"),
         ((SelectorSpec("oss"), None), "label or a SelectorSpec, got None$"),
+        (None, "sequence of selector labels or specs, got None$"),
+        (5, "sequence of selector labels or specs, got 5$"),
     ])
     def test_non_label_rejected(self, selectors, match):
         cfg = ScenarioConfig(case="mvnormal", n=200, p=2, k=20, seed=1)
@@ -898,6 +900,32 @@ def test_repeated_grid_value_rejected(make, match):
     # a repeated value would write its records twice
     with pytest.raises(ConfigError, match=match):
         make()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: run_timing(1000, 3, 20, ["levss"]), "sequence of n_values, got 1000$"),
+    (lambda: BootstrapPlan(k_values=50), "sequence of k_values, got 50$"),
+    (lambda: BootstrapPlan(k_values=None), "sequence of k_values, got None$"),
+    (lambda: BootstrapPlan.from_multiples(3, multiples=5),
+     "sequence of multiples, got 5$"),
+], ids=["timing-n", "plan-k", "plan-k-none", "plan-multiples"])
+def test_grid_that_is_not_a_sequence_rejected(make, match):
+    # iterating it would raise a bare TypeError
+    with pytest.raises(ConfigError, match=match):
+        make()
+
+
+def test_timing_checks_its_whole_grid_before_timing(monkeypatch):
+    calls, run_selector = [], bench._run_selector
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_selector(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "_run_selector", counted)
+    with pytest.raises(ConfigError, match="need n >= k, got n=10, k=20"):
+        run_timing([2000, 10], p=3, k=20, selectors=["oss"], reps=1)
+    assert calls == []
 
 
 def test_whole_float_counts_accepted():

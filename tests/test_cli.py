@@ -13,6 +13,15 @@ from subdata import LevssConfig, SelectorSpec, read_csv, select_levss
 from subdata.bench import _run_selector
 from subdata.cli import main, parse_cli
 
+# one argv per command that sets every flag the command requires
+_COMPLETE_ARGV = {
+    "select": "select --input d.csv --method levss --k 5 --output o.csv",
+    "simulate": "simulate --n 100 --p 2 --k 10 --output o.csv",
+    "timing": "timing --n 100 --p 2 --k 10 --output o.csv",
+    "bootstrap": "bootstrap --input d.csv --response y --output o.csv",
+    "gen-data": "gen-data --n 100 --p 2 --output o.csv",
+}
+
 
 class TestParse:
     def test_simulate_defaults(self):
@@ -21,11 +30,11 @@ class TestParse:
              "--output", "o.csv"]
         )
         assert rc.command == "simulate"
-        assert rc.methods == ("levss", "iboss", "oss", "uniform")
+        assert rc.method == ("levss", "iboss", "oss", "uniform")
         assert rc.case == "mvnormal"
         assert rc.reps == 100
         assert rc.seed == 0
-        assert rc.n_values == (10000,)
+        assert rc.n == (10000,)
 
     def test_case_aliases(self):
         for alias, want in [
@@ -45,7 +54,7 @@ class TestParse:
             ["simulate", "--method", "levss,uniform", "--n", "100",
              "--p", "2", "--k", "10", "--output", "o.csv"]
         )
-        assert rc.methods == ("levss", "uniform")
+        assert rc.method == ("levss", "uniform")
 
     def test_unknown_method_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -72,6 +81,52 @@ class TestParse:
         with pytest.raises(SystemExit):
             parse_cli(["bootstrap", "--input", "d.csv", "--output", "o.csv"])
 
+    @pytest.mark.parametrize("command, flag, config_line, message", [
+        *[(command, flag, None, f"{command} requires {flag}")
+          for command, flags in [("select", "--output --input --k"),
+                                 ("simulate", "--output --n --p --k"),
+                                 ("timing", "--output --n --p --k"),
+                                 ("bootstrap", "--output --input --response"),
+                                 ("gen-data", "--output --n --p")]
+          for flag in flags.split()],
+        ("select", "--method", None, "select requires exactly one --method"),
+        ("simulate", "--n", "n = 100", None),
+    ])
+    def test_required_flags(self, command, flag, config_line, message, tmp_path,
+                            capsys):
+        # drop one flag from a complete argv; a config line may stand in for it
+        complete = shlex.split(_COMPLETE_ARGV[command])
+        argv = list(complete)
+        at = argv.index(flag)
+        del argv[at:at + 2]
+        if config_line:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_line + "\n")
+            argv += ["--config", str(cfg)]
+        if message is None:
+            assert parse_cli(argv) == parse_cli(complete)
+            return
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_case_names_its_source(self, source, tmp_path, capsys):
+        argv = shlex.split(_COMPLETE_ARGV["simulate"])
+        if source == "flag":
+            argv += ["--case", "cauchy"]
+            where = "argument --case"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("case = cauchy\n")
+            argv += ["--config", str(cfg)]
+            where = "config file value for case"
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(argv)
+        assert exc.value.code == 2
+        assert f"{where}: unknown case 'cauchy'" in capsys.readouterr().err
+
     def test_select_needs_exactly_one_method(self):
         with pytest.raises(SystemExit):
             parse_cli(
@@ -89,8 +144,8 @@ class TestParse:
             ["simulate", "--method", "levss:T=inf", "--n", "100", "--p", "2",
              "--k", "10", "--output", "o.csv"]
         )
-        assert rc.methods == ("levss:T=inf",)
-        assert SelectorSpec.parse(rc.methods[0]).threshold == np.inf
+        assert rc.method == ("levss:T=inf",)
+        assert SelectorSpec.parse(rc.method[0]).threshold == np.inf
 
     def test_simulate_rejects_multiple_n(self):
         with pytest.raises(SystemExit):
@@ -104,7 +159,7 @@ class TestParse:
             ["timing", "--n", "1000,10000,100000", "--p", "5", "--k", "50",
              "--output", "t.csv"]
         )
-        assert rc.n_values == (1000, 10000, 100000)
+        assert rc.n == (1000, 10000, 100000)
         assert rc.reps == 5
 
     def test_echo_round_trips_through_json(self):
@@ -175,7 +230,7 @@ class TestParse:
             ["simulate", "--method", "levss:design=intercept:T=10.0,levss:T=inf",
              "--n", "100", "--p", "2", "--k", "10", "--output", "o.csv"]
         )
-        assert rc.methods == ("levss:T=10:design=intercept", "levss:T=inf")
+        assert rc.method == ("levss:T=10:design=intercept", "levss:T=inf")
 
     @pytest.mark.parametrize("methods", [
         "levss,levss", "levss,levss:design=main", "levss:T=25,levss:T=25.0",
@@ -295,7 +350,7 @@ class TestConfigFile:
             ["simulate", "--config", str(cfg), "--n", "100", "--p", "2",
              "--k", "10", "--output", "o.csv"]
         )
-        assert rc.methods == ("levss:T=25", "iboss:design=expanded")
+        assert rc.method == ("levss:T=25", "iboss:design=expanded")
 
     @pytest.mark.parametrize("line", [
         "threshold = 10", "iboss_design = expanded", "iboss-design = expanded",
