@@ -262,6 +262,10 @@ def parse_cli(argv) -> RunConfig:
     for dest in _REQUIRED[command]:
         if m[dest] is None:
             parser.error(f"{command} requires {_FLAGS[dest][0]}")
+    # refused before any work, so a long run never ends on a path it cannot write
+    output = Path(m["output"])
+    if not output.name or not output.parent.is_dir():
+        parser.error(f"--output {m['output']!r} names no file in an existing directory")
     # only now, after the check that reads None, do the lists default to empty
     m["method"], m["n"] = m["method"] or (), m["n"] or ()
     if command == "select" and len(m["method"]) != 1:

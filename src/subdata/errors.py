@@ -53,7 +53,7 @@ class ScalingError(SubdataError, ValueError):
 
 
 class DataFormatError(SubdataError, ValueError):
-    """An input file holds a cell that cannot be used.
+    """A file cannot be read or written, or holds a cell that cannot be used.
 
     ``row`` and ``col`` are 1-based coordinates in the file (data rows
     are counted from 1, excluding the header line). Either may be None

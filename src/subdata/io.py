@@ -3,6 +3,11 @@
 Input files are headered CSV. Numbers are written with ``repr`` so a
 read-back reproduces every float bit for bit. Result files come in
 pairs: a records CSV plus a JSON summary next to it.
+
+Every file is opened by :func:`_opened`, so a file that cannot be read
+or written, whether it fails to open or fails part-way, is a
+:class:`DataFormatError` naming its path, as is a cell that cannot be
+used.
 """
 
 from __future__ import annotations
@@ -26,10 +31,6 @@ from .bench import MetricsRecord, TimingRecord, usable_cpus
 from .errors import ConfigError, DataFormatError
 from .linalg import DataMatrix
 
-RECORD_COLUMNS = tuple(f.name for f in dataclass_fields(MetricsRecord))
-TIMING_COLUMNS = tuple(f.name for f in dataclass_fields(TimingRecord))
-
-
 # bytes read at a time by _count_lines
 _COUNT_BLOCK = 1 << 20
 # rows each half of a split parse gets at least: a smaller body is parsed serially
@@ -42,24 +43,43 @@ _Body = tuple[np.ndarray, np.ndarray | None]
 
 
 @contextmanager
-def _open_csv(path):
-    """``path`` opened for ``csv.reader``, past a leading UTF-8 byte-order mark."""
-    with open(path, newline="") as fh:
-        if fh.read(1) != "\ufeff":
-            fh.seek(0)
-        yield fh
+def _opened(path, mode: str = "r"):
+    """``path`` opened in ``mode``: the one place this module opens a file.
 
-
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    A text file keeps its line endings as written (``newline=""``), and
+    a text read starts past a leading UTF-8 byte-order mark. An
+    ``OSError`` or ``UnicodeDecodeError``, from the open or from inside
+    the ``with`` block, is a :class:`DataFormatError` saying the file
+    cannot be read or written.
+    """
     try:
-        with _open_csv(path) as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(path, mode, newline=None if "b" in mode else "") as fh:
+            if mode == "r" and fh.read(1) != "\ufeff":
+                fh.seek(0)
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        verb = "read" if mode.startswith("r") else "write"
+        raise DataFormatError(f"cannot {verb} {path}: {exc}") from exc
+
+
+def _read_rows(path):
+    """The header of ``path``, then each row below it, in file order, once
+    that row is found as wide as the header.
+
+    The whole text is decoded before the first row is given, so a byte
+    that does not decode is reported before any row problem.
+    """
+    with _opened(path) as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise DataFormatError(f"{path} is empty")
-    return rows[0], rows[1:]
+    yield rows[0]
+    width = len(rows[0])
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != width:
+            raise DataFormatError(f"row {i} has {len(row)} fields, header has {width}",
+                                  row=i)
+        yield row
 
 
 def _count_lines(path) -> tuple[int, bool]:
@@ -83,7 +103,7 @@ def _count_lines(path) -> tuple[int, bool]:
     cr_before = False  # the previous block ended in "\r"
     end_before = True  # ... in an ending byte (the file's start counts)
     last = b""
-    with open(path, "rb") as fh:
+    with _opened(path, "rb") as fh:
         while block := fh.read(_COUNT_BLOCK):
             b = np.frombuffer(block, dtype=np.uint8)
             lf, cr = b == 10, b == 13
@@ -105,36 +125,33 @@ def _parse_cell(cell: str) -> float:
     return float(cell)
 
 
+def _read_cell(read, cell: str, row: int, col: int, what: str = "numeric"):
+    """``read(cell)``; a ``ValueError`` from it is a :class:`DataFormatError`
+    naming the cell's 1-based row and column."""
+    try:
+        return read(cell)
+    except ValueError:
+        raise DataFormatError(f"malformed {what} cell {cell!r} at row {row}, "
+                              f"col {col}", row=row, col=col) from None
+
+
 def _scan_cells(path, col_of: dict[str, int], cov_names: list[str],
                 response: str | None) -> _Body:
     """X and y parsed cell by cell, naming the first bad cell."""
     names = cov_names + ([response] if response is not None else [])
-    header, rows = _read_rows(path)
-    width = len(header)
-    parsed = np.empty((len(rows), len(names)))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(
-                f"row {i + 1} has {len(row)} fields, header has {width}",
-                row=i + 1,
-            )
-        for j, name in enumerate(names):
-            c = col_of[name]
-            cell = row[c]
-            try:
-                val = _parse_cell(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"malformed numeric cell {cell!r} at row {i + 1}, "
-                    f"col {c + 1}",
-                    row=i + 1, col=c + 1,
-                ) from None
+    cols = [col_of[name] for name in names]
+    rows = _read_rows(path)
+    next(rows)  # the header
+    parsed = []
+    for i, row in enumerate(rows, 1):
+        parsed.append([])
+        for c in cols:
+            val = _read_cell(_parse_cell, row[c], i, c + 1)
             if not math.isfinite(val):
-                raise DataFormatError(
-                    f"non-finite cell {cell!r} at row {i + 1}, col {c + 1}",
-                    row=i + 1, col=c + 1,
-                )
-            parsed[i, j] = val
+                raise DataFormatError(f"non-finite cell {row[c]!r} at row {i}, "
+                                      f"col {c + 1}", row=i, col=c + 1)
+            parsed[-1].append(val)
+    parsed = np.array(parsed, dtype=np.float64).reshape(-1, len(cols))
     p = len(cov_names)
     return parsed[:, :p], (parsed[:, p] if response is not None else None)
 
@@ -147,13 +164,10 @@ def _read_header(path) -> tuple[list[str], int, int, bool]:
     where it sits in the first block of text read for the header; one
     further on fails the parse of the body as well.
     """
-    try:
-        n_lines, empty_line = _count_lines(path)
-        with _open_csv(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    n_lines, empty_line = _count_lines(path)
+    with _opened(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
     if header is None:
         raise DataFormatError(f"{path} is empty")
     return header, reader.line_num, n_lines - reader.line_num, empty_line
@@ -169,13 +183,14 @@ def _loadtxt_source(path):
     takes a relative path that parses as a URL for one, so the path goes
     to numpy only made absolute and without such a suffix. Any other
     ``path`` is opened here, with the encoding and line endings
-    ``open`` gives either way.
+    ``open`` gives either way; the byte-order mark that :func:`_opened`
+    skips lies in the header lines, which the parse skips anyway.
     """
     name = os.fspath(path)
     if isinstance(name, str) and not name.lower().endswith(_COMPRESSED_SUFFIXES):
         yield os.path.join(os.getcwd(), name)
     else:
-        with open(path, newline="") as fh:
+        with _opened(path) as fh:
             yield fh
 
 
@@ -389,21 +404,37 @@ def read_csv(path, covariates: list[str] | None = None,
     return DataMatrix(X, y)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        # plain-float repr round-trips exactly and never loses precision
-        return repr(float(value))
-    return str(value)
+# a record cell's (writer, reader), keyed by the annotated type of its field;
+# the repr of a plain float reads back to the same bits
+_CODECS = {
+    int: (str, int),
+    str: (str, str),
+    float: (lambda v: repr(float(v)), float),
+    float | None: (lambda v: "" if v is None else repr(float(v)),
+                   lambda text: None if text == "" else float(text)),
+    bool: (lambda v: "true" if v else "false", lambda text: text == "true"),
+}
+
+
+def _fields(record_type) -> tuple[tuple, ...]:
+    """(name, writer, reader) of each field of ``record_type``, in order."""
+    hints = typing.get_type_hints(record_type)
+    return tuple((f.name, *_CODECS[hints[f.name]])
+                 for f in dataclass_fields(record_type))
+
+
+_RECORD_FIELDS, _TIMING_FIELDS = _fields(MetricsRecord), _fields(TimingRecord)
+RECORD_COLUMNS = tuple(name for name, _, _ in _RECORD_FIELDS)
+TIMING_COLUMNS = tuple(name for name, _, _ in _TIMING_FIELDS)
 
 
 def _json_paths(path) -> tuple[Path, Path]:
     """The CSV and JSON paths of ``path``: ``.csv`` or ``.json`` at its end
-    is dropped, any other suffix is part of the name."""
+    is dropped, any other suffix is part of the name. A path with no file
+    name (``''``, ``'.'``) is a :class:`DataFormatError`."""
     base = Path(path)
+    if not base.name:
+        raise DataFormatError(f"cannot write {path}: the path names no file")
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
     return base.with_name(base.name + ".csv"), base.with_name(base.name + ".json")
@@ -412,18 +443,18 @@ def _json_paths(path) -> tuple[Path, Path]:
 def _write_pair(path, header, rows, summary: dict) -> tuple[Path, Path]:
     """Write ``header`` and ``rows`` as CSV, then ``summary`` as JSON beside it."""
     csv_path, json_path = _json_paths(path)
-    with open(csv_path, "w", newline="") as fh:
+    with _opened(csv_path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    with open(json_path, "w") as fh:
+    with _opened(json_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, json_path
 
 
-def _record_rows(records, columns):
-    return ([_fmt(getattr(rec, c)) for c in columns] for rec in records)
+def _record_rows(records, fields):
+    return ([write(getattr(rec, name)) for name, write, _ in fields] for rec in records)
 
 
 def write_results(records, summary: dict, path) -> tuple[Path, Path]:
@@ -431,53 +462,47 @@ def write_results(records, summary: dict, path) -> tuple[Path, Path]:
 
     ``path`` may point at the CSV or the JSON, or name both without a
     suffix; any suffix other than ``.csv`` or ``.json`` is part of the
-    name, so ``run.a`` writes ``run.a.csv`` and ``run.a.json``. Column order is fixed, floats are
-    written at round-trip precision, and an empty record list still
-    produces the header line.
+    name, so ``run.a`` writes ``run.a.csv`` and ``run.a.json``. Column
+    order is fixed, floats are written at round-trip precision, and an
+    empty record list still produces the header line. A path that names
+    no file, or a file that cannot be written, is a
+    :class:`DataFormatError` naming it.
     """
     return _write_pair(path, RECORD_COLUMNS,
-                       _record_rows(records, RECORD_COLUMNS), summary)
-
-
-# cell text -> value, keyed by the annotated type of a MetricsRecord field
-_CELL_PARSERS = {
-    int: int,
-    str: str,
-    float: float,
-    float | None: lambda text: None if text == "" else float(text),
-    bool: lambda text: text == "true",
-}
-_RECORD_TYPES = typing.get_type_hints(MetricsRecord)
-_RECORD_PARSERS = tuple(_CELL_PARSERS[_RECORD_TYPES[c]] for c in RECORD_COLUMNS)
+                       _record_rows(records, _RECORD_FIELDS), summary)
 
 
 def read_records(path) -> list[MetricsRecord]:
-    """Read back a records CSV written by :func:`write_results`."""
-    header, rows = _read_rows(path)
+    """Read back a records CSV written by :func:`write_results`.
+
+    A file that cannot be read, a foreign header, a row of another width
+    or a cell its field's type refuses is a :class:`DataFormatError`,
+    the last two naming the row, a refused cell its column too.
+    """
+    rows = _read_rows(path)
+    header = next(rows)
     if tuple(header) != RECORD_COLUMNS:
         raise DataFormatError(
             f"unexpected records header {header}, wanted {list(RECORD_COLUMNS)}"
         )
     out = []
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"row {i + 1} has {len(row)} fields, header has {len(header)}",
-                row=i + 1,
-            )
-        out.append(MetricsRecord(
-            *(parse(cell) for parse, cell in zip(_RECORD_PARSERS, row))))
+    for i, row in enumerate(rows, 1):
+        cells = enumerate(zip(row, _RECORD_FIELDS), 1)
+        out.append(MetricsRecord(*(_read_cell(read, cell, i, j, name)
+                                   for j, (cell, (name, _, read)) in cells)))
     return out
 
 
 def write_timing(records, summary: dict, path) -> tuple[Path, Path]:
-    """Write timing records the same way :func:`write_results` does."""
+    """Write timing records the same way :func:`write_results` does,
+    raising what it raises."""
     return _write_pair(path, TIMING_COLUMNS,
-                       _record_rows(records, TIMING_COLUMNS), summary)
+                       _record_rows(records, _TIMING_FIELDS), summary)
 
 
 def write_selection(result, summary: dict, path) -> tuple[Path, Path]:
-    """Write selected row indices (one per line) plus the JSON summary."""
+    """Write selected row indices (one per line) plus the JSON summary,
+    raising what :func:`write_results` raises."""
     doc = dict(summary)
     doc["k_star"] = int(result.k_star)
     doc["elapsed"] = float(result.elapsed)
@@ -493,7 +518,8 @@ def write_dataset(data: DataMatrix, path) -> Path:
     r"""Dump covariates (x1..xp) and optional response (y) to CSV.
 
     Each cell is the ``repr`` of its float and each line ends in
-    ``\r\n``: the bytes ``csv.writer`` writes for the same rows.
+    ``\r\n``: the bytes ``csv.writer`` writes for the same rows. A file
+    that cannot be written is a :class:`DataFormatError` naming it.
     """
     out = Path(path)
     header = [f"x{j + 1}" for j in range(data.p)]
@@ -502,7 +528,7 @@ def write_dataset(data: DataMatrix, path) -> Path:
         header.append("y")
         columns.append(data.response)
     table = np.column_stack(columns)
-    with open(out, "w", newline="") as fh:
+    with _opened(out, "w") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, data.n, _WRITE_BLOCK_ROWS):
             block = table[start:start + _WRITE_BLOCK_ROWS].tolist()

@@ -808,6 +808,21 @@ class TestRunBootstrap:
         with pytest.raises(ConfigError):
             run_bootstrap(bare, plan)
 
+    @pytest.mark.parametrize("k", [2, 101], ids=["at-p", "above-n"])
+    def test_k_outside_p_to_n_rejected(self, k):
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=100, p=2, k=20, seed=6))
+        plan = BootstrapPlan(k_values=(20, k), n_boot=1, selectors=("uniform",))
+        with pytest.raises(ConfigError, match=f"p < k <= n, got k={k}"):
+            run_bootstrap(data, plan)
+
+    def test_empty_k_grid_rejected(self):
+        with pytest.raises(ConfigError, match="k_values must not be empty"):
+            BootstrapPlan(k_values=())
+
+    def test_no_selectors_rejected(self):
+        with pytest.raises(ConfigError, match="need at least one selector"):
+            bench._coerce_specs(())
+
     def test_default_selectors_order(self):
         labels = [s.label for s in default_bootstrap_selectors()]
         assert labels == [
@@ -849,6 +864,19 @@ class TestSummarize:
         assert by_sel["levss"]["failures"] == 2
         assert "mse_slopes" not in by_sel["levss"]
         assert by_sel["uniform"]["count"] == 2
+
+    def test_interaction_split_means(self):
+        cfg = ScenarioConfig(case="mvnormal", n=300, p=3, k=30, seed=7, interaction=True)
+        recs = run_simulation(cfg, ("levss", "uniform"), reps=3)
+        for g in summarize(recs)["groups"]:
+            ok = [r for r in recs if r.selector == g["selector"] and not r.failed]
+            assert g["mse_main_mean"] == float(np.mean([r.mse_main for r in ok]))
+            assert g["mse_interaction_mean"] == float(
+                np.mean([r.mse_interaction for r in ok]))
+        first_order = run_simulation(
+            ScenarioConfig(case="mvnormal", n=300, p=3, k=30, seed=7), ("uniform",), reps=1)
+        for g in summarize(first_order)["groups"]:
+            assert "mse_main_mean" not in g and "mse_interaction_mean" not in g
 
     def test_empty_records(self):
         doc = summarize([])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from subdata import LevssConfig, SelectorSpec, read_csv, select_levss
+from subdata import cli
 from subdata.bench import _run_selector
 from subdata.cli import main, parse_cli
 
@@ -393,6 +394,23 @@ class TestConfigFile:
              "--k", "10", "--output", "o.csv"]
         ) == 2
 
+    @pytest.mark.parametrize("text, want", [("off", False), ("on", True)])
+    def test_interaction_words(self, tmp_path, text, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"interaction = {text}\n")
+        rc = parse_cli(["simulate", "--config", str(cfg), "--n", "100", "--p", "2",
+                        "--k", "10", "--output", "o.csv"])
+        assert rc.interaction is want
+
+    def test_interaction_not_a_boolean_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("interaction = maybe\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["simulate", "--config", str(cfg), "--n", "100", "--p", "2",
+                       "--k", "10", "--output", "o.csv"])
+        assert exc.value.code == 2
+        assert "not a boolean: 'maybe'" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self):
         assert main(
             ["simulate", "--config", "/nonexistent.cfg", "--n", "100",
@@ -717,6 +735,46 @@ class TestRuntimeConfigErrors:
         assert main(argv) == 2
         assert "leverage selection needs" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputPath:
+    """An --output that names no file in an existing directory is a usage
+    error found before any work; one that cannot be written is exit 1."""
+
+    @pytest.mark.parametrize("output", ["", ".", "absent/o.csv"])
+    @pytest.mark.parametrize("argv, module, work", [
+        (["simulate", "--n", "100", "--p", "2", "--k", "10", "--reps", "1"],
+         cli.bench, "run_simulation"),
+        (["gen-data", "--n", "100", "--p", "2"], cli.datagen, "gen_dataset"),
+        (["bootstrap", "--input", "d.csv", "--response", "y", "--boot", "1"],
+         cli.data_io, "read_csv"),
+    ], ids=["simulate", "gen-data", "bootstrap"])
+    def test_exits_2_before_any_work(self, argv, module, work, output, tmp_path,
+                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --output was checked")
+
+        monkeypatch.setattr(module, work, refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", output])
+        assert exc.value.code == 2
+        assert f"--output {output!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, output", [
+        (["gen-data", "--n", "100", "--p", "2"], "d"),
+        (["simulate", "--n", "100", "--p", "2", "--k", "10", "--reps", "1",
+          "--method", "uniform"], "d.csv"),
+    ], ids=["gen-data", "simulate"])
+    def test_unwritable_output_exits_1(self, argv, output, tmp_path, capsys):
+        # the output file's name is taken by a directory
+        (tmp_path / output).mkdir()
+        assert main(argv + ["--output", str(tmp_path / output)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / output}")
+        assert "Traceback" not in err
 
 
 def _readme_commands() -> list[list[str]]:

@@ -5,6 +5,7 @@ import pytest
 
 from subdata import (
     ConfigError,
+    DimensionError,
     NumericError,
     ScenarioConfig,
     expand_interactions,
@@ -126,6 +127,12 @@ class TestResponse:
         ra = da.response - a.beta0 - da.values @ a.beta_slopes
         rb = db.response - b.beta0 - db.values @ b.beta_slopes
         assert np.allclose(ra, rb, atol=1e-10)
+
+    def test_covariates_wider_than_the_config_rejected(self):
+        cfg = _cfg(p=3)
+        wide = np.zeros((10, 4))
+        with pytest.raises(DimensionError, match="design has 4 columns, beta_slopes has 3"):
+            gen_response(wide, cfg)
 
     def test_gen_response_matches_dataset(self):
         cfg = _cfg(seed=13)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import threading
 import time
@@ -141,6 +142,11 @@ class TestReadCsv:
         with pytest.raises(ConfigError):
             read_csv(f, log_response=True)
 
+    def test_no_covariates_rejected(self, tmp_path):
+        f = _write(tmp_path, "x,y\n1,5\n")
+        with pytest.raises(ConfigError, match="no covariate columns"):
+            read_csv(f, covariates=[])
+
 
 class TestDatasetRoundTrip:
     def test_bit_exact(self, tmp_path):
@@ -237,6 +243,26 @@ class TestResultsRoundTrip:
         csv_path, _ = write_results(recs, summarize(recs), tmp_path / "o.csv")
         assert read_records(csv_path)[0].mse_main is None
 
+    def test_foreign_header_rejected(self, tmp_path):
+        f = _write(tmp_path, "a,b\n1,2\n", name="r.csv")
+        with pytest.raises(DataFormatError, match="unexpected records header"):
+            read_records(f)
+
+    @pytest.mark.parametrize("column", ["repetition", "logdet"])
+    def test_malformed_cell_names_row_and_column(self, tmp_path, column):
+        cfg = ScenarioConfig(case="mvnormal", n=200, p=3, k=30, seed=1)
+        recs = run_simulation(cfg, ("uniform",), reps=2)
+        csv_path, _ = write_results(recs, summarize(recs), tmp_path / "r.csv")
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = RECORD_COLUMNS.index(column) + 1
+        rows[2][col - 1] = "x"  # data row 2
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(DataFormatError, match=f"'x' at row 2, col {col}") as err:
+            read_records(csv_path)
+        assert (err.value.row, err.value.col) == (2, col)
+
     def test_csv_header_matches_record_fields(self, tmp_path):
         csv_path, _ = write_results([], summarize([]), tmp_path / "e.csv")
         header = csv_path.read_text().splitlines()
@@ -264,6 +290,34 @@ class TestWriteTiming:
         assert lines[0] == "n,selector,reps,mean_seconds,median_seconds"
         assert len(lines) == 2
         assert json.loads(json_path.read_text()) == {"p": 2}
+
+
+def _selection():
+    return select_levss(np.random.default_rng(0).normal(size=(50, 3)), LevssConfig(k=5))
+
+
+_PAIR_WRITERS = {
+    "results": lambda path: write_results([], {}, path),
+    "timing": lambda path: write_timing([], {}, path),
+    "selection": lambda path: write_selection(_selection(), {}, path),
+}
+
+
+class TestWriteFailures:
+    """A file that cannot be written is a DataFormatError naming its path."""
+
+    @pytest.mark.parametrize("name", ["absent/r.csv", "", "."])
+    @pytest.mark.parametrize("writer", _PAIR_WRITERS)
+    def test_pair_writers(self, tmp_path, monkeypatch, writer, name):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(DataFormatError, match=re.escape(f"cannot write {name}")):
+            _PAIR_WRITERS[writer](name)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dataset_onto_a_directory(self, tmp_path):
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=40, p=2, k=10, seed=5))
+        with pytest.raises(DataFormatError, match=re.escape(f"cannot write {tmp_path}")):
+            write_dataset(data, tmp_path)
 
 
 class TestWriteSelection:

@@ -71,6 +71,11 @@ class TestFitOls:
         with pytest.raises(SingularDesignError):
             fit_ols(np.ones((2, 3)) + np.random.default_rng(0).normal(size=(2, 3)), np.ones(2))
 
+    def test_response_length_checked(self):
+        x = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(DimensionError, match="response length 9 does not match 10 rows"):
+            fit_ols(x, np.ones(9))
+
 
 def _lstsq(x, y):
     return np.linalg.lstsq(with_intercept(x), y, rcond=None)[0]
