@@ -31,8 +31,8 @@ import numpy as np
 
 from .datagen import ScenarioConfig, gen_covariates, gen_response
 from .errors import ConfigError, SubdataError
-from .linalg import (DataMatrix, blas_threads, logdet_info, positive_integer,
-                     seed_integer)
+from .linalg import (DataMatrix, blas_threads, logdet_from_singular_values,
+                     positive_integer, seed_integer)
 from .regression import (LinearFit, adjusted_intercept, expand_interactions,
                          expanded_column_count, fit_ols, with_intercept)
 from .selectors import (
@@ -51,7 +51,17 @@ from .selectors import (
     select_uniform,
 )
 
-SELECTOR_NAMES = ("levss", "iboss", "oss", "uniform")
+# the selectors, each with its rule for the k it can take from n rows of
+# a design of the given width (a ConfigError otherwise); uniform
+# selection checks k <= n itself
+_K_RULES = {
+    "levss": _levss_size,
+    "iboss": _iboss_size,
+    "oss": lambda n, width, k: _oss_size(n, k),
+    "uniform": lambda n, width, k: None,
+}
+
+SELECTOR_NAMES = tuple(_K_RULES)
 
 THREADS_ENV_VAR = "SUBDATA_THREADS"
 
@@ -201,6 +211,18 @@ class _Preparation:
         return self._shared
 
 
+def _servable_k(spec: SelectorSpec, n: int, p: int, k) -> int:
+    """``k`` as an int, or ConfigError unless ``spec``'s selector can take
+    k rows from its design of an n x p dataset, by the selector's own rule.
+
+    This is the one size check of each selector's k, made before any
+    design is built, by the selector's row of ``_K_RULES``.
+    """
+    k = positive_integer(k, "k")
+    _K_RULES[spec.name](n, _DESIGNS[spec.design].width(p), k)
+    return k
+
+
 def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
                   prep: _Preparation | None = None) -> SelectionResult:
     """Run the selector ``spec`` names on ``data``.
@@ -209,35 +231,35 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
     ``prep`` is a preparation of ``data`` for a k grid and for
     ``spec``'s selector and design (else ValueError); without one, the
     call prepares for its own k alone, with the same records, timings
-    aside. Each selector checks k against its design's width first, so
-    a k it cannot serve is a ConfigError before any design is built.
-    levss then ranks its design by leverage and iboss sorts the tails
-    of every column of its design, each to the largest k of the grid
-    (cut to n). oss runs one greedy, on the Resample if there is one,
-    to the largest k of the grid it can serve (2 <= k < n); the greedy
-    is prefix-consistent, so every smaller k is its first k rows.
-    Uniform draws follow the seed and share nothing. A negative seed is
-    a ConfigError, whether or not the selector draws from it.
+    aside. k is checked against the design's width first
+    (:func:`_servable_k`), so a k the selector cannot serve is a
+    ConfigError before any design is built. levss then ranks its design
+    by leverage and iboss sorts the tails of every column of its
+    design, each to the largest k of the grid (cut to n). oss runs one
+    greedy, on the Resample if there is one, to the largest k of the
+    grid it can serve (2 <= k < n); the greedy is prefix-consistent, so
+    every smaller k is its first k rows. A preparation too shallow for
+    k is a ConfigError for each of the three. Uniform draws follow the
+    seed and share nothing. A negative seed is a ConfigError, whether
+    or not the selector draws from it.
     """
     seed = seed_integer(seed)
     prep = prep or _Preparation(data, spec, (k,))
     if (prep.spec.name, prep.spec.design) != (spec.name, spec.design):
         raise ValueError(f"a {prep.spec.label} preparation cannot serve {spec.label}")
-    width = _DESIGNS[spec.design].width(data.p)
+    k = _servable_k(spec, data.n, data.p, k)
     if spec.name == "levss":
-        config = LevssConfig(k=k, threshold=spec.threshold, seed=seed)
-        _levss_size(data.n, width, config.k)
         ranking = prep.shared(lambda design: rank_by_leverage(design, max(prep.k_values)))
-        return select_levss(ranking, config)
+        return select_levss(ranking, LevssConfig(k=k, threshold=spec.threshold, seed=seed))
     if spec.name == "iboss":
-        k = _iboss_size(data.n, width, k)
         tails = prep.shared(lambda design: iboss_tails(design, max(prep.k_values)))
         return select_iboss(tails, k)
     if spec.name == "oss":
-        k = _oss_size(data.n, k)
         greedy = prep.shared(lambda design: select_oss(
             design if prep.resample is None else prep.resample,
-            max((j for j in prep.k_values if 2 <= j < data.n), default=0)))
+            max(j for j in prep.k_values if 2 <= j < data.n)))
+        if k > greedy.indices.size:
+            raise ConfigError(f"greedy of depth {greedy.indices.size} cannot serve k={k}")
         return replace(greedy, indices=greedy.indices[:k].copy(), k_star=k)
     return select_uniform(data, k, seed)
 
@@ -306,7 +328,9 @@ class _CellScorer:
     """Scores selections on one dataset against one truth.
 
     Selectors see ``data``; fits see ``design`` against ``y`` and take
-    the intercept adjusted to the full-data means. With ``split`` set,
+    the intercept adjusted to the full-data means. A cell's logdet is
+    that of its fit's design [1, X_sel], read from the singular values
+    the fit keeps, so [1, X_sel] is never built. With ``split`` set,
     the first ``split`` slope errors are first-order terms and the rest
     interaction terms. ``resample`` is the resample that ``data``
     copies, if it is one (see :class:`_Preparation`). Simulation and
@@ -349,11 +373,10 @@ class _CellScorer:
         try:
             sel = _run_selector(spec, self.data, k, seed, prep)
             t0 = time.perf_counter()
-            rows = np.take(self.design, sel.indices, axis=0)
-            fit = fit_ols(rows, self.y[sel.indices])
+            fit = fit_ols(np.take(self.design, sel.indices, axis=0), self.y[sel.indices])
             fit = adjusted_intercept(fit, self.design_means, self.y_mean)
             t_fit = time.perf_counter() - t0
-            ld = logdet_info(with_intercept(rows), self.sigma2)
+            ld = logdet_from_singular_values(fit.singular_values, self.sigma2)
         except (SubdataError, np.linalg.LinAlgError) as exc:
             return _failure_record(rep, spec, k, exc)
         err = fit.slopes - self.truth.slopes
@@ -459,7 +482,8 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
                case: str = "uniform01", base_seed: int = 0) -> list[TimingRecord]:
     """Wall-clock selection time per selector across data sizes.
 
-    Each n may appear once, and every n is checked against p and k
+    Each n may appear once, and every n is checked against p and k,
+    by the scenario's rule and by each selector's (:func:`_servable_k`),
     before any is timed. For each n, one warm-up repetition is run
     and discarded, then ``reps`` timed repetitions follow, each on a
     freshly seeded dataset shared by all selectors. Only the selection
@@ -485,6 +509,8 @@ def run_timing(n_values, p: int, k: int, selectors, reps: int = 5,
     specs = _coerce_specs(selectors)
     for n in n_values:  # check the whole grid before timing any of it
         ScenarioConfig(case=case, n=n, p=p, k=k, seed=base_seed)
+        for spec in specs:
+            _servable_k(spec, n, p, k)
     out = []
     with blas_threads(STUDY_BLAS_THREADS) as pinned:
         if not pinned:

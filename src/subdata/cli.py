@@ -266,6 +266,10 @@ def parse_cli(argv) -> RunConfig:
     output = Path(m["output"])
     if not output.name or not output.parent.is_dir():
         parser.error(f"--output {m['output']!r} names no file in an existing directory")
+    # the files io would write: gen-data's output itself, else the .csv and .json pair
+    for target in (output,) if command == "gen-data" else data_io._json_paths(output):
+        if target.is_dir():
+            parser.error(f"--output {m['output']!r} would write {target}, a directory")
     # only now, after the check that reads None, do the lists default to empty
     m["method"], m["n"] = m["method"] or (), m["n"] or ()
     if command == "select" and len(m["method"]) != 1:

@@ -3,7 +3,9 @@
 Everything here is a thin, contract-checked layer over LAPACK via
 numpy.linalg. The two quantities the selection algorithms actually consume
 are row leverage scores (squared row norms of the thin-SVD factor U) and
-condition numbers of small symmetric Gram matrices.
+condition numbers of small symmetric Gram matrices. One factorization,
+``_gram_factor``, serves leverage, every OLS fit and its logdet, and
+EPS_RANK is the one rule for the rank of a matrix.
 """
 
 from __future__ import annotations
@@ -178,24 +180,25 @@ class SvdFactors(NamedTuple):
     V: np.ndarray
 
 
-def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor R of a Gram matrix A'A, or None off the Gram path.
+def _gram_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(s, V) of a Gram matrix A'A, or None off the Gram path.
 
-    A'A = R'R, so the singular values of R are those of A. The Gram
-    matrix squares the condition number, so this is None when the
-    Cholesky fails (A'A is not numerically positive definite) or those
-    singular values spread wider than ``_FAST_PATH_MAX_COND``; the
-    caller then factors A itself. The guard computes singular values
-    only: a fit never reads singular vectors, and thin_svd takes its
-    own SVD of R. thin_svd and regression.fit_ols share this one guard.
+    The one factorization of the Gram path: the upper Cholesky factor R
+    (A'A = R'R) and one SVD of R, whose singular values s (descending)
+    and right singular vectors V are those of A. The Gram matrix squares
+    the condition number, so this is None when the Cholesky fails (A'A
+    is not numerically positive definite), the SVD does not converge,
+    or s spreads wider than ``_FAST_PATH_MAX_COND``; the caller then
+    factors A itself. thin_svd (leverage) and regression.fit_ols (the
+    coefficients, the singular values every logdet reads) share it.
     """
     try:
         R = np.linalg.cholesky(gram, upper=True)
-        s = np.linalg.svdvals(R)
+        _Ur, s, Vt = np.linalg.svd(R)
     except np.linalg.LinAlgError:
         return None
     if s[0] > 0.0 and s[-1] > s[0] / _FAST_PATH_MAX_COND:
-        return R
+        return s, Vt.T
     return None
 
 
@@ -232,11 +235,11 @@ def thin_svd(X) -> SvdFactors:
     n, p = A.shape
     if n < p:
         raise DimensionError(f"thin_svd requires n >= p, got n={n}, p={p}")
-    R = _gram_factor(A.T @ A) if n >= 2 * p else None
+    factor = _gram_factor(A.T @ A) if n >= 2 * p else None
+    if factor is not None:
+        s, V = factor
+        return SvdFactors(A @ (V / s), s, V)
     try:
-        if R is not None:
-            _Ur, s, Vt = np.linalg.svd(R)
-            return SvdFactors(A @ (Vt.T / s), s, Vt.T)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NumericError(f"SVD failed to converge: {exc}") from exc
@@ -316,12 +319,30 @@ def condition_number(B) -> float:
     return lam_max / lam_min
 
 
+def logdet_from_singular_values(s: np.ndarray, sigma2: float) -> float:
+    """Log determinant of (1/sigma2) * Z'Z from the singular values s of Z.
+
+    det(Z'Z) is the product of the s**2, so this is
+    2 * sum(log s) - q * log(sigma2) for q = len(s) columns, and -inf
+    when Z has rank below q under the EPS_RANK rule
+    (:func:`matrix_rank_from_singular_values`). sigma2 must be positive.
+    """
+    if not sigma2 > 0.0:
+        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
+    if matrix_rank_from_singular_values(s) < s.size:
+        return -math.inf
+    return float(2.0 * np.log(s).sum() - s.size * math.log(sigma2))
+
+
 def logdet_info(Z, sigma2: float) -> float:
     """Log determinant of the information matrix (1/sigma2) * Z'Z.
 
     Z is the k x (p+1) subdata design including its leading intercept
     column; k must be at least p+1 for the determinant to have a chance
-    of being positive. Returns -inf when Z'Z is singular.
+    of being positive. The value comes from Z's singular values
+    (:func:`logdet_from_singular_values`), so it is -inf when Z's rank
+    falls below p+1 under the EPS_RANK rule that leverage and every
+    fit use, and when Z holds a NaN or an inf.
 
     Parameters
     ----------
@@ -339,10 +360,6 @@ def logdet_info(Z, sigma2: float) -> float:
             f"need at least as many rows as columns for a nonsingular "
             f"information matrix, got {k} rows for {q} columns"
         )
-    if not sigma2 > 0.0:
-        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    gram = M.T @ M
-    sign, logabs = np.linalg.slogdet(gram)
-    if sign <= 0.0 or not np.isfinite(logabs):
-        return -math.inf
-    return float(logabs - q * math.log(sigma2))
+    # a Z with a NaN or an inf has no finite determinant: rank 0
+    s = np.linalg.svdvals(M) if np.isfinite(M).all() else np.zeros(q)
+    return logdet_from_singular_values(s, sigma2)

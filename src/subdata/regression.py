@@ -7,15 +7,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, SingularDesignError
-from .linalg import _gram_factor, as_data_matrix
+from .linalg import (EPS_RANK, _gram_factor, as_data_matrix,
+                     matrix_rank_from_singular_values)
 
 
 @dataclass(frozen=True)
 class LinearFit:
-    """OLS coefficients split into intercept and slopes."""
+    """OLS coefficients split into intercept and slopes.
+
+    A fit by :func:`fit_ols` also keeps the singular values of its
+    design [1, X], in descending order: the ones its solve used, from
+    which the subdata information's logdet follows
+    (``linalg.logdet_from_singular_values``). A fit given by hand, such
+    as a scenario's truth, has none.
+    """
 
     intercept: float
     slopes: np.ndarray
+    singular_values: np.ndarray | None = None
 
 
 def with_intercept(design) -> np.ndarray:
@@ -26,37 +35,26 @@ def with_intercept(design) -> np.ndarray:
     return np.column_stack([np.ones(M.shape[0]), M])
 
 
-def _gram_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """[intercept, slopes] from the normal equations, or None off the Gram path.
-
-    The Gram matrix of [1, X] is assembled from n, the column sums and
-    X'X, and its right-hand side from sum(y) and X'y, so [1, X] itself
-    is never built. ``linalg._gram_factor`` guards the solve, which is
-    one LU solve (LAPACK gesv) of the Gram matrix.
-    """
-    n, q = X.shape[0], X.shape[1] + 1
-    gram = np.empty((q, q))
-    gram[0, 0] = n
-    gram[0, 1:] = gram[1:, 0] = np.ones(n) @ X
-    gram[1:, 1:] = X.T @ X
-    if _gram_factor(gram) is None:
-        return None
-    rhs = np.concatenate(([y.sum()], X.T @ y))
-    return np.linalg.solve(gram, rhs)
-
-
 def fit_ols(X, y) -> LinearFit:
     """Least-squares fit of y on [1, X].
 
-    For n >= 2(p+1) the fit solves the normal equations of [1, X] by
-    one LU solve of their Gram matrix, under the Cholesky guard that
-    ``linalg.thin_svd`` uses: a Cholesky that fails, or a condition
-    number of [1, X] above sqrt(1e5), falls back to LAPACK's
-    rank-revealing gelsd on [1, X], as do shorter designs. The normal
-    equations square the condition number, so the bound keeps their
-    error at eps * 1e5 or less. A rank-deficient design fails the guard
-    and raises :class:`SingularDesignError` carrying the numerical rank
-    gelsd found.
+    For n >= 2(p+1) the fit solves the normal equations of [1, X]
+    through the one factorization ``linalg.thin_svd`` also uses,
+    ``linalg._gram_factor``: the Cholesky factor R of their Gram matrix
+    and one SVD of R, (s, V), under the same guard; the coefficients
+    are c = V (V' rhs / s**2). The Gram matrix is assembled from n, the
+    column sums and X'X, and the right-hand side from sum(y) and X'y,
+    so [1, X] itself is never built. A Cholesky that fails, or a
+    condition number of [1, X] above sqrt(1e5), falls back to LAPACK's
+    gelsd on [1, X], as do shorter designs. The normal equations square
+    the condition number, so the bound keeps their error at eps * 1e5
+    or less. The fit keeps [1, X]'s singular values, from R or from
+    gelsd. gelsd truncates its solve at the EPS_RANK cutoff, and a
+    design of rank below p+1 under that rule
+    (``linalg.matrix_rank_from_singular_values``, the rule of leverage
+    and of logdet too) fails the guard and raises
+    :class:`SingularDesignError` carrying that rank, so no fit is a
+    truncated solve.
     """
     dm = as_data_matrix(X)
     yv = np.asarray(y, dtype=np.float64).ravel()
@@ -64,19 +62,25 @@ def fit_ols(X, y) -> LinearFit:
         raise DimensionError(
             f"response length {yv.shape[0]} does not match {dm.n} rows"
         )
-    q = dm.p + 1
-    if dm.n >= 2 * q:
-        coef = _gram_fit(dm.values, yv)
-        if coef is not None:
-            return LinearFit(float(coef[0]), coef[1:])
-    Z = with_intercept(dm.values)
-    coef, _, rank, _ = np.linalg.lstsq(Z, yv, rcond=None)
-    if rank < q:
-        raise SingularDesignError(
-            f"design is rank deficient: numerical rank {rank} < {q} columns",
-            rank=int(rank),
-        )
-    return LinearFit(float(coef[0]), coef[1:])
+    X, n, q = dm.values, dm.n, dm.p + 1
+    gram = np.empty((q, q))
+    gram[0, 0] = n
+    gram[0, 1:] = gram[1:, 0] = np.ones(n) @ X
+    gram[1:, 1:] = X.T @ X
+    factor = _gram_factor(gram) if n >= 2 * q else None
+    if factor is not None:
+        s, V = factor
+        rhs = np.concatenate(([yv.sum()], X.T @ yv))
+        coef = V @ ((V.T @ rhs) / (s * s))
+    else:
+        coef, _, _, s = np.linalg.lstsq(with_intercept(X), yv, rcond=EPS_RANK)
+        rank = matrix_rank_from_singular_values(s)
+        if rank < q:
+            raise SingularDesignError(
+                f"design is rank deficient: numerical rank {rank} < {q} columns",
+                rank=rank,
+            )
+    return LinearFit(float(coef[0]), coef[1:], s)
 
 
 def adjusted_intercept(fit: LinearFit, x_means, y_mean: float) -> LinearFit:

@@ -444,6 +444,36 @@ class TestPreparation:
         with pytest.raises(ValueError, match="cannot serve levss$"):
             _run_selector(SelectorSpec("levss"), data, 20, 0, prep)
 
+    @pytest.mark.parametrize("name", ["levss", "iboss", "oss"])
+    def test_too_shallow_for_k_is_a_config_error(self, name):
+        # a preparation made for k = 20 serves no k above it
+        data = DataMatrix(np.random.default_rng(4).normal(size=(200, 2)))
+        prep = bench._Preparation(data, SelectorSpec(name), (20,))
+        with pytest.raises(ConfigError, match="of depth 20 cannot serve k=40$"):
+            _run_selector(SelectorSpec(name), data, 40, 0, prep)
+        assert _run_selector(SelectorSpec(name), data, 20, 0, prep).indices.size == 20
+
+
+class TestCellLogdet:
+    """A cell's logdet comes from its fit's singular values and equals
+    logdet_info of [1, X_sel] on every path the fit can take."""
+
+    @pytest.mark.parametrize("path", ["gram", "guard-refused", "short"])
+    def test_matches_logdet_info(self, path):
+        rng = np.random.default_rng(21)
+        n, p, k = 400, 3, 7 if path == "short" else 60  # short: k < 2(p+1)
+        x = rng.normal(size=(n, p)) + (1e4 if path == "guard-refused" else 0.0)
+        y = x @ np.ones(p) + rng.normal(size=n)
+        data, spec, sigma2 = DataMatrix(x, y), SelectorSpec("uniform"), 2.5
+        scorer = bench._CellScorer(data, x, y, fit_ols(x, y), sigma2)
+        rec = scorer.score(0, spec, k, 7, bench._Preparation(data, spec, (k,)))
+        z = with_intercept(x[_run_selector(spec, data, k, 7).indices])
+        cond = np.linalg.cond(z)
+        assert (cond > np.sqrt(1e5)) == (path == "guard-refused")
+        assert not rec.failed and np.isfinite(rec.logdet)
+        want = linalg.logdet_info(z, sigma2)
+        assert abs(rec.logdet - want) <= 1e-13 * abs(want)
+
 
 class TestRunSimulation:
     def test_record_grid_and_determinism(self):
@@ -951,9 +981,14 @@ def test_timing_checks_its_whole_grid_before_timing(monkeypatch):
         return run_selector(*args, **kwargs)
 
     monkeypatch.setattr(bench, "_run_selector", counted)
-    with pytest.raises(ConfigError, match="need n >= k, got n=10, k=20"):
-        run_timing([2000, 10], p=3, k=20, selectors=["oss"], reps=1)
-    assert calls == []
+    # the scenario's own rule, then a selector's: levss needs n > k
+    for n_values, p, k, names, match in [
+        ([2000, 10], 3, 20, ["oss"], "need n >= k, got n=10, k=20"),
+        ([2000, 50], 5, 50, ["uniform", "levss"], "needs n > k, got n=50, k=50"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            run_timing(n_values, p=p, k=k, selectors=names, reps=1)
+        assert calls == []
 
 
 def test_whole_float_counts_accepted():

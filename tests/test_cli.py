@@ -763,14 +763,56 @@ class TestOutputPath:
         assert f"--output {output!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, output", [
-        (["gen-data", "--n", "100", "--p", "2"], "d"),
+    @pytest.mark.parametrize("command, output, taken", [
+        ("simulate", "d", "d.csv"),
+        ("simulate", "d.csv", "d.json"),
+        ("bootstrap", "d", "d.json"),
+        ("bootstrap", "d.json", "d.csv"),
+        ("gen-data", "d", "d"),
+        ("gen-data", "d.csv", "d.csv"),
+    ])
+    def test_directory_target_exits_2_before_any_work(
+            self, command, output, taken, tmp_path, monkeypatch, capsys):
+        # gen-data writes the output itself, every other command the .csv
+        # and .json pair that io names after it
+        argv, module, work = {
+            "simulate": (["simulate", "--n", "100", "--p", "2", "--k", "10",
+                          "--reps", "1"], cli.bench, "run_simulation"),
+            "bootstrap": (["bootstrap", "--input", "in.csv", "--response", "y",
+                           "--boot", "1"], cli.data_io, "read_csv"),
+            "gen-data": (["gen-data", "--n", "100", "--p", "2"],
+                         cli.datagen, "gen_dataset"),
+        }[command]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / taken).mkdir()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --output was checked")
+
+        monkeypatch.setattr(module, work, refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", output])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--output {output!r} would write {taken}, a directory" in err
+        assert [path.name for path in tmp_path.iterdir()] == [taken]
+
+    @pytest.mark.parametrize("argv, module, work, output", [
+        (["gen-data", "--n", "100", "--p", "2"], cli.datagen, "gen_dataset", "d"),
         (["simulate", "--n", "100", "--p", "2", "--k", "10", "--reps", "1",
-          "--method", "uniform"], "d.csv"),
+          "--method", "uniform"], cli.bench, "run_simulation", "d.csv"),
     ], ids=["gen-data", "simulate"])
-    def test_unwritable_output_exits_1(self, argv, output, tmp_path, capsys):
-        # the output file's name is taken by a directory
-        (tmp_path / output).mkdir()
+    def test_unwritable_output_exits_1(self, argv, module, work, output, tmp_path,
+                                       monkeypatch, capsys):
+        # the output file's name is taken by a directory made during the
+        # work, after parse_cli checked it
+        real = getattr(module, work)
+
+        def taking_the_name(*args, **kwargs):
+            (tmp_path / output).mkdir()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, work, taking_the_name)
         assert main(argv + ["--output", str(tmp_path / output)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {tmp_path / output}")

@@ -325,6 +325,26 @@ class TestLogdetInfo:
         z = np.ones((6, 2))
         assert logdet_info(z, 1.0) == -np.inf
 
+    def test_rank_below_q_under_eps_rank_gives_neg_inf(self):
+        # a column at 1e-13 of the others' scale: Z'Z has a positive
+        # determinant, but Z has rank 3 under EPS_RANK, as leverage and
+        # every fit count it
+        rng = np.random.default_rng(5)
+        z = np.column_stack([np.ones(40), rng.normal(size=(40, 2)),
+                             1e-13 * rng.normal(size=40)])
+        sign, logabs = np.linalg.slogdet(z.T @ z)
+        assert sign == 1.0 and np.isfinite(logabs)
+        assert matrix_rank_from_singular_values(np.linalg.svd(z, compute_uv=False)) == 3
+        assert logdet_info(z, 1.0) == -np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_design_gives_neg_inf(self, bad):
+        z = np.column_stack([np.ones(6), np.arange(6.0)])
+        z[2, 1] = bad
+        assert logdet_info(z, 1.0) == -np.inf
+        with pytest.raises(ConfigError):
+            logdet_info(z, 0.0)
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(DimensionError):
             logdet_info(np.ones((2, 3)), 1.0)

@@ -12,7 +12,7 @@ from subdata import (
     fit_ols,
     with_intercept,
 )
-from subdata import regression
+from subdata import linalg, regression
 
 
 class TestFitOls:
@@ -141,6 +141,54 @@ class TestFitOlsKernel:
         with pytest.raises(SingularDesignError) as err:
             fit_ols(x, np.ones(30))
         assert gram_paths == [False] and err.value.rank == 3
+
+    @pytest.mark.parametrize("path, shape, taken", [
+        ("gram", (400, 4), [True]),
+        ("guard-refused", (400, 4), [False]),
+        ("short", (7, 3), []),  # n = 2q - 1
+    ])
+    def test_keeps_the_singular_values_of_one_and_x(self, gram_paths, path, shape, taken):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=shape) + (1e4 if path == "guard-refused" else 0.0)
+        fit = fit_ols(x, rng.normal(size=shape[0]))
+        assert gram_paths == taken
+        want = np.linalg.svd(with_intercept(x), compute_uv=False)
+        assert fit.singular_values.shape == want.shape
+        assert np.max(np.abs(fit.singular_values - want)) <= 1e-13 * want[0]
+        assert np.all(np.diff(fit.singular_values) <= 0.0)
+
+    def test_rank_follows_eps_rank_not_the_gelsd_cutoff(self, gram_paths):
+        # s_min/s_max lies between gelsd's default cutoff eps * max(n, q),
+        # under which gelsd would call the design full rank, and EPS_RANK
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, 3))
+        x[:, 2] = x[:, 0] + 1e-13 * rng.normal(size=40)
+        z = with_intercept(x)
+        s = np.linalg.svd(z, compute_uv=False)
+        assert np.finfo(float).eps * 40 < s[-1] / s[0] <= linalg.EPS_RANK
+        assert np.linalg.lstsq(z, np.ones(40), rcond=None)[2] == 4
+        with pytest.raises(SingularDesignError, match="numerical rank 3 < 4") as err:
+            fit_ols(x, rng.normal(size=40))
+        assert gram_paths == [False] and err.value.rank == 3
+
+    def test_solves_in_full_above_eps_rank_past_the_gelsd_cutoff(self, gram_paths):
+        # with n = 20000, s_min/s_max lies above EPS_RANK but under gelsd's
+        # default cutoff eps * n: the fit is the full solve, not gelsd's
+        # truncated one, which would split x1's weight evenly as [3, 1, 1]
+        rng = np.random.default_rng(11)
+        n = 20000
+        x1, e = rng.normal(size=n), rng.normal(size=n)
+        z1 = with_intercept(x1[:, None])
+        e -= z1 @ np.linalg.lstsq(z1, e, rcond=None)[0]
+        x = np.column_stack([x1, x1 + 5e-12 * np.sqrt(n) * e / np.linalg.norm(e)])
+        z = with_intercept(x)
+        s = np.linalg.svd(z, compute_uv=False)
+        assert linalg.EPS_RANK < s[-1] / s[0] <= np.finfo(float).eps * n
+        fit = fit_ols(x, z @ [3.0, 3.0, -1.0])
+        assert gram_paths == [False]
+        assert linalg.matrix_rank_from_singular_values(fit.singular_values) == 3
+        np.testing.assert_allclose([fit.intercept, *fit.slopes], [3.0, 3.0, -1.0],
+                                   rtol=1e-4)
 
     def test_leaves_inputs_untouched(self):
         rng = np.random.default_rng(5)
