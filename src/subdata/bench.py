@@ -190,18 +190,19 @@ class _Preparation:
     """Shared work for the cells of one selector and design on one dataset.
 
     Each cell of the group ``spec`` names hands :meth:`shared` its
-    selector's preparer (:func:`_run_selector`). The first call builds
-    ``spec``'s design from ``data`` and keeps only the preparer's result,
-    not the design; a preparer that raises keeps nothing, so every cell
-    that needs it raises the same error. ``k_values`` is the k grid to
-    serve, and ``resample`` the :class:`~subdata.selectors.Resample`
-    that ``data`` copies, if it is one.
+    selector's preparer (:func:`_run_selector`), made for the cell's own
+    k. The first call builds ``spec``'s design from ``data`` and keeps
+    only the preparer's result, not the design, so the first cell that
+    asks sizes the preparation for every later one: a caller serves its
+    deepest k first (:meth:`_CellScorer.score_grid`). A preparer that
+    raises keeps nothing, so the next cell prepares anew. ``resample``
+    is the :class:`~subdata.selectors.Resample` that ``data`` copies, if
+    it is one.
     """
 
-    def __init__(self, data: DataMatrix, spec: SelectorSpec, k_values,
+    def __init__(self, data: DataMatrix, spec: SelectorSpec,
                  resample: Resample | None = None):
         self.data, self.spec, self.resample = data, spec, resample
-        self.k_values = tuple(k_values)
         self._shared = None
 
     def shared(self, prepare):
@@ -227,41 +228,45 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
                   prep: _Preparation | None = None) -> SelectionResult:
     """Run the selector ``spec`` names on ``data``.
 
-    This is the only place a SelectorSpec turns into a selector call.
-    ``prep`` is a preparation of ``data`` for a k grid and for
-    ``spec``'s selector and design (else ValueError); without one, the
-    call prepares for its own k alone, with the same records, timings
-    aside. k is checked against the design's width first
-    (:func:`_servable_k`), so a k the selector cannot serve is a
-    ConfigError before any design is built. levss then ranks its design
-    by leverage and iboss sorts the tails of every column of its
-    design, each to the largest k of the grid (cut to n). oss runs one
-    greedy, on the Resample if there is one, to the largest k of the
-    grid it can serve (2 <= k < n); the greedy is prefix-consistent, so
-    every smaller k is its first k rows. A preparation too shallow for
-    k is a ConfigError for each of the three. Uniform draws follow the
-    seed and share nothing. A negative seed is a ConfigError, whether
-    or not the selector draws from it.
+    This is the only place a SelectorSpec turns into a selector call,
+    and the only place a shared preparation's seconds join a cell's.
+    ``prep`` is a preparation of ``data`` for ``spec``'s selector and
+    design (else ValueError); without one, the call prepares for its own
+    k alone, with the same records, timings aside. k is checked against
+    the design's width first (:func:`_servable_k`), so a k the selector
+    cannot serve is a ConfigError before any design is built or
+    preparation made. The first servable cell of ``prep`` sizes it to
+    its own k: levss ranks its design by leverage and iboss sorts the
+    tails of every column of its design, each k rows deep, and oss runs
+    one greedy to k, on the Resample if there is one; the greedy is
+    prefix-consistent, so every smaller k is its first k rows. A
+    preparation too shallow for k is a ConfigError for each of the
+    three. A levss, iboss or oss cell's ``elapsed`` is its own seconds
+    plus its preparation's ``elapsed``: the ranking's, the tails' or
+    the whole greedy's, of which an oss cell's own share is nil. Uniform
+    draws follow the seed and share nothing. A negative seed is a
+    ConfigError, whether or not the selector draws from it.
     """
     seed = seed_integer(seed)
-    prep = prep or _Preparation(data, spec, (k,))
+    prep = prep or _Preparation(data, spec)
     if (prep.spec.name, prep.spec.design) != (spec.name, spec.design):
         raise ValueError(f"a {prep.spec.label} preparation cannot serve {spec.label}")
     k = _servable_k(spec, data.n, data.p, k)
     if spec.name == "levss":
-        ranking = prep.shared(lambda design: rank_by_leverage(design, max(prep.k_values)))
-        return select_levss(ranking, LevssConfig(k=k, threshold=spec.threshold, seed=seed))
-    if spec.name == "iboss":
-        tails = prep.shared(lambda design: iboss_tails(design, max(prep.k_values)))
-        return select_iboss(tails, k)
-    if spec.name == "oss":
-        greedy = prep.shared(lambda design: select_oss(
-            design if prep.resample is None else prep.resample,
-            max(j for j in prep.k_values if 2 <= j < data.n)))
-        if k > greedy.indices.size:
-            raise ConfigError(f"greedy of depth {greedy.indices.size} cannot serve k={k}")
-        return replace(greedy, indices=greedy.indices[:k].copy(), k_star=k)
-    return select_uniform(data, k, seed)
+        shared = prep.shared(lambda design: rank_by_leverage(design, k))
+        sel = select_levss(shared, LevssConfig(k=k, threshold=spec.threshold, seed=seed))
+    elif spec.name == "iboss":
+        shared = prep.shared(lambda design: iboss_tails(design, k))
+        sel = select_iboss(shared, k)
+    elif spec.name == "oss":
+        shared = prep.shared(lambda design: select_oss(
+            design if prep.resample is None else prep.resample, k))
+        if k > shared.indices.size:
+            raise ConfigError(f"greedy of depth {shared.indices.size} cannot serve k={k}")
+        sel = replace(shared, indices=shared.indices[:k].copy(), k_star=k, elapsed=0.0)
+    else:
+        return select_uniform(data, k, seed)
+    return replace(sel, elapsed=sel.elapsed + shared.elapsed)
 
 
 @dataclass(frozen=True)
@@ -277,8 +282,9 @@ class MetricsRecord:
 
     ``elapsed_select`` is the selection's wall-clock seconds. Where
     cells on one dataset share a preparation (a levss ranking, the iboss
-    tails, the OSS greedy), each cell counts that preparation in full,
-    so it reads as if the cell had prepared alone.
+    tails, the OSS greedy), each cell counts its own call plus that
+    preparation in full, made for the group's deepest servable k, so
+    every oss cell of a dataset reads the whole greedy's seconds.
     """
 
     repetition: int
@@ -354,17 +360,19 @@ class _CellScorer:
         Cells run grouped by selector and design, each group sharing one
         :class:`_Preparation` that is dropped when the group is done, so
         a levss ranking is never held beside another selector's scratch
-        memory.
+        memory. Each member serves its k values deepest first, so the
+        group's first servable cell sizes the preparation for the rest.
         """
         groups: dict[tuple[str, str], list[int]] = {}
         for i, spec in enumerate(specs):
             groups.setdefault((spec.name, spec.design), []).append(i)
+        deepest_first = sorted(range(len(k_values)), key=k_values.__getitem__, reverse=True)
         scored = {}
         for members in groups.values():
-            prep = _Preparation(self.data, specs[members[0]], k_values, self.resample)
+            prep = _Preparation(self.data, specs[members[0]], self.resample)
             for i in members:
-                for j, k in enumerate(k_values):
-                    scored[i, j] = self.score(rep, specs[i], k, seed, prep)
+                for j in deepest_first:
+                    scored[i, j] = self.score(rep, specs[i], k_values[j], seed, prep)
         return [scored[i, j] for j in range(len(k_values)) for i in range(len(specs))]
 
     def score(self, rep: int, spec: SelectorSpec, k: int, seed: int,
@@ -588,11 +596,13 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
     Within a replicate every levss cell of one design shares one
     factorization and ranking, every iboss cell of one design one set
     of sorted column tails, and every oss cell the first rows of one
-    greedy run to the largest k, which scales and groups only the
-    replicate's distinct rows (:class:`~subdata.selectors.Resample`);
-    the records equal those of cells run one by one on the copied
-    replicate, and each cell's ``elapsed_select`` counts the shared
-    work in full. Replicates run on the simulation pool (:func:`_run_units`).
+    greedy run, which scales and groups only the replicate's distinct
+    rows (:class:`~subdata.selectors.Resample`); each is made for the
+    deepest k its cells can serve. The records equal those of cells run
+    one by one on the copied replicate, and each cell's
+    ``elapsed_select`` counts the shared work in full (see
+    :func:`_run_selector`). Replicates run on the simulation pool
+    (:func:`_run_units`).
     The reference fit and every replicate, serial or pooled, run with
     each loaded OpenBLAS library pinned to STUDY_BLAS_THREADS; the
     caller's counts come back on return, also after an error.
@@ -627,6 +637,13 @@ def _dist_stats(values: np.ndarray) -> dict:
     }
 
 
+# the MetricsRecord fields whose group mean a summary reports as <field>_mean,
+# each left out where it is None (mse_main and mse_interaction outside
+# interaction scenarios)
+_MEAN_FIELDS = ("mse_intercept", "mse_main", "mse_interaction", "logdet", "k_star",
+                "elapsed_select", "elapsed_fit")
+
+
 def summarize(records, config_echo: dict | None = None) -> dict:
     """Aggregate records into the JSON-ready summary document.
 
@@ -655,16 +672,9 @@ def summarize(records, config_echo: dict | None = None) -> dict:
             cell["mse_slopes"] = _dist_stats(slopes)
             if np.all(slopes > 0):
                 cell["log10_mse_slopes"] = _dist_stats(np.log10(slopes))
-            cell["mse_intercept_mean"] = float(np.mean([r.mse_intercept for r in ok]))
-            if ok[0].mse_main is not None:
-                cell["mse_main_mean"] = float(np.mean([r.mse_main for r in ok]))
-                cell["mse_interaction_mean"] = float(
-                    np.mean([r.mse_interaction for r in ok]))
-            cell["logdet_mean"] = float(np.mean([r.logdet for r in ok]))
-            cell["k_star_mean"] = float(np.mean([r.k_star for r in ok]))
-            cell["elapsed_select_mean"] = float(
-                np.mean([r.elapsed_select for r in ok]))
-            cell["elapsed_fit_mean"] = float(np.mean([r.elapsed_fit for r in ok]))
+            for name in _MEAN_FIELDS:
+                if getattr(ok[0], name) is not None:
+                    cell[f"{name}_mean"] = float(np.mean([getattr(r, name) for r in ok]))
         groups.append(cell)
 
     summary = {

@@ -79,9 +79,10 @@ class SelectionResult:
         rule, one entry per evaluation starting at subdata size k. Empty
         when no threshold is in force and for every other selector.
     elapsed : float
-        Selection wall-clock seconds, measured inside the selector. A
-        selection served from a :class:`LeverageRanking` counts the
-        ranking's seconds in full besides its own.
+        Selection wall-clock seconds, measured inside the selector: the
+        time of the call that returned it. A selection served from a
+        :class:`LeverageRanking` or :class:`IbossTails` counts its own
+        seconds only, not those of the ranking or tails.
     """
 
     indices: np.ndarray
@@ -265,8 +266,8 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
     Returns
     -------
     SelectionResult
-        With a ranking given, ``elapsed`` counts the ranking's own
-        seconds in full besides this call's.
+        With a ranking given, ``elapsed`` counts this call's seconds
+        only; the ranking carries its own.
 
     Raises
     ------
@@ -276,8 +277,6 @@ def select_levss(X, config: LevssConfig) -> SelectionResult:
     t0 = time.perf_counter()
     shared = isinstance(X, LeverageRanking)
     source = X if shared else as_data_matrix(X)
-    if shared:
-        t0 -= X.elapsed  # every cell served from a ranking counts it in full
     n, k = source.n, config.k
     _levss_size(n, source.p, k)
     ranking = source if shared else rank_by_leverage(source, k)
@@ -458,8 +457,8 @@ def select_iboss(X, k: int) -> SelectionResult:
     -------
     SelectionResult
         ``k_star`` equals k and the condition trace is empty. With tails
-        given, ``elapsed`` counts the tails' own seconds in full besides
-        this call's.
+        given, ``elapsed`` counts this call's seconds only; the tails
+        carry their own.
 
     Raises
     ------
@@ -470,8 +469,6 @@ def select_iboss(X, k: int) -> SelectionResult:
     t0 = time.perf_counter()
     shared = isinstance(X, IbossTails)
     source = X if shared else as_data_matrix(X)
-    if shared:
-        t0 -= X.elapsed  # every cell served from tails counts them in full
     n, p = source.n, source.p
     k = _iboss_size(n, p, k)
     tails = source if shared else iboss_tails(source, k)

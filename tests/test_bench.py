@@ -435,8 +435,7 @@ class TestPreparation:
     def test_serves_only_the_group_it_was_made_for(self):
         data = DataMatrix(np.random.default_rng(3).uniform(size=(300, 3)))
         spec = SelectorSpec("levss", threshold=3.0, design="intercept")
-        prep = bench._Preparation(data, SelectorSpec("levss", design="intercept"),
-                                  (20, 40))
+        prep = bench._Preparation(data, SelectorSpec("levss", design="intercept"))
         got = _run_selector(spec, data, 40, 0, prep)
         want = _run_selector(spec, data, 40, 0)
         assert np.array_equal(got.indices, want.indices)
@@ -446,12 +445,12 @@ class TestPreparation:
 
     @pytest.mark.parametrize("name", ["levss", "iboss", "oss"])
     def test_too_shallow_for_k_is_a_config_error(self, name):
-        # a preparation made for k = 20 serves no k above it
+        # a preparation made for k = 20, its first cell's, serves no k above it
         data = DataMatrix(np.random.default_rng(4).normal(size=(200, 2)))
-        prep = bench._Preparation(data, SelectorSpec(name), (20,))
+        prep = bench._Preparation(data, SelectorSpec(name))
+        assert _run_selector(SelectorSpec(name), data, 20, 0, prep).indices.size == 20
         with pytest.raises(ConfigError, match="of depth 20 cannot serve k=40$"):
             _run_selector(SelectorSpec(name), data, 40, 0, prep)
-        assert _run_selector(SelectorSpec(name), data, 20, 0, prep).indices.size == 20
 
 
 class TestCellLogdet:
@@ -466,7 +465,7 @@ class TestCellLogdet:
         y = x @ np.ones(p) + rng.normal(size=n)
         data, spec, sigma2 = DataMatrix(x, y), SelectorSpec("uniform"), 2.5
         scorer = bench._CellScorer(data, x, y, fit_ols(x, y), sigma2)
-        rec = scorer.score(0, spec, k, 7, bench._Preparation(data, spec, (k,)))
+        rec = scorer.score(0, spec, k, 7, bench._Preparation(data, spec))
         z = with_intercept(x[_run_selector(spec, data, k, 7).indices])
         cond = np.linalg.cond(z)
         assert (cond > np.sqrt(1e5)) == (path == "guard-refused")
@@ -829,6 +828,68 @@ class TestRunBootstrap:
         # per replicate: two tails per column of each iboss design, one levss head
         assert len(heads) == 2 * (2 * 4 + 2 * 10 + 1)
         assert all(m < size for size, m in heads)
+
+    def test_cells_add_their_preparations_seconds(self, monkeypatch):
+        # a ranking, tails or greedy that took 5 s: each cell served from
+        # it reads those 5 s plus its own call's
+        def five_seconds(fn):
+            return lambda *args: dataclasses.replace(fn(*args), elapsed=5.0)
+
+        for name in ("rank_by_leverage", "iboss_tails", "select_oss"):
+            monkeypatch.setattr(bench, name, five_seconds(getattr(bench, name)))
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=400, p=3, k=20, seed=2))
+        plan = BootstrapPlan(k_values=(12, 30, 60), n_boot=2, seed=3,
+                             selectors=("levss:T=20", "levss", "iboss", "oss"))
+        recs = run_bootstrap(data, plan)
+        assert len(recs) == 2 * 3 * 4 and not any(r.failed for r in recs)
+        assert all(5.0 <= r.elapsed_select < 6.0 for r in recs)
+
+    def test_every_oss_cell_of_a_replicate_reads_one_greedy_time(self):
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=2000, p=4, k=5, seed=1))
+        plan = BootstrapPlan.from_multiples(4, n_boot=2, seed=2, selectors=("oss",))
+        recs = run_bootstrap(data, plan)
+        assert len(recs) == 2 * 4 and not any(r.failed for r in recs)
+        for b in range(2):
+            times = {r.elapsed_select for r in recs if r.repetition == b}
+            assert len(times) == 1 and times.pop() > 0.0
+
+    @pytest.mark.parametrize("grid", [(300, 90, 30, 10), (30, 300, 10, 90)],
+                             ids=["descending", "shuffled"])
+    def test_grid_order_moves_no_record_and_prepares_at_the_deepest_k(
+            self, monkeypatch, grid):
+        # k = n fails levss and oss, so their groups prepare at k = 90;
+        # iboss serves k = n; k = 10 < 2 * 6 fails the expanded design
+        depths = Counter()
+
+        def spying(name, fn):
+            def wrapped(matrix, depth):
+                width = matrix.shape[1] if isinstance(matrix, np.ndarray) else matrix.p
+                depths[name, width, depth] += 1
+                return fn(matrix, depth)
+            return wrapped
+
+        data = gen_dataset(ScenarioConfig(case="uniform01", n=300, p=3, k=10, seed=3))
+        specs = ("levss:T=3", "levss", "levss:design=intercept", "iboss",
+                 "iboss:design=expanded", "oss", "uniform")
+
+        def records(k_values):
+            plan = BootstrapPlan(k_values=k_values, n_boot=2, selectors=specs, seed=6)
+            with pytest.warns(UserWarning):
+                recs = run_bootstrap(data, plan)
+            return {(r.repetition, r.selector, r.k): _strip_elapsed(r) for r in recs}
+
+        want = records(tuple(sorted(grid)))
+        for name in ("rank_by_leverage", "iboss_tails", "select_oss"):
+            monkeypatch.setattr(bench, name, spying(name, getattr(bench, name)))
+        got = records(grid)
+        assert got == want
+        assert {(sel, k) for (_, sel, k), rec in got.items() if dict(rec)["failed"]} == {
+            ("levss:T=3", 300), ("levss", 300), ("levss:design=intercept", 300),
+            ("oss", 300), ("iboss:design=expanded", 10)}
+        # per replicate, one preparation per (selector, design) group
+        assert depths == {("rank_by_leverage", 3, 90): 2, ("rank_by_leverage", 4, 90): 2,
+                          ("iboss_tails", 3, 300): 2, ("iboss_tails", 6, 300): 2,
+                          ("select_oss", 3, 90): 2}
 
     def test_requires_response(self):
         cfg = ScenarioConfig(case="mvnormal", n=100, p=2, k=20, seed=6)
