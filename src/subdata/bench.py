@@ -195,14 +195,13 @@ class _Preparation:
     only the preparer's result, not the design, so the first cell that
     asks sizes the preparation for every later one: a caller serves its
     deepest k first (:meth:`_CellScorer.score_grid`). A preparer that
-    raises keeps nothing, so the next cell prepares anew. ``resample``
-    is the :class:`~subdata.selectors.Resample` that ``data`` copies, if
-    it is one.
+    raises keeps nothing, so the next cell prepares anew. ``data`` may
+    be a :class:`~subdata.selectors.Resample`; the "main" design is
+    ``data`` itself, so oss then prepares from its row map.
     """
 
-    def __init__(self, data: DataMatrix, spec: SelectorSpec,
-                 resample: Resample | None = None):
-        self.data, self.spec, self.resample = data, spec, resample
+    def __init__(self, data: DataMatrix, spec: SelectorSpec):
+        self.data, self.spec = data, spec
         self._shared = None
 
     def shared(self, prepare):
@@ -238,7 +237,8 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
     preparation made. The first servable cell of ``prep`` sizes it to
     its own k: levss ranks its design by leverage and iboss sorts the
     tails of every column of its design, each k rows deep, and oss runs
-    one greedy to k, on the Resample if there is one; the greedy is
+    one greedy to k, which reads the row map of a
+    :class:`~subdata.selectors.Resample` ``data``; the greedy is
     prefix-consistent, so every smaller k is its first k rows. A
     preparation too shallow for k is a ConfigError for each of the
     three. A levss, iboss or oss cell's ``elapsed`` is its own seconds
@@ -259,8 +259,7 @@ def _run_selector(spec: SelectorSpec, data: DataMatrix, k: int, seed: int,
         shared = prep.shared(lambda design: iboss_tails(design, k))
         sel = select_iboss(shared, k)
     elif spec.name == "oss":
-        shared = prep.shared(lambda design: select_oss(
-            design if prep.resample is None else prep.resample, k))
+        shared = prep.shared(lambda design: select_oss(design, k))
         if k > shared.indices.size:
             raise ConfigError(f"greedy of depth {shared.indices.size} cannot serve k={k}")
         sel = replace(shared, indices=shared.indices[:k].copy(), k_star=k, elapsed=0.0)
@@ -338,17 +337,16 @@ class _CellScorer:
     that of its fit's design [1, X_sel], read from the singular values
     the fit keeps, so [1, X_sel] is never built. With ``split`` set,
     the first ``split`` slope errors are first-order terms and the rest
-    interaction terms. ``resample`` is the resample that ``data``
-    copies, if it is one (see :class:`_Preparation`). Simulation and
-    bootstrap share this one path.
+    interaction terms. A bootstrap replicate's ``data`` is a
+    :class:`~subdata.selectors.Resample`, whose row map only the oss
+    greedy reads (see :class:`_Preparation`). Simulation and bootstrap
+    share this one path.
     """
 
     def __init__(self, data: DataMatrix, design: np.ndarray, y: np.ndarray,
-                 truth: LinearFit, sigma2: float, split: int | None = None,
-                 resample: Resample | None = None):
+                 truth: LinearFit, sigma2: float, split: int | None = None):
         self.data, self.design, self.y = data, design, y
         self.truth, self.sigma2, self.split = truth, sigma2, split
-        self.resample = resample
         # column sums by one BLAS matvec: 3-4x faster than design.mean(axis=0)
         self.design_means = (np.ones(design.shape[0]) @ design) / design.shape[0]
         self.y_mean = float(y.mean())
@@ -369,7 +367,7 @@ class _CellScorer:
         deepest_first = sorted(range(len(k_values)), key=k_values.__getitem__, reverse=True)
         scored = {}
         for members in groups.values():
-            prep = _Preparation(self.data, specs[members[0]], self.resample)
+            prep = _Preparation(self.data, specs[members[0]])
             for i in members:
                 for j in deepest_first:
                     scored[i, j] = self.score(rep, specs[i], k_values[j], seed, prep)
@@ -588,18 +586,19 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
 
     The full-data OLS estimate on ``data`` serves as the reference
     truth. Each replicate resamples n rows with replacement (seeded by
-    ``plan.seed + b``), then every (k, selector) cell selects, fits,
-    and records squared deviations of its adjusted-intercept estimate
-    from the reference. Log-determinants use sigma2 = 1 since the error
-    variance is unknown here.
+    ``plan.seed + b``) into one :class:`~subdata.selectors.Resample`,
+    the copied rows that keep their row map, then every (k, selector)
+    cell selects from it, fits, and records squared deviations of its
+    adjusted-intercept estimate from the reference. Log-determinants
+    use sigma2 = 1 since the error variance is unknown here.
 
     Within a replicate every levss cell of one design shares one
     factorization and ranking, every iboss cell of one design one set
     of sorted column tails, and every oss cell the first rows of one
-    greedy run, which scales and groups only the replicate's distinct
-    rows (:class:`~subdata.selectors.Resample`); each is made for the
-    deepest k its cells can serve. The records equal those of cells run
-    one by one on the copied replicate, and each cell's
+    greedy run, which reads the row map and scales and groups only the
+    replicate's distinct rows; each is made for the deepest k its cells
+    can serve. The records equal those of cells run one by one on a
+    plain copy of the replicate's rows, and each cell's
     ``elapsed_select`` counts the shared work in full (see
     :func:`_run_selector`). Replicates run on the simulation pool
     (:func:`_run_units`).
@@ -621,10 +620,8 @@ def run_bootstrap(data: DataMatrix, plan: BootstrapPlan) -> list[MetricsRecord]:
 def _bootstrap_rep(data: DataMatrix, plan: BootstrapPlan, reference: LinearFit,
                    b: int) -> list[MetricsRecord]:
     rows = np.random.default_rng(plan.seed + b).integers(0, data.n, size=data.n)
-    resample = Resample(data, rows)
-    rep_data = resample.matrix()
-    scorer = _CellScorer(rep_data, rep_data.values, rep_data.response, reference, 1.0,
-                         resample=resample)
+    rep = Resample(data, rows)
+    scorer = _CellScorer(rep, rep.values, rep.response, reference, 1.0)
     return scorer.score_grid(b, plan.selectors, plan.k_values, plan.seed + b)
 
 

@@ -502,11 +502,14 @@ def write_timing(records, summary: dict, path) -> tuple[Path, Path]:
 
 def write_selection(result, summary: dict, path) -> tuple[Path, Path]:
     """Write selected row indices (one per line) plus the JSON summary,
-    raising what :func:`write_results` raises."""
+    raising what :func:`write_results` raises. A condition number that is
+    not finite (a singular block) is written as ``null``: JSON has no
+    token for infinity."""
     doc = dict(summary)
     doc["k_star"] = int(result.k_star)
     doc["elapsed"] = float(result.elapsed)
-    doc["condition_trace"] = [float(v) for v in result.condition_trace]
+    doc["condition_trace"] = [float(v) if math.isfinite(v) else None
+                              for v in result.condition_trace]
     return _write_pair(path, ["index"], ([int(i)] for i in result.indices), doc)
 
 

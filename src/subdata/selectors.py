@@ -19,8 +19,8 @@ matrix alone: :func:`rank_by_leverage` factors once for every
 :func:`select_levss` call, :func:`iboss_tails` sorts each column's tails
 once for every :func:`select_iboss` call, and the :func:`select_oss`
 selection of size k is the first k rows of any longer run. Given a
-:class:`Resample`, rows drawn with replacement, :func:`select_oss`
-prepares each distinct row once.
+:class:`Resample`, a matrix of rows drawn with replacement that keeps
+its row map, :func:`select_oss` prepares each distinct row once.
 """
 
 from __future__ import annotations
@@ -705,18 +705,18 @@ def _pattern_runs(signs: np.ndarray,
             np.concatenate([np.arange(alone.size), at + alone.size, [g]]), alone.size)
 
 
-@dataclass(frozen=True)
-class Resample:
-    """A matrix of rows drawn by number from a base matrix, not yet copied.
+class Resample(DataMatrix):
+    """``data.take(rows)`` that keeps its row map: rows drawn by number.
 
-    ``Resample(data, rows)`` stands for ``data.take(rows)``: row i is row
+    ``Resample(data, rows)`` is the DataMatrix ``data.take(rows)``, its
+    ``values`` and ``response`` copied when it is made: row i is row
     ``rows[i]`` of ``data``, and a row may be drawn any number of times,
-    as a bootstrap replicate draws it. :func:`select_oss` accepts one in
-    place of that matrix and prepares only the distinct rows it names,
-    with a result equal bit for bit; every other consumer takes the
-    copied matrix from :meth:`matrix`.
+    as a bootstrap replicate draws it. Every consumer reads it as that
+    matrix. It also keeps ``data`` and ``rows``, and :func:`select_oss`
+    reads them to prepare only the distinct rows it names, with a
+    result equal bit for bit to a run on the plain copy.
 
-    Attributes
+    Parameters
     ----------
     data : DataMatrix or array_like
         The base matrix, N x p.
@@ -727,9 +727,9 @@ class Resample:
     data: DataMatrix
     rows: np.ndarray
 
-    def __post_init__(self):
-        data = as_data_matrix(self.data)
-        rows = np.asarray(self.rows)
+    def __init__(self, data, rows):
+        data = as_data_matrix(data)
+        rows = np.asarray(rows)
         if rows.ndim != 1 or rows.size < 1:
             raise DimensionError(
                 f"rows must be a non-empty 1-d array, got shape {rows.shape}")
@@ -738,25 +738,11 @@ class Resample:
         if rows.min() < 0 or rows.max() >= data.n:
             raise ContractError(f"rows must lie in [0, {data.n}), "
                                 f"got [{rows.min()}, {rows.max()}]")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
-
-    @property
-    def n(self) -> int:
-        return self.rows.size
-
-    @property
-    def p(self) -> int:
-        return self.data.p
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(n, p) of the matrix the resample stands for."""
-        return self.n, self.p
-
-    def matrix(self) -> DataMatrix:
-        """The resampled rows as a DataMatrix, response rows included."""
-        return self.data.take(self.rows)
+        rows = rows.astype(np.intp, copy=False)
+        copy = data.take(rows)
+        for name, value in (("values", copy.values), ("response", copy.response),
+                            ("data", data), ("rows", rows)):
+            object.__setattr__(self, name, value)
 
 
 def _oss_classes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -778,7 +764,7 @@ def _oss_classes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 def _resample_classes(res: Resample) -> tuple[np.ndarray, np.ndarray,
                                               np.ndarray, np.ndarray]:
-    """:func:`_oss_classes` of ``res.matrix()``, preparing its distinct rows only.
+    """:func:`_oss_classes` of ``res.values``, preparing its distinct rows only.
 
     ``np.minimum.at`` finds each base row's first position. Only those
     rows are scaled, gathered in order of appearance by the same
@@ -834,10 +820,11 @@ class _OssGreedy:
     such rows, grouped by sorting on that key, in the order of their
     lowest row; a class keeps the score each of its rows has in a
     row-by-row run and gives up its lowest untaken row when picked. A
-    :class:`Resample` names its repeated rows, so only the distinct base
-    rows it draws are scaled and grouped, at their first appearance, and
-    each class's copies are listed from the row numbers by one integer
-    sort.
+    :class:`Resample` names its repeated rows in its row map, so for
+    one only the distinct base rows it draws are scaled and grouped, at
+    their first appearance, and each class's copies are listed from the
+    row numbers by one integer sort; its copied ``values`` go unread.
+    This is the one place that treats a Resample apart from its copy.
 
     Heads. Classes that share a sign pattern share every delta. With
     u = p - |z|^2 / 2 and b = |x|^2 / 2 the loss is (u - b + delta)^2,
@@ -1050,14 +1037,14 @@ def select_oss(X, k: int) -> SelectionResult:
     The greedy (:class:`_OssGreedy`) scores one head per sign pattern
     and classes of interchangeable rows, not rows, yet its picks are
     those of the row-by-row greedy, bit for bit. Given a
-    :class:`Resample` in place of ``X.matrix()``, the call prepares
-    only the distinct base rows it draws, and the result equals
-    ``select_oss(X.matrix(), k)`` bit for bit.
+    :class:`Resample`, the greedy reads its row map and prepares only
+    the distinct base rows it draws, and the result equals that of a
+    run on a plain copy of the same rows bit for bit.
 
     Parameters
     ----------
-    X : DataMatrix, array_like or Resample
-        Covariate matrix, n x p; or rows drawn from one.
+    X : DataMatrix or array_like
+        Covariate matrix, n x p; a :class:`Resample` is one.
     k : int
         Subdata size, a whole number with 2 <= k < n.
 
@@ -1074,9 +1061,9 @@ def select_oss(X, k: int) -> SelectionResult:
         If some column is constant, naming that column.
     """
     t0 = time.perf_counter()
-    source = X if isinstance(X, Resample) else as_data_matrix(X)
-    k = _oss_size(source.n, k)
-    greedy = _OssGreedy(source, k)
+    dm = as_data_matrix(X)
+    k = _oss_size(dm.n, k)
+    greedy = _OssGreedy(dm, k)
     chosen = np.array([greedy.step() for _ in range(k)], dtype=np.intp)
     elapsed = time.perf_counter() - t0
     return SelectionResult(chosen, k, _EMPTY_TRACE, elapsed)

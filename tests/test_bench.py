@@ -11,6 +11,7 @@ from subdata import (
     ConfigError,
     DataMatrix,
     MetricsRecord,
+    Resample,
     ScenarioConfig,
     SelectorSpec,
     SubdataError,
@@ -800,6 +801,28 @@ class TestRunBootstrap:
         recs = run_bootstrap(data, BootstrapPlan.from_multiples(4, n_boot=3, seed=2))
         assert len(recs) == 3 * 4 * 6 and not any(r.failed for r in recs)
         assert calls == {"thin_svd": 3, "oss": 3}
+
+    def test_oss_reads_each_replicates_row_map(self, monkeypatch):
+        # a plain copy gives oss the same picks, so only a spy sees that
+        # the greedy is handed the replicate's row map
+        seen = []
+
+        def recording(res):
+            seen.append(res)
+            return classes(res)
+
+        classes = selectors._resample_classes
+        monkeypatch.setenv(THREADS_ENV_VAR, "1")
+        monkeypatch.setattr(selectors, "_resample_classes", recording)
+        data = gen_dataset(ScenarioConfig(case="mvnormal", n=2000, p=4, k=5, seed=1))
+        plan = BootstrapPlan.from_multiples(4, n_boot=2, seed=2)
+        recs = run_bootstrap(data, plan)
+        assert len(recs) == 2 * 4 * 6 and not any(r.failed for r in recs)
+        assert len(seen) == 2
+        for b, res in enumerate(seen):
+            rows = np.random.default_rng(plan.seed + b).integers(0, data.n, size=data.n)
+            assert isinstance(res, Resample) and res.data is data
+            assert np.array_equal(res.rows, rows)
 
     def test_sorts_heads_only_and_prepares_tails_once_per_design(self, monkeypatch):
         tails, heads = Counter(), []

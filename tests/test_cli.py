@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subdata import LevssConfig, SelectorSpec, read_csv, select_levss
+from subdata import (DataMatrix, LevssConfig, SelectorSpec, read_csv, select_levss,
+                     write_dataset)
 from subdata import cli
 from subdata.bench import _run_selector
 from subdata.cli import main, parse_cli
@@ -460,6 +462,29 @@ class TestEndToEnd:
                  "--output", str(out)]
             ) == 0
             assert len(out.read_text().splitlines()) == 9
+
+    @pytest.mark.parametrize("label, threshold", [("levss:T=25", 25.0),
+                                                  ("levss:T=inf", math.inf)],
+                             ids=["T=25", "T=inf"])
+    def test_select_writes_a_singular_block_as_null(self, tmp_path, label, threshold):
+        # 0/1 covariates: the walk meets singular blocks, whose condition
+        # number is +inf; JSON has no token for it
+        data_path, out = tmp_path / "d.csv", tmp_path / "sel.csv"
+        rng = np.random.default_rng(1)
+        x = rng.integers(0, 2, size=(2000, 3)).astype(float)
+        write_dataset(DataMatrix(x, x.sum(axis=1) + rng.normal(size=2000)), data_path)
+        assert main(["select", "--method", label, "--k", "8", "--input", str(data_path),
+                     "--response", "y", "--output", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+        doc = json.loads((tmp_path / "sel.json").read_text(), parse_constant=refuse)
+        want = select_levss(read_csv(data_path, response="y"),
+                            LevssConfig(k=8, threshold=threshold, seed=0))
+        assert doc["k_star"] == want.k_star
+        trace = want.condition_trace
+        assert np.isinf(trace).any()
+        assert doc["condition_trace"] == [None if np.isinf(v) else float(v) for v in trace]
 
     @pytest.mark.parametrize("flags, spec", [
         (["--method", "levss"], SelectorSpec("levss")),

@@ -19,6 +19,7 @@ from subdata import (
     Resample,
     ScalingError,
     ScenarioConfig,
+    fit_ols,
     gen_covariates,
     iboss_tails,
     leverage_scores,
@@ -896,10 +897,10 @@ class TestOssOnResample:
         data = DataMatrix(rng.normal(size=(20, 3)), rng.normal(size=20))
         rows = rng.integers(0, 20, size=35)
         res = Resample(data, rows)
-        assert res.shape == (35, 3) and res.n == 35 and res.p == 3
-        copy = res.matrix()
-        assert np.array_equal(copy.values, data.values[rows])
-        assert np.array_equal(copy.response, data.response[rows])
+        assert res.values.shape == (35, 3) and res.n == 35 and res.p == 3
+        assert np.array_equal(res.values, data.values[rows])
+        assert np.array_equal(res.response, data.response[rows])
+        assert res.data is data and np.array_equal(res.rows, rows)
 
     @pytest.mark.parametrize("rows, error", [
         (np.zeros((2, 2), dtype=int), DimensionError),
@@ -911,6 +912,38 @@ class TestOssOnResample:
     def test_rows_checked(self, rows, error):
         with pytest.raises(error):
             Resample(np.ones((20, 2)), rows)
+
+
+class TestResampleIsItsCopy:
+    """Every consumer reads Resample(data, rows) as data.take(rows)."""
+
+    def test_every_consumer_reads_the_copy(self):
+        rng = np.random.default_rng(11)
+        data = DataMatrix(rng.normal(size=(600, 4)), rng.normal(size=600))
+        rows = rng.integers(0, 600, size=600)
+        res, copy = Resample(data, rows), data.take(rows)
+        assert isinstance(res, DataMatrix)
+        assert np.array_equal(res.values, copy.values)
+        assert np.array_equal(res.response, copy.response)
+
+        def same(a, b):
+            assert np.array_equal(a.indices, b.indices)
+            assert a.k_star == b.k_star
+            assert np.array_equal(a.condition_trace, b.condition_trace)
+
+        ranked = rank_by_leverage(res, 60), rank_by_leverage(copy, 60)
+        assert np.array_equal(ranked[0].scores, ranked[1].scores)
+        assert np.array_equal(ranked[0].head, ranked[1].head)
+        for threshold in (None, 15.0):
+            cfg = LevssConfig(k=60, threshold=threshold, seed=3)
+            same(select_levss(res, cfg), select_levss(copy, cfg))
+        same(select_iboss(res, 40), select_iboss(copy, 40))
+        same(select_uniform(res, 50, seed=4), select_uniform(copy, 50, seed=4))
+        same(select_oss(res, 50), select_oss(copy, 50))
+        fits = fit_ols(res, res.response), fit_ols(copy, copy.response)
+        assert fits[0].intercept == fits[1].intercept
+        assert np.array_equal(fits[0].slopes, fits[1].slopes)
+        assert np.array_equal(fits[0].singular_values, fits[1].singular_values)
 
 
 class TestScaleToUnitBox:
